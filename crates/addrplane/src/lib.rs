@@ -11,10 +11,17 @@
 //!   prefix, bulk word ingest, and a set-bit iterator.
 //! * [`contingency_counts`] — the bitwise 2^t kernel: all
 //!   capture-history cells of `t` source planes from one walk over
-//!   their shared words, bit-identical to the per-address construction.
-//! * [`PrefixPlane`] — a compact index-based binary trie answering
-//!   longest-prefix match and per-prefix covered-address counts for
-//!   routing and truncation.
+//!   their shared words, bit-identical to the per-address construction;
+//!   [`stratified_counts`] splits the same walk into one table per
+//!   stratum.
+//! * [`PrefixPlane`] — a compact index-based binary trie with a payload
+//!   per prefix, answering longest-prefix match and per-prefix
+//!   covered-address counts for routing, truncation and the allocation
+//!   registry.
+//!
+//! A plane indexes any `u32` key space, not only addresses: /24 subnet
+//! sets are planes of subnet ids (`addr >> 8`, all in segment 0), so
+//! address and /24 tables run through the same kernels.
 //!
 //! The crate sits at the bottom of the workspace stack (below
 //! `ghosts-net`) and deliberately depends on nothing, so every layer —
@@ -28,6 +35,6 @@ pub mod contingency;
 pub mod plane;
 pub mod prefix;
 
-pub use contingency::{contingency_counts, MAX_SOURCES};
+pub use contingency::{contingency_counts, stratified_counts, MAX_SOURCES};
 pub use plane::{AddrPlane, SEG_BITS, SEG_WORDS};
 pub use prefix::PrefixPlane;

@@ -295,10 +295,16 @@ impl AddrPlane {
 
     /// Membership test: a single word load and mask.
     pub fn contains(&self, addr: u32) -> bool {
-        match self.segs.get(&seg_key(addr)) {
-            Some(seg) => seg.word(word_index(addr)) & bit_mask(addr) != 0,
-            None => false,
-        }
+        self.word(addr) & bit_mask(addr) != 0
+    }
+
+    /// The 64-bit word holding `addr`'s bit: bit `i` stands for address
+    /// `(addr & !63) + i`. Zero where the plane has no segment. Lets a
+    /// walk over one plane's words read the matching word of another.
+    pub fn word(&self, addr: u32) -> u64 {
+        self.segs
+            .get(&seg_key(addr))
+            .map_or(0, |seg| seg.word(word_index(addr)))
     }
 
     /// OR kernel: merges `other` into `self` (set union).
@@ -782,6 +788,19 @@ mod tests {
         let mut seen = Vec::new();
         p.for_each_word(|base, w| seen.push((base, w.count_ones())));
         assert_eq!(seen, vec![(0, 2), (256, 1), (0x0a00_0000, 1)]);
+    }
+
+    #[test]
+    fn word_reads_match_bits() {
+        let p: AddrPlane = [0u32, 3, 63, 64, 0x0a00_0041, u32::MAX]
+            .into_iter()
+            .collect();
+        assert_eq!(p.word(0), (1 << 0) | (1 << 3) | (1 << 63));
+        assert_eq!(p.word(63), p.word(0), "any address of the word reads it");
+        assert_eq!(p.word(64), 1);
+        assert_eq!(p.word(0x0a00_0040), 0b10);
+        assert_eq!(p.word(u32::MAX), 1 << 63);
+        assert_eq!(p.word(0x0b00_0000), 0, "missing segment reads zero");
     }
 
     #[test]

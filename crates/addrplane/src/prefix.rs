@@ -1,29 +1,32 @@
-//! [`PrefixPlane`]: a compact binary trie over IPv4 prefixes.
+//! [`PrefixPlane`]: a compact binary trie over IPv4 prefixes with an
+//! optional payload per prefix.
 //!
 //! Nodes live contiguously in one `Vec` and refer to children by index,
 //! so the structure is clone-cheap, cache-friendly, and free of the
 //! per-node boxing of a pointer trie. It answers the routing-side
-//! questions the plane needs: longest-prefix match for membership,
-//! union address/subnet counts for truncation bounds, and exact
-//! covered-address counts inside an arbitrary block — all by node
-//! walks, never by scanning a prefix list.
+//! questions the plane needs: longest-prefix match (with the matched
+//! prefix's payload) for membership and registry lookups, union
+//! address/subnet counts for truncation bounds, and exact covered-address
+//! counts inside an arbitrary block — all by node walks, never by
+//! scanning a prefix list.
 
 /// Sentinel for "no child".
 const NO_CHILD: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
-struct Node {
+struct Node<T> {
     zero: u32,
     one: u32,
-    terminal: bool,
+    /// The payload of the prefix ending here; `None` for interior nodes.
+    value: Option<T>,
 }
 
-impl Node {
+impl<T> Node<T> {
     fn leaf() -> Self {
         Node {
             zero: NO_CHILD,
             one: NO_CHILD,
-            terminal: false,
+            value: None,
         }
     }
 }
@@ -51,32 +54,34 @@ fn bit_at(depth: u8) -> u32 {
     1u32 << (31 - u32::from(depth.min(31)))
 }
 
-/// A set of IPv4 prefixes with longest-match lookup and per-prefix
-/// popcount-style size queries.
+/// A set of IPv4 prefixes, each carrying a payload of type `T`, with
+/// longest-match lookup and per-prefix popcount-style size queries. The
+/// default `T = ()` is a plain prefix set (the routed table); the
+/// allocation registry stores an allocation id per prefix.
 ///
 /// ```
 /// use ghosts_addrplane::PrefixPlane;
 ///
 /// let mut t = PrefixPlane::new();
-/// t.insert(0x0800_0000, 8); // 8.0.0.0/8
-/// t.insert(0x0801_0000, 16); // 8.1.0.0/16
-/// assert_eq!(t.longest_match(0x0801_0203), Some((0x0801_0000, 16)));
-/// assert_eq!(t.longest_match(0x08c8_0001), Some((0x0800_0000, 8)));
+/// t.insert(0x0800_0000, 8, "8/8"); // 8.0.0.0/8
+/// t.insert(0x0801_0000, 16, "8.1/16"); // 8.1.0.0/16
+/// assert_eq!(t.longest_match(0x0801_0203), Some((0x0801_0000, 16, &"8.1/16")));
+/// assert_eq!(t.longest_match(0x08c8_0001), Some((0x0800_0000, 8, &"8/8")));
 /// assert_eq!(t.union_address_count(), 1 << 24); // nesting dedupes
 /// ```
 #[derive(Debug, Clone)]
-pub struct PrefixPlane {
-    nodes: Vec<Node>,
+pub struct PrefixPlane<T = ()> {
+    nodes: Vec<Node<T>>,
     len: usize,
 }
 
-impl Default for PrefixPlane {
+impl<T> Default for PrefixPlane<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl PrefixPlane {
+impl<T> PrefixPlane<T> {
     /// Creates an empty trie.
     pub fn new() -> Self {
         PrefixPlane {
@@ -101,13 +106,13 @@ impl PrefixPlane {
             .map_or(NO_CHILD, |n| if bit == 0 { n.zero } else { n.one })
     }
 
-    fn is_terminal(&self, id: u32) -> bool {
-        self.nodes.get(id as usize).is_some_and(|n| n.terminal)
+    fn value_of(&self, id: u32) -> Option<&T> {
+        self.nodes.get(id as usize).and_then(|n| n.value.as_ref())
     }
 
-    /// Inserts the prefix `base/len` (host bits ignored); returns `true`
-    /// if it was not already present.
-    pub fn insert(&mut self, base: u32, len: u8) -> bool {
+    /// Stores `value` at the prefix `base/len` (host bits ignored);
+    /// returns the value it replaced, or `None` if the prefix is new.
+    pub fn insert(&mut self, base: u32, len: u8, value: T) -> Option<T> {
         let len = len.min(32);
         let base = mask_base(base, len);
         let mut id = 0u32;
@@ -129,24 +134,24 @@ impl PrefixPlane {
                 next
             };
         }
-        match self.nodes.get_mut(id as usize) {
-            Some(n) if !n.terminal => {
-                n.terminal = true;
-                self.len += 1;
-                true
-            }
-            _ => false,
+        let old = self
+            .nodes
+            .get_mut(id as usize)
+            .and_then(|n| n.value.replace(value));
+        if old.is_none() {
+            self.len += 1;
         }
+        old
     }
 
     /// The most specific stored prefix containing `addr`, as
-    /// `(masked base, length)`.
-    pub fn longest_match(&self, addr: u32) -> Option<(u32, u8)> {
+    /// `(masked base, length, payload)`.
+    pub fn longest_match(&self, addr: u32) -> Option<(u32, u8, &T)> {
         let mut best = None;
         let mut id = 0u32;
         for depth in 0u8..=32 {
-            if self.is_terminal(id) {
-                best = Some((mask_base(addr, depth), depth));
+            if let Some(v) = self.value_of(id) {
+                best = Some((mask_base(addr, depth), depth, v));
             }
             if depth == 32 {
                 break;
@@ -165,7 +170,7 @@ impl PrefixPlane {
     pub fn contains_addr(&self, addr: u32) -> bool {
         let mut id = 0u32;
         for depth in 0u8..=32 {
-            if self.is_terminal(id) {
+            if self.value_of(id).is_some() {
                 return true;
             }
             if depth == 32 {
@@ -180,18 +185,18 @@ impl PrefixPlane {
         false
     }
 
-    /// Visits every stored prefix as `(base, len)` in lexicographic
-    /// order (shorter prefixes before their more-specifics).
-    pub fn for_each<F: FnMut(u32, u8)>(&self, mut f: F) {
+    /// Visits every stored prefix as `(base, len, payload)` in
+    /// lexicographic order (shorter prefixes before their more-specifics).
+    pub fn for_each<F: FnMut(u32, u8, &T)>(&self, mut f: F) {
         self.walk_each(0, 0, 0, &mut f);
     }
 
-    fn walk_each<F: FnMut(u32, u8)>(&self, id: u32, base: u32, depth: u8, f: &mut F) {
+    fn walk_each<F: FnMut(u32, u8, &T)>(&self, id: u32, base: u32, depth: u8, f: &mut F) {
         let Some(n) = self.nodes.get(id as usize) else {
             return;
         };
-        if n.terminal {
-            f(base, depth);
+        if let Some(v) = &n.value {
+            f(base, depth, v);
         }
         if depth == 32 {
             return;
@@ -218,7 +223,7 @@ impl PrefixPlane {
         let base = mask_base(base, len);
         let mut id = 0u32;
         for depth in 0..len {
-            if self.is_terminal(id) {
+            if self.value_of(id).is_some() {
                 // An ancestor advertisement covers the whole block.
                 return block_size(len);
             }
@@ -235,7 +240,7 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return 0;
         };
-        if n.terminal {
+        if n.value.is_some() {
             return block_size(depth);
         }
         if depth >= 32 {
@@ -261,7 +266,7 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return 0;
         };
-        if n.terminal {
+        if n.value.is_some() {
             return if depth <= 24 {
                 // lint: allow(counting-overflow) depth <= 24 bounds the shift
                 1u64 << (24 - u32::from(depth))
@@ -286,7 +291,7 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return false;
         };
-        if n.terminal {
+        if n.value.is_some() {
             return true;
         }
         (n.zero != NO_CHILD && self.subtree_any(n.zero))
@@ -301,7 +306,7 @@ mod tests {
     fn plane(prefixes: &[(u32, u8)]) -> PrefixPlane {
         let mut t = PrefixPlane::new();
         for &(b, l) in prefixes {
-            t.insert(b, l);
+            t.insert(b, l, ());
         }
         t
     }
@@ -310,9 +315,9 @@ mod tests {
     fn insert_and_longest_match() {
         let t = plane(&[(0x0a00_0000, 8), (0x0a01_0000, 16), (0x0a01_0200, 24)]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.longest_match(0x0a01_0203), Some((0x0a01_0200, 24)));
-        assert_eq!(t.longest_match(0x0a01_0909), Some((0x0a01_0000, 16)));
-        assert_eq!(t.longest_match(0x0ac8_0001), Some((0x0a00_0000, 8)));
+        assert_eq!(t.longest_match(0x0a01_0203), Some((0x0a01_0200, 24, &())));
+        assert_eq!(t.longest_match(0x0a01_0909), Some((0x0a01_0000, 16, &())));
+        assert_eq!(t.longest_match(0x0ac8_0001), Some((0x0a00_0000, 8, &())));
         assert_eq!(t.longest_match(0x0b00_0000), None);
         assert!(t.contains_addr(0x0a07_0707));
         assert!(!t.contains_addr(0x0909_0909));
@@ -321,21 +326,50 @@ mod tests {
     #[test]
     fn insert_is_idempotent_and_masks_host_bits() {
         let mut t = PrefixPlane::new();
-        assert!(t.insert(0x0a00_00ff, 8));
-        assert!(!t.insert(0x0a00_0000, 8));
+        assert_eq!(t.insert(0x0a00_00ff, 8, ()), None);
+        assert_eq!(t.insert(0x0a00_0000, 8, ()), Some(()));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn replacing_a_payload_returns_the_old_value() {
+        let mut t = PrefixPlane::new();
+        assert!(t.is_empty());
+        assert_eq!(t.insert(0x0a00_0000, 8, "ten"), None);
+        assert_eq!(t.insert(0x0a01_0000, 16, "ten-one"), None);
+        assert_eq!(t.len(), 2);
+        // Replacement hands back the old payload and keeps the count.
+        assert_eq!(t.insert(0x0a00_0000, 8, "TEN"), Some("ten"));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.longest_match(0x0a02_0000), Some((0x0a00_0000, 8, &"TEN")));
+    }
+
+    #[test]
+    fn nested_prefixes_return_the_most_specific_payload() {
+        let mut t = PrefixPlane::new();
+        t.insert(0x0a00_0000, 8, 8u32);
+        t.insert(0x0a01_0000, 16, 16);
+        t.insert(0x0a01_0200, 24, 24);
+        assert_eq!(t.longest_match(0x0a01_0203), Some((0x0a01_0200, 24, &24)));
+        assert_eq!(t.longest_match(0x0a01_0909), Some((0x0a01_0000, 16, &16)));
+        assert_eq!(t.longest_match(0x0ac8_0001), Some((0x0a00_0000, 8, &8)));
+        assert_eq!(t.longest_match(0x0b00_0000), None);
+        // A host route below a /8 wins only for its own address.
+        t.insert(0x0a01_0203, 32, 32);
+        assert_eq!(t.longest_match(0x0a01_0203), Some((0x0a01_0203, 32, &32)));
+        assert_eq!(t.longest_match(0x0a01_0204), Some((0x0a01_0200, 24, &24)));
     }
 
     #[test]
     fn default_route_and_host_routes() {
         let mut t = PrefixPlane::new();
-        t.insert(0, 0);
+        t.insert(0, 0, ());
         assert!(t.contains_addr(0));
         assert!(t.contains_addr(u32::MAX));
         assert_eq!(t.union_address_count(), 1 << 32);
 
         let mut h = PrefixPlane::new();
-        h.insert(0x0102_0304, 32);
+        h.insert(0x0102_0304, 32, ());
         assert!(h.contains_addr(0x0102_0304));
         assert!(!h.contains_addr(0x0102_0305));
         assert_eq!(h.union_address_count(), 1);
@@ -345,7 +379,7 @@ mod tests {
     fn for_each_lexicographic() {
         let t = plane(&[(0xc000_0000, 8), (0x0a00_0000, 8), (0x0a01_0000, 16)]);
         let mut got = Vec::new();
-        t.for_each(|b, l| got.push((b, l)));
+        t.for_each(|b, l, _| got.push((b, l)));
         assert_eq!(
             got,
             vec![(0x0a00_0000, 8), (0x0a01_0000, 16), (0xc000_0000, 8)]
@@ -364,6 +398,13 @@ mod tests {
         let t = plane(&[(0x0102_0380, 25), (0x0102_0300, 26)]);
         assert_eq!(t.union_subnet24_count(), 1);
         assert_eq!(t.union_address_count(), 128 + 64);
+    }
+
+    #[test]
+    fn union_counts_disjoint_32s() {
+        let t = plane(&[(0x0102_0304, 32), (0x0102_0305, 32), (0x0909_0909, 32)]);
+        assert_eq!(t.union_address_count(), 3);
+        assert_eq!(t.union_subnet24_count(), 2);
     }
 
     #[test]

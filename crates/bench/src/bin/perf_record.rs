@@ -815,7 +815,7 @@ fn addrplane_mode(out: &str) {
     for _ in 0..4096 {
         let len = trie_rng.gen_range(12..=24u8);
         let base = (trie_rng.gen::<u32>() >> (32 - u32::from(len))) << (32 - u32::from(len));
-        trie.insert(base, len);
+        trie.insert(base, len, ());
     }
     let mut probe_rng = component_rng(13, "perf-addrplane-trie-probe");
     let probes: Vec<u32> = (0..2_000_000u64).map(|_| probe_rng.gen()).collect();

@@ -98,7 +98,7 @@ pub struct ReproContext {
     /// run sequentially (racing double-computes would double-record).
     pub recorder: Recorder,
     /// Stage profiler attributing wall (or logical) time across the
-    /// pipeline stages (`parse` → `fit`/`select`/`ci`). Disabled by
+    /// pipeline stages (`pipeline` → `fit`/`select`/`ci`). Disabled by
     /// default; the `repro` binary enables it under `--profile`. Call
     /// counts are deterministic; durations live in the volatile lane.
     pub profiler: StageProfiler,
@@ -177,7 +177,7 @@ impl ReproContext {
             let spoof_free = raw.spoof_free_union();
             let fcfg = SpoofFilterConfig::with_universe(self.scenario.routed_per_eight());
             let obs = self.window_scope("pipeline", i);
-            let profile = self.profiler.scoped("parse");
+            let profile = self.profiler.scoped("pipeline");
             let mut sources: Vec<SourceDataset> = raw
                 .sources
                 .iter()

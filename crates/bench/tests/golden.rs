@@ -69,3 +69,75 @@ fn window10_estimate_ci_and_model_are_pinned() {
     assert_eq!(sel_seq.model.describe(), sel_par.model.describe());
     assert_eq!(sel_seq.ic.to_bits(), sel_par.ic.to_bits());
 }
+
+/// FNV-1a (64-bit) over the big-endian bytes of each address, in the
+/// order given.
+fn fnv1a_addrs(addrs: impl Iterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for a in addrs {
+        for b in a.to_be_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the §4.5 spoof filter on windows 0 and 10: per filtered source,
+/// the stage-1 threshold, both stages' removal counts, the kept size and
+/// a digest of the kept addresses in ascending order. Stage 2 draws one
+/// RNG value per candidate address, so a matching digest also pins the
+/// order and number of those draws.
+#[test]
+fn spoof_filter_outputs_are_pinned() {
+    use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
+    use ghosts_stats::rng::component_rng;
+
+    // (window, source, m, removed /24s, stage-1 removals, stage-2
+    // removals, kept addresses, FNV-1a of the kept addresses).
+    type Pin = (usize, String, u64, u64, u64, u64, u64, u64);
+    let want: Vec<Pin> = [
+        (0, "SWIN", 11, 412, 793, 557, 15328, 0x37034dc861560389),
+        (10, "SWIN", 9, 325, 641, 352, 18389, 0xcc96d5ba24951df7),
+        (10, "CALT", 31, 392, 4182, 7116, 64320, 0xf14b3cff3d435458),
+    ]
+    .into_iter()
+    .map(|(i, n, m, s, s1, s2, k, h)| (i, n.to_string(), m, s, s1, s2, k, h))
+    .collect();
+
+    let ctx = ReproContext::new(DENOM, SEED);
+    let mut got: Vec<Pin> = Vec::new();
+    for i in [0usize, 10] {
+        // The same inputs `ReproContext::filtered_window` feeds the filter.
+        let raw = ctx.raw_window(i);
+        let spoof_free = raw.spoof_free_union();
+        let fcfg = SpoofFilterConfig::with_universe(ctx.scenario.routed_per_eight());
+        let filtered = ctx.filtered_window(i);
+        for (d, kept) in raw.sources.iter().zip(&filtered.sources) {
+            if d.spoof_free {
+                continue;
+            }
+            let seed = ctx.scenario.gt.cfg.seed;
+            let mut rng = component_rng(seed, &format!("repro-filter-{}-{}", d.name, i));
+            let r = filter_spoofed(&d.addrs, &spoof_free, &fcfg, &mut rng);
+            let digest = fnv1a_addrs(r.filtered.iter());
+            assert_eq!(
+                digest,
+                fnv1a_addrs(kept.addrs.iter()),
+                "{} window {i}",
+                d.name
+            );
+            got.push((
+                i,
+                d.name.clone(),
+                r.m,
+                r.removed_subnets,
+                r.removed_stage1,
+                r.removed_stage2,
+                r.filtered.len(),
+                digest,
+            ));
+        }
+    }
+    assert_eq!(got, want);
+}

@@ -76,8 +76,9 @@ impl ContingencyTable {
 
     /// The per-address reference construction: iterates the union of all
     /// sources once and tests membership per source — `O(union · t)`
-    /// bitmap probes. Kept as the independently-derived oracle the plane
-    /// kernel is checked against.
+    /// bitmap probes. The only per-individual builder left: it is the
+    /// independently derived oracle every plane-kernel build (plain,
+    /// /24 and stratified) is checked against.
     pub fn from_addr_sets_per_addr(sources: &[&AddrSet]) -> Self {
         let t = sources.len();
         let mut table = Self::new(t);
@@ -97,29 +98,22 @@ impl ContingencyTable {
         table
     }
 
-    /// Builds the table for a collection of /24 subnet sets.
+    /// Builds the table for a collection of /24 subnet sets, through the
+    /// same plane kernel as [`ContingencyTable::from_addr_sets`] (a subnet
+    /// set is a plane of /24 ids).
     pub fn from_subnet_sets(sources: &[&SubnetSet]) -> Self {
-        let t = sources.len();
-        let mut table = Self::new(t);
-        let mut union = SubnetSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for sub in union.iter() {
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(sub) {
-                    mask |= 1 << i;
-                }
-            }
-            table.record(mask);
-        }
-        table
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::from_planes(&planes)
     }
 
     /// Builds one table per stratum from address sets. `stratum_of` maps an
     /// address to a stratum index below `n_strata` (or `None` to drop it —
     /// e.g. addresses outside the routed space).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= sources.len() <= MAX_SOURCES`, and if
+    /// `stratum_of` returns an index `>= n_strata`.
     pub fn stratified_from_addr_sets<F>(
         sources: &[&AddrSet],
         n_strata: usize,
@@ -128,30 +122,16 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let t = sources.len();
-        let mut tables = vec![Self::new(t); n_strata];
-        let mut union = AddrSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for addr in union.iter() {
-            let Some(stratum) = stratum_of(addr) else {
-                continue;
-            };
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(addr) {
-                    mask |= 1 << i;
-                }
-            }
-            // lint: allow(panic-path) stratum_of's contract: Some(i) implies i < n_strata
-            tables[stratum].record(mask);
-        }
-        tables
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::stratified_from_planes(&planes, n_strata, stratum_of)
     }
 
     /// Builds one table per stratum from /24 subnet sets. `stratum_of`
     /// receives the subnet's base address.
+    ///
+    /// # Panics
+    ///
+    /// As [`ContingencyTable::stratified_from_addr_sets`].
     pub fn stratified_from_subnet_sets<F>(
         sources: &[&SubnetSet],
         n_strata: usize,
@@ -160,26 +140,24 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let t = sources.len();
-        let mut tables = vec![Self::new(t); n_strata];
-        let mut union = SubnetSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for sub in union.iter() {
-            let Some(stratum) = stratum_of(SubnetSet::subnet_base(sub)) else {
-                continue;
-            };
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(sub) {
-                    mask |= 1 << i;
-                }
-            }
-            // lint: allow(panic-path) stratum_of's contract: Some(i) implies i < n_strata
-            tables[stratum].record(mask);
-        }
-        tables
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::stratified_from_planes(&planes, n_strata, |sub| {
+            stratum_of(SubnetSet::subnet_base(sub))
+        })
+    }
+
+    /// The stratified plane walk
+    /// ([`ghosts_addrplane::stratified_counts`]) behind both
+    /// `stratified_from_*` builders.
+    fn stratified_from_planes<F>(planes: &[&AddrPlane], n_strata: usize, key: F) -> Vec<Self>
+    where
+        F: Fn(u32) -> Option<usize>,
+    {
+        let t = planes.len();
+        ghosts_addrplane::stratified_counts(planes, n_strata, key)
+            .into_iter()
+            .map(|counts| ContingencyTable { t, counts })
+            .collect()
     }
 
     /// Records one individual with history `mask`. A zero mask (individual
@@ -362,7 +340,6 @@ mod tests {
         assert_eq!(kernel, per_addr);
         let planes: Vec<_> = sources.iter().map(|s| s.plane()).collect();
         assert_eq!(ContingencyTable::from_planes(&planes), per_addr);
-        assert_eq!(crate::contingency_from_planes(&planes), per_addr);
     }
 
     #[test]

@@ -6,10 +6,61 @@ use ghosts_core::{
     chao_lower_bound, estimate_table, fit_llm, lincoln_petersen, CellModel, ContingencyTable,
     CrConfig, LogLinearModel,
 };
+use ghosts_net::{AddrSet, SubnetSet};
 use proptest::prelude::*;
 
 fn masks(t: usize) -> impl Strategy<Value = Vec<u16>> {
     proptest::collection::vec(1u16..(1 << t) as u16, 1..600)
+}
+
+/// Addresses biased to the plane's segment seams: 0, 2^24 − 1, 2^24 and
+/// `u32::MAX`, and the words around them.
+fn seam_addr() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just((1u32 << 24) - 1),
+        Just(1u32 << 24),
+        Just(u32::MAX),
+        0u32..256,
+        ((1u32 << 24) - 256)..((1u32 << 24) + 256),
+        (u32::MAX - 255)..=u32::MAX,
+        any::<u32>(),
+    ]
+}
+
+/// /24 ids biased to both ends of the id space, 0 and 2^24 − 1.
+fn seam_id() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just((1u32 << 24) - 1),
+        0u32..256,
+        ((1u32 << 24) - 256)..(1u32 << 24),
+        0u32..(1 << 24),
+    ]
+}
+
+/// A stratum key over `n` strata that drops about one position in
+/// `drop_one_in`, mixed by `salt`.
+fn key(n: usize, salt: u32, drop_one_in: u32) -> impl Fn(u32) -> Option<usize> {
+    move |x: u32| {
+        let h = (x ^ salt).wrapping_mul(0x9e37_79b9) >> 8;
+        if h.is_multiple_of(drop_one_in) {
+            None
+        } else {
+            Some(h as usize % n)
+        }
+    }
+}
+
+/// The per-address oracle for stratum `s`: every source restricted to the
+/// positions `key` maps to `s`, tabulated by `from_addr_sets_per_addr`.
+fn oracle(sources: &[Vec<u32>], key: &impl Fn(u32) -> Option<usize>, s: usize) -> ContingencyTable {
+    let restricted: Vec<AddrSet> = sources
+        .iter()
+        .map(|src| src.iter().copied().filter(|&x| key(x) == Some(s)).collect())
+        .collect();
+    let refs: Vec<&AddrSet> = restricted.iter().collect();
+    ContingencyTable::from_addr_sets_per_addr(&refs)
 }
 
 proptest! {
@@ -152,5 +203,47 @@ proptest! {
         prop_assert_eq!(e.f1, e_p.f1);
         prop_assert_eq!(e.f2, e_p.f2);
         prop_assert!((e.n_hat - e_p.n_hat).abs() < 1e-9);
+    }
+
+    /// Each stratified address table equals the per-address oracle over
+    /// the sources restricted to that stratum.
+    #[test]
+    fn stratified_addr_tables_match_per_addr_oracle(
+        sources in proptest::collection::vec(proptest::collection::vec(seam_addr(), 0..80), 1..6),
+        n in 1usize..5,
+        salt in any::<u32>(),
+        drop_one_in in 2u32..6,
+    ) {
+        let sets: Vec<AddrSet> = sources.iter().map(|s| s.iter().copied().collect()).collect();
+        let refs: Vec<&AddrSet> = sets.iter().collect();
+        let key = key(n, salt, drop_one_in);
+        let tables = ContingencyTable::stratified_from_addr_sets(&refs, n, &key);
+        prop_assert_eq!(tables.len(), n);
+        for (s, table) in tables.iter().enumerate() {
+            prop_assert_eq!(table, &oracle(&sources, &key, s));
+        }
+    }
+
+    /// The /24 builders match the same oracle applied to the id sets: the
+    /// unstratified table, and each stratum of the stratified one (whose
+    /// key sees the subnet's base address).
+    #[test]
+    fn stratified_subnet_tables_match_per_addr_oracle(
+        sources in proptest::collection::vec(proptest::collection::vec(seam_id(), 0..80), 1..6),
+        n in 1usize..5,
+        salt in any::<u32>(),
+        drop_one_in in 2u32..6,
+    ) {
+        let sets: Vec<SubnetSet> = sources.iter().map(|s| s.iter().copied().collect()).collect();
+        let refs: Vec<&SubnetSet> = sets.iter().collect();
+        let all = |_: u32| Some(0usize);
+        prop_assert_eq!(ContingencyTable::from_subnet_sets(&refs), oracle(&sources, &all, 0));
+        let key = key(n, salt, drop_one_in);
+        let tables = ContingencyTable::stratified_from_subnet_sets(&refs, n, &key);
+        let id_key = |id: u32| key(SubnetSet::subnet_base(id));
+        prop_assert_eq!(tables.len(), n);
+        for (s, table) in tables.iter().enumerate() {
+            prop_assert_eq!(table, &oracle(&sources, &id_key, s));
+        }
     }
 }

@@ -3,11 +3,11 @@
 //! The paper stratifies by RIR, country, prefix size, industry and
 //! allocation age (§3.4), using RIR delegation files and whois data. This
 //! module models those records: an [`Allocation`] carries the stratification
-//! attributes, and a [`Registry`] indexes allocations in a prefix trie for
-//! O(32) address→allocation lookup.
+//! attributes, and a [`Registry`] indexes allocations in a
+//! [`PrefixPlane`] trie for O(32) address→allocation lookup.
 
 use crate::addr::Prefix;
-use crate::trie::PrefixTrie;
+use ghosts_addrplane::PrefixPlane;
 use std::fmt;
 
 /// The five Regional Internet Registries.
@@ -149,7 +149,7 @@ pub type AllocationId = u32;
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     allocations: Vec<Allocation>,
-    index: PrefixTrie<AllocationId>,
+    index: PrefixPlane<AllocationId>,
 }
 
 impl Registry {
@@ -165,8 +165,8 @@ impl Registry {
     /// Panics if the exact prefix is already registered (delegations are
     /// unique per prefix; nested delegations of different lengths are fine).
     pub fn add(&mut self, alloc: Allocation) -> AllocationId {
-        let id = self.allocations.len() as AllocationId;
-        let prev = self.index.insert(alloc.prefix, id);
+        let (id, p) = (self.allocations.len() as AllocationId, alloc.prefix);
+        let prev = self.index.insert(p.base(), p.len(), id);
         assert!(
             prev.is_none(),
             "Registry: duplicate allocation for {}",
@@ -198,8 +198,8 @@ impl Registry {
 
     /// The most specific allocation containing `addr`, if any.
     pub fn lookup(&self, addr: u32) -> Option<(AllocationId, &Allocation)> {
-        let (_, &id) = self.index.longest_match(addr)?;
-        Some((id, &self.allocations[id as usize]))
+        let (_, _, &id) = self.index.longest_match(addr)?;
+        Some((id, self.allocations.get(id as usize)?))
     }
 
     /// Total allocated address count (union, nested delegations deduped).

@@ -38,7 +38,7 @@ impl RoutedTable {
 
     /// Adds an advertised prefix (idempotent).
     pub fn announce(&mut self, prefix: Prefix) {
-        self.plane.insert(prefix.base(), prefix.len());
+        self.plane.insert(prefix.base(), prefix.len(), ());
     }
 
     /// Number of distinct advertised prefixes (nested prefixes counted
@@ -58,7 +58,7 @@ impl RoutedTable {
     pub fn longest_match(&self, addr: u32) -> Option<Prefix> {
         self.plane
             .longest_match(addr)
-            .map(|(base, len)| Prefix::new(base, len))
+            .map(|(base, len, _)| Prefix::new(base, len))
     }
 
     /// Total routed addresses (union of advertisements).
@@ -75,15 +75,15 @@ impl RoutedTable {
     pub fn prefixes(&self) -> Vec<Prefix> {
         let mut out = Vec::with_capacity(self.plane.len());
         self.plane
-            .for_each(|base, len| out.push(Prefix::new(base, len)));
+            .for_each(|base, len, _| out.push(Prefix::new(base, len)));
         out
     }
 
     /// Aggregates another snapshot into this table (the paper aggregates
     /// all weekly snapshots within each 12-month window).
     pub fn merge(&mut self, other: &RoutedTable) {
-        other.plane.for_each(|base, len| {
-            self.plane.insert(base, len);
+        other.plane.for_each(|base, len, _| {
+            self.plane.insert(base, len, ());
         });
     }
 

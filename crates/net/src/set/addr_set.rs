@@ -116,13 +116,22 @@ impl AddrSet {
     }
 
     /// Projects to the set of /24 subnets containing at least one
-    /// address, by walking nonzero words (each word sits inside one /24).
+    /// address. Each nonzero address word sits inside one /24, and 64
+    /// consecutive /24 ids share one word of the id plane, so the walk
+    /// gathers each output word's bits and ORs it in once.
     pub fn to_subnet24(&self) -> super::SubnetSet {
-        let mut out = super::SubnetSet::new();
+        let mut ids = AddrPlane::new();
+        let (mut out_base, mut bits) = (0u32, 0u64);
         self.plane.for_each_word(|word_base, _| {
-            out.insert(word_base >> 8);
+            let id = word_base >> 8;
+            if id & !63 != out_base {
+                ids.or_word(out_base, bits);
+                (out_base, bits) = (id & !63, 0);
+            }
+            bits |= 1u64 << (id & 63);
         });
-        out
+        ids.or_word(out_base, bits);
+        super::SubnetSet::from_plane(ids)
     }
 
     /// Per-/8 address counts (index = first octet).

@@ -1,42 +1,48 @@
-//! A flat bitmap set over all 2²⁴ possible /24 subnets.
+//! A set of /24 subnets as an address plane over subnet ids.
 
 use crate::addr::Prefix;
+use ghosts_addrplane::AddrPlane;
 
-const TOTAL_SUBNETS: usize = 1 << 24;
-const WORDS: usize = TOTAL_SUBNETS / 64;
+/// Number of /24 subnets in the IPv4 space; valid ids are below it.
+const TOTAL_SUBNETS: u32 = 1 << 24;
 
 /// A set of /24 subnets, identified by the top 24 bits of an address
-/// (`addr >> 8`). Backed by one flat 2 MiB bitmap — small enough to
-/// allocate eagerly, large enough to hold the entire IPv4 /24 space.
-#[derive(Clone)]
+/// (`addr >> 8`). A view over an [`AddrPlane`] whose positions are subnet
+/// ids instead of addresses: every id is below 2²⁴, so the whole set
+/// lives in the plane's first segment, allocated lazily and scanned only
+/// over its touched words. Set algebra, popcounts and the contingency
+/// kernels are the plane's.
+#[derive(Clone, Default)]
 pub struct SubnetSet {
-    bits: Vec<u64>,
-    len: u64,
-}
-
-impl Default for SubnetSet {
-    fn default() -> Self {
-        Self::new()
-    }
+    plane: AddrPlane,
 }
 
 impl SubnetSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self {
-            bits: vec![0u64; WORDS],
-            len: 0,
-        }
+        Self::default()
+    }
+
+    /// Wraps a plane of subnet ids (all below 2²⁴).
+    pub(crate) fn from_plane(plane: AddrPlane) -> Self {
+        debug_assert!(plane.count_range(TOTAL_SUBNETS, u32::MAX) == 0);
+        SubnetSet { plane }
+    }
+
+    /// The backing plane of subnet ids (for word-wise kernels — e.g. the
+    /// bitwise contingency build in `ghosts_core`).
+    pub fn plane(&self) -> &AddrPlane {
+        &self.plane
     }
 
     /// Number of subnets in the set.
     pub fn len(&self) -> u64 {
-        self.len
+        self.plane.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.plane.is_empty()
     }
 
     /// Inserts subnet id `sub` (must be `< 2²⁴`); returns `true` if new.
@@ -45,18 +51,8 @@ impl SubnetSet {
     ///
     /// Panics if `sub >= 2²⁴`.
     pub fn insert(&mut self, sub: u32) -> bool {
-        assert!(
-            (sub as usize) < TOTAL_SUBNETS,
-            "subnet id {sub} out of range"
-        );
-        let word = &mut self.bits[(sub / 64) as usize];
-        let mask = 1u64 << (sub % 64);
-        if *word & mask != 0 {
-            return false;
-        }
-        *word |= mask;
-        self.len += 1;
-        true
+        assert!(sub < TOTAL_SUBNETS, "subnet id {sub} out of range");
+        self.plane.insert(sub)
     }
 
     /// Inserts the /24 containing `addr`.
@@ -66,22 +62,12 @@ impl SubnetSet {
 
     /// Removes subnet id `sub`; returns `true` if it was present.
     pub fn remove(&mut self, sub: u32) -> bool {
-        if (sub as usize) >= TOTAL_SUBNETS {
-            return false;
-        }
-        let word = &mut self.bits[(sub / 64) as usize];
-        let mask = 1u64 << (sub % 64);
-        if *word & mask == 0 {
-            return false;
-        }
-        *word &= !mask;
-        self.len -= 1;
-        true
+        self.plane.remove(sub)
     }
 
     /// Membership test by subnet id.
     pub fn contains(&self, sub: u32) -> bool {
-        (sub as usize) < TOTAL_SUBNETS && self.bits[(sub / 64) as usize] & (1u64 << (sub % 64)) != 0
+        self.plane.contains(sub)
     }
 
     /// Membership test by address.
@@ -91,47 +77,24 @@ impl SubnetSet {
 
     /// Merges `other` into `self` (set union).
     pub fn union_with(&mut self, other: &SubnetSet) {
-        let mut len = 0u64;
-        for (w, ow) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= *ow;
-            len += u64::from(w.count_ones());
-        }
-        self.len = len;
+        self.plane.union_with(&other.plane);
     }
 
     /// Number of subnets present in both sets.
     pub fn intersection_count(&self, other: &SubnetSet) -> u64 {
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| u64::from((a & b).count_ones()))
-            .sum()
+        self.plane.intersection_count(&other.plane)
     }
 
     /// The intersection of two sets as a new set.
     pub fn intersect(&self, other: &SubnetSet) -> SubnetSet {
-        let mut out = SubnetSet::new();
-        let mut len = 0u64;
-        for (w, (a, b)) in out
-            .bits
-            .iter_mut()
-            .zip(self.bits.iter().zip(other.bits.iter()))
-        {
-            *w = a & b;
-            len += u64::from(w.count_ones());
+        SubnetSet {
+            plane: self.plane.intersect(&other.plane),
         }
-        out.len = len;
-        out
     }
 
     /// Removes from `self` every subnet present in `other`.
     pub fn subtract(&mut self, other: &SubnetSet) {
-        let mut len = 0u64;
-        for (w, ow) in self.bits.iter_mut().zip(&other.bits) {
-            *w &= !*ow;
-            len += u64::from(w.count_ones());
-        }
-        self.len = len;
+        self.plane.subtract(&other.plane);
     }
 
     /// Number of set subnets inside an address prefix (`len <= 24`).
@@ -146,48 +109,19 @@ impl SubnetSet {
             "count_in_prefix: /{} is below subnet granularity",
             prefix.len()
         );
-        let start = (prefix.base() >> 8) as usize;
-        let end = (prefix.last_address() >> 8) as usize;
-        count_bit_range(&self.bits, start, end)
+        self.plane
+            .count_range(prefix.base() >> 8, prefix.last_address() >> 8)
     }
 
     /// Iterates subnet ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| **w != 0)
-            .flat_map(|(wi, &w)| {
-                let mut word = w;
-                std::iter::from_fn(move || {
-                    if word == 0 {
-                        return None;
-                    }
-                    let b = word.trailing_zeros();
-                    word &= word - 1;
-                    Some((wi as u32) * 64 + b)
-                })
-            })
+        self.plane.iter()
     }
 
     /// The base address of subnet id `sub` (i.e. `sub << 8`).
     pub fn subnet_base(sub: u32) -> u32 {
         sub << 8
     }
-}
-
-fn count_bit_range(words: &[u64], start: usize, end: usize) -> u64 {
-    let (sw, sb) = (start / 64, start % 64);
-    let (ew, eb) = (end / 64, end % 64);
-    if sw == ew {
-        let mask = (u64::MAX << sb) & (u64::MAX >> (63 - eb));
-        return u64::from((words[sw] & mask).count_ones());
-    }
-    let mut total = u64::from((words[sw] & (u64::MAX << sb)).count_ones());
-    for w in &words[sw + 1..ew] {
-        total += u64::from(w.count_ones());
-    }
-    total + u64::from((words[ew] & (u64::MAX >> (63 - eb))).count_ones())
 }
 
 impl FromIterator<u32> for SubnetSet {
@@ -202,7 +136,7 @@ impl FromIterator<u32> for SubnetSet {
 
 impl std::fmt::Debug for SubnetSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SubnetSet {{ len: {} }}", self.len)
+        write!(f, "SubnetSet {{ len: {} }}", self.len())
     }
 }
 
@@ -225,6 +159,8 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(s.remove(a("10.0.0.0") >> 8));
         assert!(s.is_empty());
+        assert!(!s.remove(1 << 24), "out-of-range ids are never present");
+        assert!(!s.contains(u32::MAX));
     }
 
     #[test]
@@ -234,6 +170,8 @@ mod tests {
         s.insert((1 << 24) - 1);
         assert_eq!(s.len(), 2);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, (1 << 24) - 1]);
+        assert_eq!(s.plane().segment_count(), 1, "ids live in segment 0");
+        assert!(s.contains_addr(u32::MAX));
     }
 
     #[test]
@@ -270,11 +208,13 @@ mod tests {
         s.insert_addr(a("10.0.1.0"));
         s.insert_addr(a("10.1.0.0"));
         s.insert_addr(a("11.0.0.0"));
+        s.insert_addr(a("255.255.255.1"));
         assert_eq!(s.count_in_prefix("10.0.0.0/8".parse().unwrap()), 3);
         assert_eq!(s.count_in_prefix("10.0.0.0/16".parse().unwrap()), 2);
         assert_eq!(s.count_in_prefix("10.0.0.0/24".parse().unwrap()), 1);
         assert_eq!(s.count_in_prefix("10.0.2.0/24".parse().unwrap()), 0);
-        assert_eq!(s.count_in_prefix(Prefix::whole_space()), 4);
+        assert_eq!(s.count_in_prefix("255.255.255.0/24".parse().unwrap()), 1);
+        assert_eq!(s.count_in_prefix(Prefix::whole_space()), 5);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! out multicast and private addresses (e.g., 10.0.0.0/8), and those in
 //! unallocated or unrouted space."
 
-use ghosts_addrplane::AddrPlane;
 use ghosts_net::bogons::is_reserved;
 use ghosts_net::{AddrSet, RoutedTable};
 use ghosts_obs::{FieldValue, Scope, StageProfiler};
@@ -58,72 +57,6 @@ pub fn filter_to_routed_traced(
     (out, stats)
 }
 
-/// Precomputed bitmap masks for word-wise filtering.
-///
-/// [`filter_to_routed`] walks the routed trie once per observed address.
-/// When the same routed table filters many per-source sets (every window
-/// of every source), it is cheaper to expand the table into a full-space
-/// [`AddrPlane`] once and reduce each set with boolean word kernels:
-/// `kept = set ∧ (routed ∖ reserved)`, with the drop counts read off two
-/// popcounts. Produces bit-identical results to the per-address path.
-#[derive(Debug, Clone)]
-pub struct RoutedMask {
-    /// Publicly routed, non-reserved space: the addresses a source
-    /// observation is allowed to keep.
-    keep: AddrPlane,
-    /// Reserved/bogon space (independent of the routed table).
-    reserved: AddrPlane,
-}
-
-impl RoutedMask {
-    /// Expands `routed` into keep/reserved planes. Cost is proportional to
-    /// the routed address count (word-filled, not per-address).
-    pub fn build(routed: &RoutedTable) -> Self {
-        let mut reserved = AddrPlane::new();
-        for p in ghosts_net::bogons::reserved_prefixes() {
-            reserved.fill_prefix(p.base(), p.len());
-        }
-        let mut keep = AddrPlane::new();
-        for p in routed.prefixes() {
-            keep.fill_prefix(p.base(), p.len());
-        }
-        keep.subtract(&reserved);
-        Self { keep, reserved }
-    }
-
-    /// Word-wise [`filter_to_routed`]: same outputs, no per-address loop.
-    pub fn filter(&self, set: &AddrSet) -> (AddrSet, FilterStats) {
-        let dropped_reserved = set.plane().intersection_count(&self.reserved);
-        let kept_plane = set.plane().intersect(&self.keep);
-        let kept = kept_plane.len();
-        let stats = FilterStats {
-            dropped_reserved,
-            dropped_unrouted: set.len() - dropped_reserved - kept,
-            kept,
-        };
-        (AddrSet::from_plane(kept_plane), stats)
-    }
-
-    /// [`RoutedMask::filter`] with the same tracing surface as
-    /// [`filter_to_routed_traced`].
-    pub fn filter_traced(&self, set: &AddrSet, obs: &Scope) -> (AddrSet, FilterStats) {
-        let (out, stats) = self.filter(set);
-        obs.add("filter.dropped_reserved", stats.dropped_reserved);
-        obs.add("filter.dropped_unrouted", stats.dropped_unrouted);
-        obs.add("filter.kept", stats.kept);
-        obs.event(
-            "filter",
-            &[
-                ("input", FieldValue::U64(set.len())),
-                ("dropped_reserved", FieldValue::U64(stats.dropped_reserved)),
-                ("dropped_unrouted", FieldValue::U64(stats.dropped_unrouted)),
-                ("kept", FieldValue::U64(stats.kept)),
-            ],
-        );
-        (out, stats)
-    }
-}
-
 /// [`filter_to_routed_traced`] with stage attribution: the whole pass is
 /// charged to a `filter_routed` stage of `profile` (call count
 /// deterministic, duration in the profiler's clock).
@@ -172,33 +105,6 @@ mod tests {
         let (kept, stats) = filter_to_routed(&AddrSet::new(), &routed);
         assert!(kept.is_empty());
         assert_eq!(stats, FilterStats::default());
-    }
-
-    #[test]
-    fn mask_filter_matches_per_address_filter() {
-        let routed = RoutedTable::from_prefixes([
-            "8.0.0.0/8".parse().unwrap(),
-            "10.0.0.0/8".parse().unwrap(), // misconfigured private announce
-            "203.0.0.0/12".parse().unwrap(),
-        ]);
-        let set: AddrSet = [
-            a("8.8.8.8"),
-            a("8.0.0.1"),
-            a("8.255.255.255"),
-            a("10.0.0.1"),
-            a("192.168.1.1"),
-            a("9.9.9.9"),
-            a("203.0.113.7"),
-            a("255.255.255.255"),
-        ]
-        .into_iter()
-        .collect();
-        let mask = RoutedMask::build(&routed);
-        let (kept_slow, stats_slow) = filter_to_routed(&set, &routed);
-        let (kept_fast, stats_fast) = mask.filter(&set);
-        assert_eq!(stats_fast, stats_slow);
-        assert_eq!(kept_fast.len(), kept_slow.len());
-        assert!(kept_fast.iter().eq(kept_slow.iter()));
     }
 
     #[test]

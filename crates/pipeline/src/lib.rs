@@ -22,7 +22,7 @@ pub mod spoof_filter;
 pub mod time;
 
 pub use dataset::{SourceDataset, WindowData};
-pub use filter::{filter_to_routed, filter_to_routed_traced, RoutedMask};
+pub use filter::{filter_to_routed, filter_to_routed_traced};
 pub use spoof_filter::{
     filter_spoofed, filter_spoofed_traced, SpoofFilterConfig, SpoofFilterReport,
 };

@@ -17,7 +17,8 @@
 //!    `P(B|V)`, and Bayes' rule yields the per-address retention
 //!    probability `P(V|B)` (spoofed addresses have uniform last bytes).
 
-use ghosts_net::{AddrSet, Prefix, SubnetSet};
+use ghosts_addrplane::AddrPlane;
+use ghosts_net::AddrSet;
 use ghosts_obs::{FieldValue, Scope, StageProfiler};
 use ghosts_stats::Binomial;
 use rand::Rng;
@@ -144,25 +145,25 @@ pub fn detect_empty_eights(
 ) -> Vec<u8> {
     let clean_counts = spoof_free.per_octet_counts();
     let target_counts = target.per_octet_counts();
-    let mut candidates: Vec<(u64, u8)> = (0u16..256)
-        .filter_map(|o| {
-            let octet = o as u8;
+    let mut candidates: Vec<(u64, u8)> = (0u8..=255)
+        .zip(clean_counts.iter().zip(&target_counts))
+        .filter_map(|(octet, (&clean, &in_target))| {
             // Skip reserved first octets, /8s outside the spoofable
             // universe, and /8s without target traffic (no information
             // about the spoof rate there).
             if ghosts_net::bogons::is_reserved(u32::from(octet) << 24) {
                 return None;
             }
-            if ghosts_stats::approx::is_exact_zero(cfg.universe_of(o as usize)) {
+            if ghosts_stats::approx::is_exact_zero(cfg.universe_of(usize::from(octet))) {
                 return None;
             }
-            if clean_counts[o as usize] > cfg.empty_eight_max_clean {
+            if clean > cfg.empty_eight_max_clean {
                 return None;
             }
-            if target_counts[o as usize] == 0 {
+            if in_target == 0 {
                 return None;
             }
-            Some((clean_counts[o as usize], octet))
+            Some((clean, octet))
         })
         .collect();
     candidates.sort();
@@ -224,17 +225,18 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
     // --- Spoof rate: S = mean target count over the empty /8s, and the
     // per-address rate p = S / (spoofable universe of the /8). ---
     let target_per_eight = target.per_octet_counts();
+    let in_target = |o: u8| {
+        target_per_eight
+            .get(usize::from(o))
+            .map_or(0.0, |&c| c as f64)
+    };
     let (s_estimate, rate) = if empty_eights.is_empty() {
         (0.0, 0.0)
     } else {
-        let s = empty_eights
-            .iter()
-            .map(|&o| target_per_eight[o as usize] as f64)
-            .sum::<f64>()
-            / empty_eights.len() as f64;
+        let s = empty_eights.iter().map(|&o| in_target(o)).sum::<f64>() / empty_eights.len() as f64;
         let r = empty_eights
             .iter()
-            .map(|&o| target_per_eight[o as usize] as f64 / cfg.universe_of(o as usize))
+            .map(|&o| in_target(o) / cfg.universe_of(usize::from(o)))
             .sum::<f64>()
             / empty_eights.len() as f64;
         (s, r.min(1.0))
@@ -255,87 +257,106 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
     }
 
     let m = Binomial::new(256, rate).upper_tail_threshold(cfg.alpha);
+    let (target, clean) = (target.plane(), spoof_free.plane());
 
-    // --- Stage 1: drop sparse /24s with no spoof-free confirmation. ---
-    let clean_subnets: SubnetSet = spoof_free.to_subnet24();
-    let mut filtered = AddrSet::new();
+    // --- Stage 1: drop sparse /24s with no spoof-free confirmation. A /24
+    // is four plane words; the walk handles each /24 of the target at its
+    // first nonzero word. It is confirmed when any of its words shares a
+    // bit with the spoof-free word at the same place. Kept /24s are ORed
+    // word by word into a fresh plane. ---
+    const WORD_OFFSETS: [u32; 4] = [0, 64, 128, 192];
+    let mut filtered = AddrPlane::new();
     let mut removed_stage1_per_eight = [0u64; 256];
     let mut removed_subnets = 0u64;
-    let mut removed_stage1 = 0u64;
-    for sub in target.to_subnet24().iter() {
-        let base = SubnetSet::subnet_base(sub);
-        let p24 = Prefix::new(base, 24);
-        let n24 = target.count_in_prefix(p24);
-        let confirmed = clean_subnets.contains(sub)
-            && (0..256u32).any(|i| {
-                let addr = base + i;
-                target.contains(addr) && spoof_free.contains(addr)
-            });
+    let mut last_base = None;
+    target.for_each_word(|word_base, _| {
+        let base = word_base & !0xff;
+        if last_base == Some(base) {
+            return;
+        }
+        last_base = Some(base);
+        let words = WORD_OFFSETS.map(|off| target.word(base | off));
+        let n24: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+        let confirmed = words
+            .iter()
+            .zip(WORD_OFFSETS)
+            .any(|(&w, off)| w != 0 && w & clean.word(base | off) != 0);
         if n24 < m && !confirmed {
             removed_subnets += 1;
-            removed_stage1 += n24;
-            removed_stage1_per_eight[(base >> 24) as usize] += n24;
+            if let Some(c) = removed_stage1_per_eight.get_mut((base >> 24) as usize) {
+                // lint: allow(counting-overflow) a /8 holds at most 2^24 addresses
+                *c += n24;
+            }
         } else {
-            for i in 0..256u32 {
-                let addr = base + i;
-                if target.contains(addr) {
-                    filtered.insert(addr);
-                }
+            for (&w, off) in words.iter().zip(WORD_OFFSETS) {
+                filtered.or_word(base | off, w);
             }
         }
-    }
+    });
+    let removed_stage1: u64 = removed_stage1_per_eight.iter().sum();
 
     // --- Stage 2: Bayes last-byte thinning within used space. ---
     // P(B|V) from the spoof-free sources' last-byte histogram.
     let mut byte_hist = [cfg.byte_smoothing; 256];
     let mut total = 256.0 * cfg.byte_smoothing;
     for addr in spoof_free.iter() {
-        byte_hist[(addr & 0xff) as usize] += 1.0;
+        if let Some(c) = byte_hist.get_mut((addr & 0xff) as usize) {
+            *c += 1.0;
+        }
         total += 1.0;
     }
     let p_b_given_v: Vec<f64> = byte_hist.iter().map(|c| c / total).collect();
 
-    let remaining_per_eight = filtered.per_octet_counts();
-
     // Per-/8 valid probability Pr(V) = (T_i − S'_i) / T_i, where the /8's
     // expected spoof load scales with its spoofable universe.
+    let remaining_per_eight = filtered.per_octet_counts();
     let mut pr_valid = [1.0f64; 256];
-    for o in 0..256usize {
-        let t_i = remaining_per_eight[o] as f64;
+    for (o, (pv, (&remaining, &removed))) in pr_valid
+        .iter_mut()
+        .zip(remaining_per_eight.iter().zip(&removed_stage1_per_eight))
+        .enumerate()
+    {
+        let t_i = remaining as f64;
         if t_i <= 0.0 {
             continue;
         }
         let expected = rate * cfg.universe_of(o);
-        let s_left = (expected - removed_stage1_per_eight[o] as f64).max(0.0);
-        pr_valid[o] = ((t_i - s_left) / t_i).clamp(0.0, 1.0);
+        let s_left = (expected - removed as f64).max(0.0);
+        *pv = ((t_i - s_left) / t_i).clamp(0.0, 1.0);
     }
 
-    let mut removed_stage2 = 0u64;
-    let doomed: Vec<u32> = if !cfg.bayes_stage2 {
-        Vec::new()
-    } else {
-        filtered
-            .iter()
-            .filter(|&addr| {
-                // Never remove addresses confirmed used by a spoof-free source.
-                if spoof_free.contains(addr) {
-                    return false;
-                }
-                let pv = pr_valid[(addr >> 24) as usize];
-                let pb = p_b_given_v[(addr & 0xff) as usize];
+    // One RNG draw per kept address outside the spoof-free sources (they
+    // are never removed), in ascending address order.
+    let mut doomed: Vec<u32> = Vec::new();
+    if cfg.bayes_stage2 {
+        filtered.for_each_word(|word_base, w| {
+            let pv = pr_valid
+                .get((word_base >> 24) as usize)
+                .copied()
+                .unwrap_or(1.0);
+            let mut candidates = w & !clean.word(word_base);
+            while candidates != 0 {
+                let addr = word_base | candidates.trailing_zeros();
+                candidates &= candidates - 1;
+                let pb = p_b_given_v
+                    .get((addr & 0xff) as usize)
+                    .copied()
+                    .unwrap_or(0.0);
                 let denom = pv * pb + (1.0 - pv) / 256.0;
                 let p_valid_given_b = if denom > 0.0 { pv * pb / denom } else { 0.0 };
-                rng.gen::<f64>() >= p_valid_given_b
-            })
-            .collect()
-    };
+                if rng.gen::<f64>() >= p_valid_given_b {
+                    doomed.push(addr);
+                }
+            }
+        });
+    }
+    let removed_stage2 = doomed.len() as u64;
     for addr in doomed {
         filtered.remove(addr);
-        removed_stage2 += 1;
     }
 
     SpoofFilterReport {
-        filtered,
+        filtered: AddrSet::from_plane(filtered),
         s_estimate,
         rate,
         m,

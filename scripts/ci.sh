@@ -21,6 +21,16 @@ grep -q '"schema":"ghost-lint-report/1"' target/lint-report.json || {
     echo "ci.sh: lint report lacks the ghost-lint-report/1 schema tag" >&2
     exit 1
 }
+# No dead baseline entries: an entry whose finding is gone can mask a
+# later finding on the same line, so a regenerated baseline must equal
+# the committed one byte for byte.
+cargo run -q -p xtask -- lint --baseline target/lint-baseline.fresh.json --update-baseline >/dev/null
+cmp -s target/lint-baseline.fresh.json lint-baseline.json || {
+    echo "ci.sh: lint-baseline.json has dead entries; regenerate it with" >&2
+    echo "       cargo run -p xtask -- lint --update-baseline" >&2
+    diff target/lint-baseline.fresh.json lint-baseline.json >&2 || true
+    exit 1
+}
 
 echo "==> addrplane smoke (bitwise 2^t kernel ≡ per-address table on the repro scenario)"
 # The plane kernel must agree cell-for-cell with the per-address build at
