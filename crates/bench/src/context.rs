@@ -163,10 +163,13 @@ impl ReproContext {
         self.recorder.root(stage).child_idx("window", i as u64)
     }
 
-    /// Raw window data: spoofed traffic still inside SWIN/CALT.
+    /// Raw window data: spoofed traffic still inside SWIN/CALT. The
+    /// simulation is profiled as `sim/window`.
     pub fn raw_window(&self, i: usize) -> Arc<WindowData> {
-        self.raw
-            .get_or_insert_with(i, || self.scenario.window_data(self.windows[i]))
+        self.raw.get_or_insert_with(i, || {
+            let _stage = self.profiler.scoped("sim").enter("window");
+            self.scenario.window_data(self.windows[i])
+        })
     }
 
     /// Analysis-ready window data: SWIN/CALT passed through the §4.5

@@ -47,6 +47,11 @@ fn window10_estimate_ci_and_model_are_pinned() {
     assert_eq!(est.divisor, 1);
     assert_eq!(rounded(range.lower), 174_513.864);
     assert_eq!(rounded(range.upper), 180_641.522);
+    // The rounded values above read well in a diff; the bit patterns catch
+    // a last-ulp drift they would let through.
+    assert_eq!(est.total.to_bits(), 0x4105_ab01_631a_970f);
+    assert_eq!(range.lower.to_bits(), 0x4105_4d8e_ea04_e3ba);
+    assert_eq!(range.upper.to_bits(), 0x4106_0d0c_2d57_171e);
     assert_eq!(
         est.model,
         "[1][2][12][3][4][14][24][34][5][25][35][45][6][26][36][46][56][7][17][27][37]\
@@ -68,6 +73,7 @@ fn window10_estimate_ci_and_model_are_pinned() {
     assert_eq!(sel_seq.model.describe(), est.model);
     assert_eq!(sel_seq.model.describe(), sel_par.model.describe());
     assert_eq!(sel_seq.ic.to_bits(), sel_par.ic.to_bits());
+    assert_eq!(sel_seq.ic.to_bits(), 0x40a7_ff40_92fa_dec7);
 }
 
 /// FNV-1a (64-bit) over the big-endian bytes of each address, in the
@@ -137,6 +143,66 @@ fn spoof_filter_outputs_are_pinned() {
                 r.filtered.len(),
                 digest,
             ));
+        }
+    }
+    assert_eq!(got, want);
+}
+
+/// Pins the simulator's raw feeds on windows 0 and 10, with and without
+/// spoof injection: per source, its name, size and a digest of its
+/// addresses in ascending order.
+#[test]
+fn window_data_outputs_are_pinned() {
+    // (window, feed, source, addresses, FNV-1a of the addresses).
+    type Pin = (usize, &'static str, String, u64, u64);
+    let want: Vec<Pin> = [
+        (0, "spoofed", "WIKI", 938, 0xa9fbbd1dbad3cf9b),
+        (0, "spoofed", "MLAB", 2539, 0x2914c1761602e086),
+        (0, "spoofed", "WEB", 14303, 0x8f86d706cb824c81),
+        (0, "spoofed", "GAME", 8178, 0xb5d52aef6844b628),
+        (0, "spoofed", "SWIN", 16678, 0x99fb85efdb62df98),
+        (0, "spoofed", "IPING", 57855, 0xbe87beecd52778cf),
+        (0, "clean", "WIKI", 938, 0xa9fbbd1dbad3cf9b),
+        (0, "clean", "MLAB", 2539, 0x2914c1761602e086),
+        (0, "clean", "WEB", 14303, 0x8f86d706cb824c81),
+        (0, "clean", "GAME", 8178, 0xb5d52aef6844b628),
+        (0, "clean", "SWIN", 14744, 0x832475304db6c13f),
+        (0, "clean", "IPING", 57855, 0xbe87beecd52778cf),
+        (10, "spoofed", "WIKI", 1102, 0x8bb5a58266461175),
+        (10, "spoofed", "SPAM", 3283, 0x40f5f92c459b1903),
+        (10, "spoofed", "MLAB", 2946, 0x31f2fd0f8a7b36b3),
+        (10, "spoofed", "WEB", 16748, 0xae281bd173ba08a1),
+        (10, "spoofed", "GAME", 9372, 0x3fda314ff5e8c518),
+        (10, "spoofed", "SWIN", 19382, 0x77fd01f6e6f93224),
+        (10, "spoofed", "CALT", 75618, 0xb6ad39108f93fd39),
+        (10, "spoofed", "IPING", 65890, 0xfa7bd3865daeb0cc),
+        (10, "spoofed", "TPING", 27558, 0x031da2895eca8b97),
+        (10, "clean", "WIKI", 1102, 0x8bb5a58266461175),
+        (10, "clean", "SPAM", 3283, 0x40f5f92c459b1903),
+        (10, "clean", "MLAB", 2946, 0x31f2fd0f8a7b36b3),
+        (10, "clean", "WEB", 16748, 0xae281bd173ba08a1),
+        (10, "clean", "GAME", 9372, 0x3fda314ff5e8c518),
+        (10, "clean", "SWIN", 17450, 0xbecad80e926eecd5),
+        (10, "clean", "CALT", 57059, 0xe7f08f1ba641248b),
+        (10, "clean", "IPING", 65890, 0xfa7bd3865daeb0cc),
+        (10, "clean", "TPING", 27558, 0x031da2895eca8b97),
+    ]
+    .into_iter()
+    .map(|(i, feed, name, n, h)| (i, feed, name.to_string(), n, h))
+    .collect();
+
+    let ctx = ReproContext::new(DENOM, SEED);
+    let mut got: Vec<Pin> = Vec::new();
+    for i in [0usize, 10] {
+        let w = ctx.windows[i];
+        for (feed, data) in [
+            ("spoofed", ctx.scenario.window_data(w)),
+            ("clean", ctx.scenario.window_data_clean(w)),
+        ] {
+            for d in &data.sources {
+                let digest = fnv1a_addrs(d.addrs.iter());
+                got.push((i, feed, d.name.clone(), d.addrs.len(), digest));
+            }
         }
     }
     assert_eq!(got, want);

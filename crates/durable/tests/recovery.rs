@@ -3,9 +3,10 @@
 //! quarantine, stale-generation checkpoint fixtures and injected storage
 //! faults on the append and checkpoint paths.
 //!
-//! The fault plan is process-global, so every test that installs one
-//! takes `PLAN_LOCK`, installs, and clears before releasing the lock
-//! (the same discipline as `ghosts-core`'s fault ladder tests).
+//! The fault plan is process-global and the tests run in parallel, so
+//! every test in this binary takes `PLAN_LOCK` first: one that installs a
+//! plan clears it before releasing the lock, and one that does not can
+//! never meet another test's armed fault.
 
 use ghosts_durable::log::{checkpoint_file, wal_segment_file};
 use ghosts_durable::{encode_frame_into, scan_frames, DurableLog, Tail, Wal, WalConfig, WalError};
@@ -31,6 +32,7 @@ fn tmp(tag: &str) -> PathBuf {
 /// and always every record whose final byte survived the cut.
 #[test]
 fn truncation_at_every_byte_boundary_replays_longest_valid_prefix() {
+    let _g = lock();
     let dir = tmp("every-byte");
     let config = WalConfig::new(dir.join("wal"));
     let (mut wal, _) = Wal::open(config).expect("open");
@@ -95,6 +97,7 @@ fn truncation_at_every_byte_boundary_replays_longest_valid_prefix() {
 /// way, and a cut of a valid stream is never `Corrupt`.
 #[test]
 fn scan_classification_is_stable_across_cuts() {
+    let _g = lock();
     let mut stream = Vec::new();
     for i in 0..6u8 {
         encode_frame_into(&mut stream, &vec![i; usize::from(i) * 5]);
@@ -109,6 +112,7 @@ fn scan_classification_is_stable_across_cuts() {
 
 #[test]
 fn bit_flipped_crc_quarantines_the_segment_but_keeps_the_prefix() {
+    let _g = lock();
     let dir = tmp("bitflip");
     let (mut log, _) = DurableLog::open(&dir).expect("open");
     for i in 0..4u64 {
@@ -135,6 +139,7 @@ fn bit_flipped_crc_quarantines_the_segment_but_keeps_the_prefix() {
 /// not shadow genuine state (the payload carries its own generation).
 #[test]
 fn stale_generation_checkpoint_is_quarantined_not_loaded() {
+    let _g = lock();
     let dir = tmp("stale-ckpt");
     let (mut log, _) = DurableLog::open(&dir).expect("open");
     log.append(b"one").expect("append");

@@ -6,7 +6,7 @@
 //! behavioural traits (does it answer ICMP? port 80? how active is it in
 //! client-facing services?), all derived by hashing — no per-address state.
 
-use crate::util::{label, mix, unit};
+use crate::util::{label, Mix};
 
 /// Device classes from §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,62 +60,90 @@ pub struct HostTraits {
 /// Derives the stable traits of `addr`, given whether its /24 is a dynamic
 /// pool (dynamic pools are client-only) and the simulation seed.
 pub fn traits_for(seed: u64, addr: u32, dynamic_pool: bool) -> HostTraits {
-    let h = mix(&[seed, label("host-type"), u64::from(addr)]);
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let last_byte = addr & 0xff;
+    TraitHashes::new(seed).traits(addr, dynamic_pool)
+}
 
-    let host_type = if dynamic_pool {
-        HostType::Client
-    } else if last_byte == 1 && u < 0.75 {
-        // .1 is very often the subnet router.
-        HostType::Router
-    } else if u < 0.22 {
-        HostType::Server
-    } else if u < 0.30 {
-        HostType::Specialized
-    } else if u < 0.38 {
-        HostType::Router
-    } else {
-        HostType::Client
-    };
+/// The per-seed hash states behind [`traits_for`], built once by callers
+/// that derive the traits of many addresses.
+pub(crate) struct TraitHashes {
+    host_type: Mix,
+    icmp: Mix,
+    tcp: Mix,
+    rst: Mix,
+    activity: Mix,
+}
 
-    let u_icmp = unit(&[seed, label("icmp"), u64::from(addr)]);
-    let u_tcp = unit(&[seed, label("tcp80"), u64::from(addr)]);
-    let u_rst = unit(&[seed, label("rst"), u64::from(addr)]);
-    let u_act = unit(&[seed, label("activity"), u64::from(addr)]);
-
-    let icmp_p = match host_type {
-        HostType::Router => 0.80,
-        HostType::Server => 0.72,
-        HostType::Client => {
-            if dynamic_pool {
-                0.30 // the pool's NAT/home routers answer for many
-            } else {
-                0.26
-            }
+impl TraitHashes {
+    pub(crate) fn new(seed: u64) -> Self {
+        let hash = |lbl: &str| Mix::of(&[seed, label(lbl)]);
+        TraitHashes {
+            host_type: hash("host-type"),
+            icmp: hash("icmp"),
+            tcp: hash("tcp80"),
+            rst: hash("rst"),
+            activity: hash("activity"),
         }
-        HostType::Specialized => 0.06,
-    };
-    let tcp_p = match host_type {
-        HostType::Router => 0.18, // admin web UIs on home routers
-        HostType::Server => 0.62,
-        HostType::Client => 0.05,
-        HostType::Specialized => 0.10, // e.g. printers listening on IPP/80
-    };
-    let act_scale = match host_type {
-        HostType::Client => 1.0,
-        HostType::Server => 0.25, // servers appear in logs as proxies do
-        HostType::Router => 0.55, // NAT'd traffic surfaces at the router
-        HostType::Specialized => 0.0,
-    };
+    }
 
-    HostTraits {
-        host_type,
-        icmp_responsive: u_icmp < icmp_p,
-        tcp80_responsive: u_tcp < tcp_p,
-        rst_firewall: u_rst < 0.05,
-        // Square the uniform for a heavy tail of barely-active hosts.
-        activity: u_act * u_act * act_scale,
+    /// The traits of `addr` (see [`traits_for`]).
+    pub(crate) fn traits(&self, addr: u32, dynamic_pool: bool) -> HostTraits {
+        let draw = |h: Mix| h.then(u64::from(addr)).unit();
+        let u = draw(self.host_type);
+        let last_byte = addr & 0xff;
+
+        let host_type = if dynamic_pool {
+            HostType::Client
+        } else if last_byte == 1 && u < 0.75 {
+            // .1 is very often the subnet router.
+            HostType::Router
+        } else if u < 0.22 {
+            HostType::Server
+        } else if u < 0.30 {
+            HostType::Specialized
+        } else if u < 0.38 {
+            HostType::Router
+        } else {
+            HostType::Client
+        };
+
+        let u_icmp = draw(self.icmp);
+        let u_tcp = draw(self.tcp);
+        let u_rst = draw(self.rst);
+        let u_act = draw(self.activity);
+
+        let icmp_p = match host_type {
+            HostType::Router => 0.80,
+            HostType::Server => 0.72,
+            HostType::Client => {
+                if dynamic_pool {
+                    0.30 // the pool's NAT/home routers answer for many
+                } else {
+                    0.26
+                }
+            }
+            HostType::Specialized => 0.06,
+        };
+        let tcp_p = match host_type {
+            HostType::Router => 0.18, // admin web UIs on home routers
+            HostType::Server => 0.62,
+            HostType::Client => 0.05,
+            HostType::Specialized => 0.10, // e.g. printers listening on IPP/80
+        };
+        let act_scale = match host_type {
+            HostType::Client => 1.0,
+            HostType::Server => 0.25, // servers appear in logs as proxies do
+            HostType::Router => 0.55, // NAT'd traffic surfaces at the router
+            HostType::Specialized => 0.0,
+        };
+
+        HostTraits {
+            host_type,
+            icmp_responsive: u_icmp < icmp_p,
+            tcp80_responsive: u_tcp < tcp_p,
+            rst_firewall: u_rst < 0.05,
+            // Square the uniform for a heavy tail of barely-active hosts.
+            activity: u_act * u_act * act_scale,
+        }
     }
 }
 

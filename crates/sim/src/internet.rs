@@ -19,7 +19,7 @@
 //! addresses still count as de-facto used pool members (§4.6).
 
 use crate::config::SimConfig;
-use crate::util::{label, unit};
+use crate::util::{label, unit, Mix};
 use ghosts_net::registry::{Allocation, AllocationId, CountryCode, Industry, Registry, Rir};
 use ghosts_net::{AddrSet, Prefix, RoutedTable, SubnetSet};
 use ghosts_pipeline::time::Quarter;
@@ -504,7 +504,9 @@ impl GroundTruth {
 
     /// Fraction of an allocation's /24s active at quarter `q`.
     pub fn frac_active(&self, alloc: AllocationId, q: Quarter) -> f64 {
-        let meta = &self.alloc_meta[alloc as usize];
+        let Some(meta) = self.alloc_meta.get(alloc as usize) else {
+            return 0.0;
+        };
         let a = self.registry.get(alloc);
         if a.alloc_year > q.year() {
             return 0.0;
@@ -555,17 +557,33 @@ impl GroundTruth {
         (2.0 * 0.02 + 10.0 * 3.0 + 90.0 * 1.6 + 100.0 * 0.9 + 54.0 * 0.5) / 256.0
     }
 
-    /// Whether address `base+byte` of an active block is used at `q`.
+    /// Whether address `base+byte` of an active block is used at `q`: its
+    /// quarter-independent draw against the quarter's threshold.
     #[inline]
     pub fn addr_used_in_block(&self, block: &Block, byte: u32, q: Quarter) -> bool {
-        let n = f64::from(self.block_used_count(block, q));
-        let p = (n * Self::byte_weight(byte) / (256.0 * Self::mean_byte_weight())).min(1.0);
-        unit(&[
-            self.cfg.seed,
-            label("addr-used"),
-            u64::from(block.subnet),
-            u64::from(byte),
-        ]) < p
+        Self::addr_used_draw(self.addr_used_hash(block), byte)
+            < Self::addr_used_threshold(self.block_used_count(block, q), byte)
+    }
+
+    /// The hash state shared by the usage draws of `block`'s addresses.
+    pub(crate) fn addr_used_hash(&self, block: &Block) -> Mix {
+        Mix::of(&[self.cfg.seed, label("addr-used"), u64::from(block.subnet)])
+    }
+
+    /// The uniform draw behind the usage of the block's address `byte`,
+    /// from the block's [`Self::addr_used_hash`]. It does not depend on
+    /// the quarter, so one draw decides every quarter.
+    #[inline]
+    pub(crate) fn addr_used_draw(block_hash: Mix, byte: u32) -> f64 {
+        block_hash.then(u64::from(byte)).unit()
+    }
+
+    /// The probability that last byte `byte` of a block with `used_count`
+    /// used addresses is in use.
+    #[inline]
+    pub(crate) fn addr_used_threshold(used_count: u16, byte: u32) -> f64 {
+        let n = f64::from(used_count);
+        (n * Self::byte_weight(byte) / (256.0 * Self::mean_byte_weight())).min(1.0)
     }
 
     /// Visits every used address at quarter `q` with its block.
@@ -668,7 +686,7 @@ impl GroundTruth {
     pub fn block_of_subnet(&self, subnet: u32) -> Option<&Block> {
         self.block_by_subnet
             .get(&subnet)
-            .map(|&i| &self.blocks[i as usize])
+            .and_then(|&i| self.blocks.get(i as usize))
     }
 
     /// The block owning an address.

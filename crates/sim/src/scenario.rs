@@ -2,8 +2,9 @@
 //! producing per-window datasets in the pipeline's format.
 
 use crate::config::SimConfig;
+use crate::host::TraitHashes;
 use crate::internet::GroundTruth;
-use crate::sources::{detects, paper_sources, SourceSpec};
+use crate::sources::{paper_sources, BlockScales, Detector, SourceSpec};
 use crate::spoof::spoofed_set;
 use ghosts_net::{AddrSet, SubnetSet};
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
@@ -35,17 +36,11 @@ impl Scenario {
     }
 
     /// The observations of every active source over one quarter, without
-    /// spoof injection. One pass over the used space.
+    /// spoof injection: the window pass over a one-quarter window.
     pub fn quarter_observations(&self, q: Quarter) -> Vec<(&'static str, AddrSet)> {
-        let active: Vec<&SourceSpec> = self.specs.iter().filter(|s| s.active_in(q)).collect();
-        let mut sets: Vec<AddrSet> = active.iter().map(|_| AddrSet::new()).collect();
-        self.gt.for_each_used_addr(q, |addr, block| {
-            for (i, spec) in active.iter().enumerate() {
-                if detects(&self.gt, spec, addr, block, q) {
-                    sets[i].insert(addr);
-                }
-            }
-        });
+        let w = TimeWindow { start: q, len: 1 };
+        let active = self.active_sources(&w);
+        let sets = self.observe(&w, &active);
         active
             .iter()
             .zip(sets)
@@ -65,30 +60,24 @@ impl Scenario {
         self.window_data_inner(w, false)
     }
 
-    fn window_data_inner(&self, w: TimeWindow, with_spoof: bool) -> WindowData {
-        let active: Vec<&SourceSpec> = self
-            .specs
+    /// The sources that collect in at least one quarter of `w`.
+    fn active_sources(&self, w: &TimeWindow) -> Vec<&SourceSpec> {
+        self.specs
             .iter()
-            .filter(|s| !s.active_quarters(&w).is_empty())
-            .collect();
-        let mut sets: Vec<AddrSet> = active.iter().map(|_| AddrSet::new()).collect();
-        for q in w.quarters() {
-            self.gt.for_each_used_addr(q, |addr, block| {
-                for (i, spec) in active.iter().enumerate() {
-                    if detects(&self.gt, spec, addr, block, q) {
-                        sets[i].insert(addr);
-                    }
-                }
-            });
-        }
+            .filter(|s| !s.active_quarters(w).is_empty())
+            .collect()
+    }
+
+    fn window_data_inner(&self, w: TimeWindow, with_spoof: bool) -> WindowData {
+        let active = self.active_sources(&w);
+        let mut sets = self.observe(&w, &active);
         if with_spoof {
-            for (i, spec) in active.iter().enumerate() {
+            for (spec, set) in active.iter().zip(&mut sets) {
                 if spec.spoof_free() {
                     continue;
                 }
                 for q in spec.active_quarters(&w) {
-                    let spoofs = spoofed_set(&self.gt, spec.name, q, REFLECTOR_FRACTION);
-                    sets[i].union_with(&spoofs);
+                    set.union_with(&spoofed_set(&self.gt, spec.name, q, REFLECTOR_FRACTION));
                 }
             }
         }
@@ -100,6 +89,80 @@ impl Scenario {
                 .map(|(spec, set)| SourceDataset::new(spec.name, set, spec.spoof_free()))
                 .collect(),
         }
+    }
+
+    /// What each of `sources` detects over `w`, without spoof injection:
+    /// the union over the window's quarters of its detections, in one pass
+    /// over the blocks (DESIGN.md §18). Per block, its active quarters,
+    /// scales and each source's geographic multiplier are found once; per
+    /// byte, the usage draw is hashed once and compared against each
+    /// active quarter's threshold; per used address, the host traits and
+    /// each source's quarter-independent [`Reach`](crate::sources::Reach)
+    /// are derived once, and then only the per-quarter hash runs, until
+    /// the first detection. Each /24 leaves as four words per source.
+    fn observe(&self, w: &TimeWindow, sources: &[&SourceSpec]) -> Vec<AddrSet> {
+        let gt = &self.gt;
+        let trait_hashes = TraitHashes::new(gt.cfg.seed);
+        let detectors: Vec<Detector> = sources.iter().map(|s| Detector::new(gt, s)).collect();
+        let mut sets: Vec<AddrSet> = sources.iter().map(|_| AddrSet::new()).collect();
+        // The block's active quarters with their used-address counts, and
+        // the quarters one address is used in.
+        let mut live: Vec<(Quarter, u16)> = Vec::new();
+        let mut used: Vec<Quarter> = Vec::new();
+        let mut geo = vec![0.0; sources.len()];
+        let mut words = vec![[0u64; 4]; sources.len()];
+        for block in gt.blocks() {
+            live.clear();
+            live.extend(
+                w.quarters()
+                    .filter(|&q| gt.block_active(block, q))
+                    .map(|q| (q, gt.block_used_count(block, q))),
+            );
+            if live.is_empty() {
+                continue;
+            }
+            let scales = BlockScales::of(gt, block);
+            for (g, d) in geo.iter_mut().zip(&detectors) {
+                *g = d.geo(gt, block);
+            }
+            words.fill([0; 4]);
+            let base = block.subnet << 8;
+            let block_hash = gt.addr_used_hash(block);
+            for byte in 0..256u32 {
+                let draw = GroundTruth::addr_used_draw(block_hash, byte);
+                used.clear();
+                used.extend(
+                    live.iter()
+                        .filter(|&&(_, n)| draw < GroundTruth::addr_used_threshold(n, byte))
+                        .map(|&(q, _)| q),
+                );
+                if used.is_empty() {
+                    continue;
+                }
+                let addr = base + byte;
+                let traits = trait_hashes.traits(addr, block.dynamic_pool);
+                let slot = (byte >> 6) as usize;
+                let bit = 1u64 << (byte & 63);
+                for ((d, &g), block_words) in detectors.iter().zip(&geo).zip(&mut words) {
+                    let mut quarters = used.iter().filter(|q| d.spec.active_in(**q)).peekable();
+                    if quarters.peek().is_none() {
+                        continue;
+                    }
+                    let reach = d.reach(&traits, addr, scales, g);
+                    if quarters.any(|&q| d.sees_in(reach, q)) {
+                        if let Some(word) = block_words.get_mut(slot) {
+                            *word |= bit;
+                        }
+                    }
+                }
+            }
+            for (set, block_words) in sets.iter_mut().zip(&words) {
+                for (k, &bits) in (0u32..).zip(block_words) {
+                    set.plane_mut().or_word(base + 64 * k, bits);
+                }
+            }
+        }
+        sets
     }
 
     /// Ground-truth used addresses over the window (usage is monotone, so
@@ -128,10 +191,102 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sources::detects;
     use ghosts_pipeline::time::paper_windows;
 
     fn scenario() -> Scenario {
         Scenario::new(SimConfig::tiny(51))
+    }
+
+    /// The per-(quarter, source) loop the window pass replaced, kept as its
+    /// oracle: every used address of every quarter, offered to every
+    /// source through [`detects`], inserted one address at a time.
+    fn observe_per_quarter(s: &Scenario, w: &TimeWindow, sources: &[&SourceSpec]) -> Vec<AddrSet> {
+        let mut sets: Vec<AddrSet> = sources.iter().map(|_| AddrSet::new()).collect();
+        for q in w.quarters() {
+            s.gt.for_each_used_addr(q, |addr, block| {
+                for (set, spec) in sets.iter_mut().zip(sources) {
+                    if detects(&s.gt, spec, addr, block, q) {
+                        set.insert(addr);
+                    }
+                }
+            });
+        }
+        sets
+    }
+
+    /// Asserts that two lists of (source, set) pairs agree: same sources
+    /// in the same order, same sizes, same addresses.
+    fn assert_same_sets<'a, 'b>(
+        what: &str,
+        got: impl IntoIterator<Item = (&'a str, &'a AddrSet)>,
+        want: impl IntoIterator<Item = (&'static str, &'b AddrSet)>,
+    ) {
+        let got: Vec<_> = got.into_iter().collect();
+        let want: Vec<_> = want.into_iter().collect();
+        assert_eq!(got.len(), want.len(), "{what}: source count");
+        for ((gname, gset), (wname, wset)) in got.into_iter().zip(want) {
+            assert_eq!(gname, wname, "{what}: source order");
+            assert_eq!(gset.len(), wset.len(), "{what} {gname}: size");
+            assert!(gset.iter().eq(wset.iter()), "{what} {gname}: addresses");
+        }
+    }
+
+    fn truth_network_scenario() -> Scenario {
+        let mut cfg = SimConfig::tiny(51);
+        cfg.with_truth_networks = true;
+        Scenario::new(cfg)
+    }
+
+    #[test]
+    fn window_pass_equals_the_per_quarter_loop() {
+        let s = truth_network_scenario();
+        for i in [0usize, 5, 10] {
+            let w = paper_windows()[i];
+            let active = s.active_sources(&w);
+            let names = active.iter().map(|spec| spec.name);
+            let mut want = observe_per_quarter(&s, &w, &active);
+            let clean = s.window_data_clean(w);
+            assert_same_sets(
+                &format!("window {i} clean"),
+                clean.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
+                names.clone().zip(&want),
+            );
+            // The spoofed feed adds the same spoof sets to the same sources.
+            for (spec, set) in active.iter().zip(&mut want) {
+                if !spec.spoof_free() {
+                    for q in spec.active_quarters(&w) {
+                        set.union_with(&spoofed_set(&s.gt, spec.name, q, REFLECTOR_FRACTION));
+                    }
+                }
+            }
+            let spoofed = s.window_data(w);
+            assert_same_sets(
+                &format!("window {i} spoofed"),
+                spoofed.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
+                names.zip(&want),
+            );
+        }
+    }
+
+    #[test]
+    fn quarter_observations_equal_the_per_quarter_loop() {
+        let s = truth_network_scenario();
+        // Quarter 6 runs both censuses; quarter 7 runs neither.
+        for (q, censuses) in [(Quarter(6), 2), (Quarter(7), 0)] {
+            let w = TimeWindow { start: q, len: 1 };
+            let active: Vec<&SourceSpec> =
+                s.specs.iter().filter(|spec| spec.active_in(q)).collect();
+            let want = observe_per_quarter(&s, &w, &active);
+            let got = s.quarter_observations(q);
+            assert_same_sets(
+                &format!("quarter {}", q.0),
+                got.iter().map(|(n, a)| (*n, a)),
+                active.iter().map(|spec| spec.name).zip(&want),
+            );
+            let kinds = got.iter().filter(|(n, _)| n.ends_with("PING")).count();
+            assert_eq!(kinds, censuses, "quarter {}", q.0);
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   the campus (Australia / California), plus spoofed traffic that the
 //!   pipeline must filter (§4.5). CALT starts June 2013.
 
-use crate::host::{traits_for, HostType};
+use crate::host::{traits_for, HostTraits, HostType};
 use crate::internet::{Block, GroundTruth};
-use crate::util::{label, unit};
+use crate::util::{label, unit, Mix};
 use ghosts_net::registry::CountryCode;
 use ghosts_pipeline::time::{Quarter, TimeWindow};
 
@@ -210,14 +210,143 @@ pub fn paper_sources() -> Vec<SourceSpec> {
     ]
 }
 
-/// Per-network detection scaling (1.0 outside the ground-truth networks).
-fn network_scales(gt: &GroundTruth, block: &Block) -> (f64, f64, f64) {
-    match block.truth_network {
-        Some(i) => {
-            let n = &gt.truth_networks[i as usize];
-            (n.icmp_scale, n.tcp_scale, n.passive_scale)
+/// Per-block detection scaling: the ground-truth network's scales (1.0
+/// outside those networks), damped in stealth blocks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockScales {
+    icmp: f64,
+    tcp: f64,
+    passive: f64,
+}
+
+impl BlockScales {
+    pub(crate) fn of(gt: &GroundTruth, block: &Block) -> Self {
+        let (mut icmp, mut tcp, mut passive) = match block
+            .truth_network
+            .and_then(|i| gt.truth_networks.get(usize::from(i)))
+        {
+            Some(n) => (n.icmp_scale, n.tcp_scale, n.passive_scale),
+            None => (1.0, 1.0, 1.0),
+        };
+        if block.stealth {
+            // Stealth blocks: probes filtered at the perimeter, hosts touch no
+            // client-facing service. Nearly invisible to every source.
+            icmp *= 0.04;
+            tcp *= 0.04;
+            passive *= 0.04;
         }
-        None => (1.0, 1.0, 1.0),
+        BlockScales { icmp, tcp, passive }
+    }
+}
+
+/// The quarter-independent half of one source's detection of one used
+/// address. The other half, [`Detector::sees_in`], is one hash per quarter;
+/// each variant that needs it carries that hash's state before the quarter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reach {
+    /// A census that gets no answer from the address.
+    Silent,
+    /// A census the address answers: seen unless that census loses the
+    /// probe or the reply.
+    Answers(Mix),
+    /// A log or NetFlow feed: seen in a quarter with probability `p`.
+    Rate(f64, Mix),
+}
+
+/// One source's detection rule, with its per-source constants hoisted.
+pub(crate) struct Detector<'a> {
+    pub(crate) spec: &'a SourceSpec,
+    seed: u64,
+    /// The per-quarter draws' hash states before the address: probe loss
+    /// (censuses) and session timing (logs and NetFlow).
+    loss_hash: Mix,
+    timing_hash: Mix,
+    /// Probability that a census loses the probe or the reply.
+    loss: f64,
+}
+
+impl<'a> Detector<'a> {
+    pub(crate) fn new(gt: &GroundTruth, spec: &'a SourceSpec) -> Self {
+        let seed = gt.cfg.seed;
+        Detector {
+            spec,
+            seed,
+            loss_hash: Mix::of(&[seed, label(spec.name), label("loss")]),
+            timing_hash: Mix::of(&[seed, label(spec.name)]),
+            loss: gt.cfg.probe_loss + gt.cfg.rate_limit_drop,
+        }
+    }
+
+    /// The source's geographic visibility multiplier for `block`.
+    pub(crate) fn geo(&self, gt: &GroundTruth, block: &Block) -> f64 {
+        self.spec
+            .geo
+            .multiplier(gt.registry.get(block.alloc).country)
+    }
+
+    /// Whether the source can see `addr` at all, and how: stable traits
+    /// (does the host answer probes? how active is it?) under the block's
+    /// scales and the source's geographic bias `geo`.
+    pub(crate) fn reach(
+        &self,
+        traits: &HostTraits,
+        addr: u32,
+        scales: BlockScales,
+        geo: f64,
+    ) -> Reach {
+        let seed = self.seed;
+        let answers = match self.spec.kind {
+            SourceKind::IcmpCensus => {
+                // Responsiveness is a stable trait; the network scale
+                // rescales it (for ground-truth networks) via an
+                // independent thinning.
+                let responds = traits.icmp_responsive
+                    && scale_keep(seed, "icmp-scale", addr, scales.icmp)
+                    || (scales.icmp > 1.0
+                        && scale_boost(seed, "icmp-boost", addr, scales.icmp)
+                        && !traits.icmp_responsive);
+                // Firewalled servers may still emit "unreachable" (counted).
+                let unreachable = traits.host_type == HostType::Server
+                    && traits.rst_firewall
+                    && scales.icmp > 0.0;
+                responds || unreachable
+            }
+            SourceKind::TcpCensus => {
+                traits.tcp80_responsive && scale_keep(seed, "tcp-scale", addr, scales.tcp)
+                    || (scales.tcp > 1.0
+                        && scale_boost(seed, "tcp-boost", addr, scales.tcp)
+                        && !traits.tcp80_responsive)
+            }
+            SourceKind::Passive => {
+                let intensity = self.spec.rate * traits.activity * geo * scales.passive;
+                let timing = self.timing_hash.then(u64::from(addr));
+                return Reach::Rate(1.0 - (-intensity).exp(), timing);
+            }
+            SourceKind::NetFlow => {
+                // Activity-driven traffic plus a flat inbound-scanner floor:
+                // every used host occasionally probes or backscatters into
+                // the campus, regardless of its service activity.
+                let intensity = self.spec.rate * (traits.activity * geo + 0.04) * scales.passive;
+                let timing = self.timing_hash.then(u64::from(addr));
+                return Reach::Rate(1.0 - (-intensity).exp(), timing);
+            }
+        };
+        if answers {
+            Reach::Answers(self.loss_hash.then(u64::from(addr)))
+        } else {
+            Reach::Silent
+        }
+    }
+
+    /// Whether the source sees an address of reach `reach` in quarter `q`
+    /// (the per-quarter randomness: probe loss, session timing).
+    pub(crate) fn sees_in(&self, reach: Reach, q: Quarter) -> bool {
+        match reach {
+            Reach::Silent => false,
+            // Per-census probe or reply loss (failure injection).
+            Reach::Answers(loss) => loss.then(u64::from(q.0)).unit() >= self.loss,
+            Reach::Rate(p, timing) => timing.then(u64::from(q.0)).unit() < p,
+        }
     }
 }
 
@@ -225,70 +354,22 @@ fn network_scales(gt: &GroundTruth, block: &Block) -> (f64, f64, f64) {
 ///
 /// Stable traits (does the host answer probes? how active is it?) come
 /// from [`traits_for`]; per-quarter randomness (probe loss, session
-/// timing) is hashed on `(source, addr, q)`.
+/// timing) is hashed on `(source, addr, q)`. The scenario's window pass
+/// runs the same two halves, [`Detector::reach`] once per address and
+/// [`Detector::sees_in`] per quarter.
 pub fn detects(gt: &GroundTruth, spec: &SourceSpec, addr: u32, block: &Block, q: Quarter) -> bool {
     if !spec.active_in(q) {
         return false;
     }
-    let seed = gt.cfg.seed;
-    let traits = traits_for(seed, addr, block.dynamic_pool);
-    let (mut icmp_scale, mut tcp_scale, mut passive_scale) = network_scales(gt, block);
-    if block.stealth {
-        // Stealth blocks: probes filtered at the perimeter, hosts touch no
-        // client-facing service. Nearly invisible to every source.
-        icmp_scale *= 0.04;
-        tcp_scale *= 0.04;
-        passive_scale *= 0.04;
-    }
-    let src = label(spec.name);
-
-    match spec.kind {
-        SourceKind::IcmpCensus => {
-            // Responsiveness is a stable trait; the network scale rescales
-            // it (for ground-truth networks) via an independent thinning.
-            let responds = traits.icmp_responsive
-                && scale_keep(seed, "icmp-scale", addr, icmp_scale)
-                || (icmp_scale > 1.0
-                    && scale_boost(seed, "icmp-boost", addr, icmp_scale)
-                    && !traits.icmp_responsive);
-            // Firewalled servers may still emit "unreachable" (counted).
-            let unreachable =
-                traits.host_type == HostType::Server && traits.rst_firewall && icmp_scale > 0.0;
-            if !(responds || unreachable) {
-                return false;
-            }
-            // Per-census probe or reply loss (failure injection).
-            unit(&[seed, src, label("loss"), u64::from(addr), u64::from(q.0)])
-                >= gt.cfg.probe_loss + gt.cfg.rate_limit_drop
-        }
-        SourceKind::TcpCensus => {
-            let responds = traits.tcp80_responsive
-                && scale_keep(seed, "tcp-scale", addr, tcp_scale)
-                || (tcp_scale > 1.0
-                    && scale_boost(seed, "tcp-boost", addr, tcp_scale)
-                    && !traits.tcp80_responsive);
-            if !responds {
-                return false;
-            }
-            unit(&[seed, src, label("loss"), u64::from(addr), u64::from(q.0)])
-                >= gt.cfg.probe_loss + gt.cfg.rate_limit_drop
-        }
-        SourceKind::Passive => {
-            let geo = spec.geo.multiplier(gt.registry.get(block.alloc).country);
-            let intensity = spec.rate * traits.activity * geo * passive_scale;
-            let p = 1.0 - (-intensity).exp();
-            unit(&[seed, src, u64::from(addr), u64::from(q.0)]) < p
-        }
-        SourceKind::NetFlow => {
-            let geo = spec.geo.multiplier(gt.registry.get(block.alloc).country);
-            // Activity-driven traffic plus a flat inbound-scanner floor:
-            // every used host occasionally probes or backscatters into the
-            // campus, regardless of its service activity.
-            let intensity = spec.rate * (traits.activity * geo + 0.04) * passive_scale;
-            let p = 1.0 - (-intensity).exp();
-            unit(&[seed, src, u64::from(addr), u64::from(q.0)]) < p
-        }
-    }
+    let detector = Detector::new(gt, spec);
+    let traits = traits_for(gt.cfg.seed, addr, block.dynamic_pool);
+    let reach = detector.reach(
+        &traits,
+        addr,
+        BlockScales::of(gt, block),
+        detector.geo(gt, block),
+    );
+    detector.sees_in(reach, q)
 }
 
 /// Stable keep-decision when a scale `<= 1` thins a trait.

@@ -18,16 +18,39 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// Mixes a sequence of values into one well-distributed 64-bit hash.
 pub fn mix(parts: &[u64]) -> u64 {
-    let mut h = 0x243f_6a88_85a3_08d3u64; // pi digits, nothing-up-my-sleeve
-    for &p in parts {
-        h = splitmix(h ^ p);
-    }
-    h
+    Mix::of(parts).0
 }
 
 /// A hash mapped to the unit interval `[0, 1)`.
 pub fn unit(parts: &[u64]) -> f64 {
-    (mix(parts) >> 11) as f64 / (1u64 << 53) as f64
+    Mix::of(parts).unit()
+}
+
+/// The state of [`mix`] after a prefix of its parts, so that hashes
+/// sharing the prefix pay for it once:
+/// `Mix::of(&[a, b]).then(c).unit() == unit(&[a, b, c])`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mix(u64);
+
+impl Mix {
+    /// The state after `parts`.
+    pub(crate) fn of(parts: &[u64]) -> Self {
+        parts
+            .iter()
+            .fold(Mix(0x243f_6a88_85a3_08d3), |h, &p| h.then(p)) // pi digits, nothing-up-my-sleeve
+    }
+
+    /// The state after one more part.
+    #[inline]
+    pub(crate) fn then(self, part: u64) -> Self {
+        Mix(splitmix(self.0 ^ part))
+    }
+
+    /// The hash so far mapped to the unit interval `[0, 1)`.
+    #[inline]
+    pub(crate) fn unit(self) -> f64 {
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// Stable label → u64 for mixing strings into hashes.
@@ -50,6 +73,17 @@ mod tests {
         assert_eq!(mix(&[1, 2, 3]), mix(&[1, 2, 3]));
         assert_eq!(unit(&[7, 8]), unit(&[7, 8]));
         assert_eq!(label("IPING"), label("IPING"));
+    }
+
+    #[test]
+    fn prefix_state_continues_the_hash() {
+        let parts = [7u64, 11, 13, 17];
+        for split in 0..=parts.len() {
+            let (head, tail) = parts.split_at(split);
+            let h = tail.iter().fold(Mix::of(head), |h, &p| h.then(p));
+            assert_eq!(h.0, mix(&parts));
+            assert_eq!(h.unit(), unit(&parts));
+        }
     }
 
     #[test]

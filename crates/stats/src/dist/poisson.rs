@@ -59,13 +59,28 @@ impl Poisson {
         reg_gamma_q(k as f64 + 1.0, self.lambda)
     }
 
+    /// Whether `k` lies so far above the mean, `k > λ + 12√λ + 30`, that
+    /// `Pr[X > k] < 2^-54`: there `Pr[X <= k]` rounds to exactly 1 in
+    /// `f64`, and quantities normalised by it equal their untruncated
+    /// values.
+    pub(crate) fn cdf_rounds_to_one(&self, k: u64) -> bool {
+        let lam = self.lambda;
+        (k as f64) > lam + 12.0 * lam.sqrt() + 30.0
+    }
+
     /// Natural log of the CDF, stable in the deep lower tail.
     ///
-    /// For `Pr[X <= k]` far below the mean the regularized gamma underflows;
-    /// in that regime the CDF is summed directly in log space starting from
-    /// the dominant term `pmf(k)`. Going downward the terms decay by factors
-    /// `j / λ < 1`, so a short backward sum converges quickly.
+    /// Far above the mean ([`Self::cdf_rounds_to_one`]) the CDF is exactly
+    /// 1 and its log exactly 0, which is returned without evaluating the
+    /// incomplete gamma function (DESIGN.md §18). For `Pr[X <= k]` far
+    /// below the mean the regularized gamma underflows; in that regime the
+    /// CDF is summed directly in log space starting from the dominant term
+    /// `pmf(k)`. Going downward the terms decay by factors `j / λ < 1`, so
+    /// a short backward sum converges quickly.
     pub fn ln_cdf(&self, k: u64) -> f64 {
+        if self.cdf_rounds_to_one(k) {
+            return 0.0;
+        }
         let q = self.cdf(k);
         if q > 1e-280 {
             return q.ln();

@@ -103,7 +103,7 @@ impl TruncatedPoisson {
         let lam = self.base.lambda();
         // Fast path: when the limit is many standard deviations above λ the
         // ratio is 1 to machine precision.
-        if (self.limit as f64) > lam + 12.0 * lam.sqrt() + 30.0 {
+        if self.base.cdf_rounds_to_one(self.limit) {
             return lam;
         }
         let ratio = (self.base.ln_cdf(self.limit - 1) - self.ln_norm()).exp();
@@ -116,7 +116,7 @@ impl TruncatedPoisson {
         if self.limit == 0 {
             return 0.0;
         }
-        if (self.limit as f64) > lam + 12.0 * lam.sqrt() + 30.0 {
+        if self.base.cdf_rounds_to_one(self.limit) {
             return lam;
         }
         let m = self.mean();

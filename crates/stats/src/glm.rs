@@ -15,7 +15,7 @@
 //! with `m = v = λ` for Poisson and the truncated mean/variance otherwise.
 
 use crate::dist::{Poisson, TruncatedPoisson};
-use crate::linalg::{solve_spd_with_ridge, Matrix};
+use crate::linalg::{solve_spd_with_ridge, Matrix, SparseRows};
 use crate::special::ln_gamma;
 
 /// Hard clamp on the linear predictor. `exp(120) ≈ 1.3e52` is far beyond any
@@ -138,40 +138,97 @@ impl std::fmt::Display for GlmError {
 
 impl std::error::Error for GlmError {}
 
-/// Per-cell mean and variance under the family at rate `λ` (limit-aware).
-fn mean_var(family: &CountFamily, i: usize, lambda: f64) -> (f64, f64) {
-    match family {
-        CountFamily::Poisson => (lambda, lambda),
-        CountFamily::TruncatedPoisson(limits) => {
-            let d = TruncatedPoisson::new(lambda, limits[i]);
-            (d.mean(), d.variance())
+/// What the Newton loop needs of one cell besides its linear predictor,
+/// computed once per fit.
+struct Cell {
+    /// The observed (possibly scaled) count.
+    y: f64,
+    /// `ln Γ(y+1)`, the count's normaliser. `y` may be non-integral (the IC
+    /// divisor heuristic scales counts), so `ln y!` generalises to it.
+    ln_gamma_y1: f64,
+    /// Inclusive truncation limit, `None` for a plain Poisson cell.
+    limit: Option<u64>,
+}
+
+impl Cell {
+    fn all(y: &[f64], family: &CountFamily) -> Vec<Cell> {
+        y.iter()
+            .enumerate()
+            .map(|(i, &y)| Cell {
+                y,
+                ln_gamma_y1: ln_gamma(y + 1.0),
+                limit: match family {
+                    CountFamily::Poisson => None,
+                    CountFamily::TruncatedPoisson(limits) => limits.get(i).copied(),
+                },
+            })
+            .collect()
+    }
+
+    /// Mean and variance at rate `λ` (limit-aware).
+    fn mean_var(&self, lambda: f64) -> (f64, f64) {
+        match self.limit {
+            None => (lambda, lambda),
+            Some(limit) => {
+                let d = TruncatedPoisson::new(lambda, limit);
+                (d.mean(), d.variance())
+            }
+        }
+    }
+
+    /// Log-likelihood contribution at rate `λ`.
+    fn loglik(&self, lambda: f64) -> f64 {
+        let base = self.y * lambda.ln() - lambda - self.ln_gamma_y1;
+        match self.limit {
+            None => base,
+            Some(limit) => base - Poisson::new(lambda).ln_cdf(limit),
         }
     }
 }
 
-/// Per-cell log-likelihood contribution. `y` may be non-integral (the IC
-/// divisor heuristic scales counts), so `ln y!` generalises to `ln Γ(y+1)`.
-fn cell_loglik(family: &CountFamily, i: usize, lambda: f64, y: f64) -> f64 {
-    let base = y * lambda.ln() - lambda - ln_gamma(y + 1.0);
-    match family {
-        CountFamily::Poisson => base,
-        CountFamily::TruncatedPoisson(limits) => base - Poisson::new(lambda).ln_cdf(limits[i]),
-    }
+/// The cell rate `λ = exp(η)` of a linear predictor, clamped.
+fn rate(eta: f64) -> f64 {
+    eta.clamp(-ETA_CLAMP, ETA_CLAMP).exp()
 }
 
-/// Total log-likelihood at coefficients `coef`.
-pub fn log_likelihood(design: &Matrix, y: &[f64], family: &CountFamily, coef: &[f64]) -> f64 {
-    let eta = design.matvec(coef);
+/// Total log-likelihood at coefficients `coef`, with `eta` as scratch.
+///
+/// A non-finite coefficient makes the dense product `X·coef` NaN in every
+/// row where the design has a zero; the sparse product skips those zeros,
+/// so that case is decided here instead: the log-likelihood is NaN, and the
+/// Newton loop rejects the point.
+fn cells_log_likelihood(
+    rows: &SparseRows,
+    cells: &[Cell],
+    coef: &[f64],
+    eta: &mut Vec<f64>,
+) -> f64 {
+    if !coef.iter().all(|c| c.is_finite()) {
+        return f64::NAN;
+    }
+    rows.matvec_into(coef, eta);
     eta.iter()
-        .enumerate()
-        .map(|(i, &e)| cell_loglik(family, i, e.clamp(-ETA_CLAMP, ETA_CLAMP).exp(), y[i]))
+        .zip(cells)
+        .map(|(&e, cell)| cell.loglik(rate(e)))
         .sum()
+}
+
+/// Total log-likelihood at coefficients `coef` (NaN if a coefficient is
+/// not finite).
+pub fn log_likelihood(design: &Matrix, y: &[f64], family: &CountFamily, coef: &[f64]) -> f64 {
+    let rows = SparseRows::from_dense(design);
+    cells_log_likelihood(&rows, &Cell::all(y, family), coef, &mut Vec::new())
 }
 
 /// Fits a count GLM with log link by damped Newton–Raphson.
 ///
 /// `design` is the `n × p` model matrix, `y` the `n` observed counts
 /// (non-negative, possibly non-integral after IC scaling).
+///
+/// The design's nonzero entries and each cell's `ln Γ(y+1)` are listed once
+/// per fit, and the Newton buffers are reused across iterations; every
+/// floating-point result is the one the dense products give (DESIGN.md
+/// §18).
 ///
 /// # Errors
 ///
@@ -238,34 +295,46 @@ pub fn fit(
         }
     }
 
+    let rows = SparseRows::from_dense(design);
+    let cells = Cell::all(y, family);
+    let mut eta = Vec::with_capacity(n);
+    let mut resid = vec![0.0; n];
+    let mut weights = vec![0.0; n];
+    let mut score = Vec::with_capacity(p);
+    let mut hessian = Matrix::zeros(p, p);
+    let mut trial = Vec::with_capacity(p);
+
     // Initialise from the least-squares fit to ln(y + 0.5): X u ≈ ln(y+0.5).
     let target: Vec<f64> = y.iter().map(|&v| (v + 0.5).ln()).collect();
-    let gram = design.weighted_gram(&vec![1.0; n]);
-    let rhs = design.tr_matvec(&target);
-    let mut coef = match solve_spd_with_ridge(&gram, &rhs) {
+    rows.weighted_gram_into(&vec![1.0; n], &mut hessian);
+    rows.tr_matvec_into(&target, &mut score);
+    let mut coef = match solve_spd_with_ridge(&hessian, &score) {
         Ok((c, _)) => c,
         Err(_) => vec![0.0; p],
     };
+    // The design is only ever evaluated at finite coefficients (see
+    // `cells_log_likelihood`); a start that overflowed is the breakdown
+    // the final check below reports.
+    if !coef.iter().all(|c| c.is_finite()) {
+        return Err(GlmError::NonFiniteFit);
+    }
 
-    let mut loglik = log_likelihood(design, y, family, &coef);
+    let mut loglik = cells_log_likelihood(&rows, &cells, &coef, &mut eta);
     let mut converged = false;
     let mut iterations = 0;
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        let eta = design.matvec(&coef);
-        let mut resid = vec![0.0; n];
-        let mut weights = vec![0.0; n];
-        for i in 0..n {
-            let lam = eta[i].clamp(-ETA_CLAMP, ETA_CLAMP).exp();
-            let (m, v) = mean_var(family, i, lam);
-            resid[i] = y[i] - m;
+        rows.matvec_into(&coef, &mut eta);
+        for (((&e, cell), r), w) in eta.iter().zip(&cells).zip(&mut resid).zip(&mut weights) {
+            let (m, v) = cell.mean_var(rate(e));
+            *r = cell.y - m;
             // Floor the weight so cells whose variance collapses (mean hard
             // against the truncation limit) do not zero out the Hessian row.
-            weights[i] = v.max(1e-12);
+            *w = v.max(1e-12);
         }
-        let score = design.tr_matvec(&resid);
-        let hessian = design.weighted_gram(&weights);
+        rows.tr_matvec_into(&resid, &mut score);
+        rows.weighted_gram_into(&weights, &mut hessian);
         let (delta, _ridge) =
             solve_spd_with_ridge(&hessian, &score).map_err(|_| GlmError::SingularSystem)?;
 
@@ -273,11 +342,12 @@ pub fn fit(
         let mut step = 1.0f64;
         let mut accepted = false;
         for _ in 0..40 {
-            let trial: Vec<f64> = coef.iter().zip(&delta).map(|(c, d)| c + step * d).collect();
-            let trial_ll = log_likelihood(design, y, family, &trial);
+            trial.clear();
+            trial.extend(coef.iter().zip(&delta).map(|(c, d)| c + step * d));
+            let trial_ll = cells_log_likelihood(&rows, &cells, &trial, &mut eta);
             if trial_ll.is_finite() && trial_ll >= loglik - 1e-12 {
                 let improvement = trial_ll - loglik;
-                coef = trial;
+                std::mem::swap(&mut coef, &mut trial);
                 let prev = loglik;
                 loglik = trial_ll;
                 accepted = true;
@@ -308,19 +378,18 @@ pub fn fit(
         return Err(GlmError::NonFiniteFit);
     }
 
-    let eta = design.matvec(&coef);
-    let mut fitted = vec![0.0; n];
-    let mut lambda_out = vec![0.0; n];
-    for i in 0..n {
-        let lam = eta[i].clamp(-ETA_CLAMP, ETA_CLAMP).exp();
-        lambda_out[i] = lam;
-        fitted[i] = mean_var(family, i, lam).0;
-    }
+    rows.matvec_into(&coef, &mut eta);
+    let lambda: Vec<f64> = eta.iter().map(|&e| rate(e)).collect();
+    let fitted = lambda
+        .iter()
+        .zip(&cells)
+        .map(|(&lam, cell)| cell.mean_var(lam).0)
+        .collect();
 
     Ok(GlmFit {
         coef,
         fitted,
-        lambda: lambda_out,
+        lambda,
         log_likelihood: loglik,
         iterations,
         converged,

@@ -181,13 +181,26 @@ impl Matrix {
                 }
             }
         }
-        // Mirror the upper triangle.
-        for a in 0..p {
-            for b in (a + 1)..p {
-                g[(b, a)] = g[(a, b)];
+        g.mirror_upper();
+        g
+    }
+
+    /// Copies the upper triangle of a square matrix onto the lower one.
+    pub(crate) fn mirror_upper(&mut self) {
+        for a in 0..self.rows {
+            for b in (a + 1)..self.cols {
+                self[(b, a)] = self[(a, b)];
             }
         }
-        g
+    }
+
+    /// Turns `self` into a `rows × cols` matrix of zeros, reusing its
+    /// allocation.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Frobenius norm.

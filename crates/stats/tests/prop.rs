@@ -357,3 +357,123 @@ proptest! {
         prop_assert_eq!(basic_interval(point, &xs, 0.0), Err(SummaryError::InvalidLevel));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Exactness of the Newton kernels (DESIGN.md §18): the sparse design
+// products and the `ln_cdf` guard must give the bits the dense products and
+// the unguarded computation give.
+// ---------------------------------------------------------------------------
+
+use ghosts_stats::approx::is_exact_zero;
+use ghosts_stats::linalg::SparseRows;
+
+/// A random `rows × cols` design of one of three kinds — 0/1 indicators
+/// (a log-linear design), real values, or small signed integers — with
+/// about half its entries zero, and with one row and one column that are
+/// entirely zero.
+fn random_design(rows: usize, cols: usize, kind: u8, seed: u64) -> Matrix {
+    let mut rng = rng_from_seed(seed);
+    let mut m = Matrix::zeros(rows, cols);
+    for i in 0..rows {
+        for j in 0..cols {
+            if i == rows / 2 || j == cols / 2 || rng.gen_range(0..2) == 0 {
+                continue;
+            }
+            m[(i, j)] = match kind {
+                0 => 1.0,
+                1 => rng.gen_range(-3.0..3.0),
+                _ => f64::from(rng.gen_range(-3i32..=3)),
+            };
+        }
+    }
+    m
+}
+
+/// A random vector with exact zeros, tiny (subnormal-producing) values and
+/// ordinary ones.
+fn random_vector(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
+    let mut rng = rng_from_seed(seed);
+    (0..n)
+        .map(|_| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => 1e-320,
+            _ => rng.gen_range(lo..hi),
+        })
+        .collect()
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #[test]
+    fn sparse_products_equal_the_dense_kernels(
+        rows in 0usize..40,
+        cols in 0usize..12,
+        kind in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let m = random_design(rows, cols, kind, seed);
+        let s = SparseRows::from_dense(&m);
+        let coef = random_vector(cols, -5.0, 5.0, seed ^ 1);
+        let resid = random_vector(rows, -50.0, 50.0, seed ^ 2);
+        let weights = random_vector(rows, 0.0, 1e3, seed ^ 3);
+
+        // Score and Hessian: the same bits.
+        let mut score = Vec::new();
+        s.tr_matvec_into(&resid, &mut score);
+        prop_assert!(same_bits(&score, &m.tr_matvec(&resid)), "score {score:?}");
+        let mut hessian = Matrix::zeros(3, 5);
+        s.weighted_gram_into(&weights, &mut hessian);
+        let dense = m.weighted_gram(&weights);
+        prop_assert!(
+            hessian.rows() == dense.rows() && same_bits(hessian.data(), dense.data()),
+            "hessian {hessian:?} vs {dense:?}"
+        );
+
+        // Linear predictor: the same bits, except the sign of an exact zero.
+        let mut eta = Vec::new();
+        s.matvec_into(&coef, &mut eta);
+        let want = m.matvec(&coef);
+        prop_assert_eq!(eta.len(), want.len());
+        for (e, w) in eta.iter().zip(&want) {
+            prop_assert!(
+                e.to_bits() == w.to_bits() || (is_exact_zero(*e) && is_exact_zero(*w)),
+                "eta {e:e} vs dense {w:e}"
+            );
+        }
+    }
+}
+
+/// Far above the mean, `ln_cdf` returns 0 without the incomplete gamma
+/// function. On a (λ, k) grid straddling the guard, and straddling the
+/// Wilson–Hilferty switch at shape 1e7, it must give the unguarded bits:
+/// `cdf(k).ln()`, which inside the guard is exactly 0.
+#[test]
+fn ln_cdf_guard_is_bit_exact() {
+    let lambdas = [
+        1e-300, 1e-12, 0.3, 1.0, 7.5, 100.0, 1e4, 1e6, 9.99e6, 1e7, 3e7, 1e8, 1e9,
+    ];
+    let mut inside = 0;
+    for lam in lambdas {
+        let d = Poisson::new(lam);
+        let bound = lam + 12.0 * lam.sqrt() + 30.0;
+        let edge = bound.floor() as u64;
+        let mut ks: Vec<u64> = (edge.saturating_sub(3)..=edge + 3).collect();
+        ks.extend([9_999_998, 9_999_999, 10_000_000, 10_000_001, 2 * edge + 1]);
+        for k in ks {
+            let q = d.cdf(k);
+            let got = d.ln_cdf(k);
+            if (k as f64) > bound {
+                inside += 1;
+                assert_eq!(q.to_bits(), 1f64.to_bits(), "cdf({k}; {lam:e}) = {q:e}");
+                assert_eq!(got.to_bits(), 0f64.to_bits(), "ln_cdf({k}; {lam:e})");
+                assert_eq!(got.to_bits(), q.ln().to_bits());
+            } else if q > 1e-280 {
+                assert_eq!(got.to_bits(), q.ln().to_bits(), "ln_cdf({k}; {lam:e})");
+            }
+        }
+    }
+    assert!(inside > 50, "only {inside} grid points inside the guard");
+}
