@@ -11,10 +11,12 @@
 // Golden values are exact: any drift, even 1 ulp, is a regression.
 #![allow(clippy::float_cmp)]
 
+use ghosts_bench::strata::{self, Strat};
 use ghosts_bench::ReproContext;
 use ghosts_core::{
     estimate_table_with_range, select_model, CellModel, ContingencyTable, Parallelism,
 };
+use ghosts_net::SubnetSet;
 
 const DENOM: u64 = 16_384;
 const SEED: u64 = 7;
@@ -79,14 +81,165 @@ fn window10_estimate_ci_and_model_are_pinned() {
 /// FNV-1a (64-bit) over the big-endian bytes of each address, in the
 /// order given.
 fn fnv1a_addrs(addrs: impl Iterator<Item = u32>) -> u64 {
+    fnv1a_bytes(addrs.flat_map(u32::to_be_bytes))
+}
+
+/// FNV-1a (64-bit) over a byte stream.
+fn fnv1a_bytes(bytes: impl Iterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for a in addrs {
-        for b in a.to_be_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Pins every candidate fit of the stepwise search, not only the chosen
+/// model: per table (window 10's addresses and /24s) and thread count, the
+/// number of models evaluated and an FNV-1a digest of each one's IC bits
+/// in trace order. A last-bit drift in a losing candidate's fit changes
+/// its IC and so the digest, even when the ranking survives it.
+#[test]
+fn every_candidate_ic_is_pinned() {
+    // (table, threads, models evaluated, FNV-1a of the IC bits).
+    let want: Vec<(&str, usize, usize, u64)> = vec![
+        ("addr", 1, 589, 0x31f1_2933_179d_ccf7),
+        ("addr", 4, 589, 0x31f1_2933_179d_ccf7),
+        ("subnet", 1, 514, 0xeb5b_ccc8_08be_933b),
+        ("subnet", 4, 514, 0xeb5b_ccc8_08be_933b),
+    ];
+
+    let ctx = ReproContext::new(DENOM, SEED);
+    let data = ctx.filtered_window(WINDOW);
+    let routed = &ctx.scenario.gt.routed;
+    let subnet_sets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
+    let subnet_refs: Vec<&SubnetSet> = subnet_sets.iter().collect();
+    let tables = [
+        (
+            "addr",
+            ContingencyTable::from_addr_sets(&data.addr_sets()),
+            routed.address_count(),
+        ),
+        (
+            "subnet",
+            ContingencyTable::from_subnet_sets(&subnet_refs),
+            routed.subnet24_count(),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, table, limit) in &tables {
+        for threads in [1, 4] {
+            let mut opts = ctx.cr_config().selection;
+            opts.parallelism = Parallelism::Fixed(threads);
+            let sel = select_model(table, CellModel::Truncated { limit: *limit }, &opts)
+                .expect("window 10 selects a model");
+            let digest = fnv1a_bytes(
+                sel.evaluated
+                    .iter()
+                    .flat_map(|e| e.ic.to_bits().to_be_bytes()),
+            );
+            got.push((*name, threads, sel.evaluated.len(), digest));
+        }
+    }
+    assert_eq!(got, want);
+}
+
+/// Pins a stratified estimate end to end: per RIR stratum of window 10,
+/// at address and /24 granularity, the selected model and the bits of N̂
+/// (`None` for a stratum the minimum-observed rule excludes).
+#[test]
+fn rir_strata_models_and_totals_are_pinned() {
+    // (granularity, stratum, (model, bits of N̂)).
+    type Pin<M> = (&'static str, usize, Option<(M, u64)>);
+    let want: Vec<Pin<&str>> = vec![
+        (
+            "addr",
+            0,
+            Some(("[1][2][3][4][5][6][7][8][9]", 0x408a_aabf_1ab2_c33a)),
+        ),
+        (
+            "addr",
+            1,
+            Some((
+                "[1][2][3][4][14][24][34][5][35][45][6][16][26][36][46][56][7][17][27][37][47]\
+                 [57][67][8][78][9][39][49][69][79][89]",
+                0x40eb_8448_43ad_e79e,
+            )),
+        ),
+        (
+            "addr",
+            2,
+            Some((
+                "[1][2][12][3][4][14][24][34][5][25][35][45][6][26][36][46][56][7][17][27][37]\
+                 [47][57][67][8][68][9][39][49][59][69][79][89]",
+                0x40f5_2657_5b69_4ec5,
+            )),
+        ),
+        (
+            "addr",
+            3,
+            Some((
+                "[1][2][3][4][5][25][45][6][46][7][27][37][47][57][8][9][59][89]",
+                0x40b6_5234_a330_d11b,
+            )),
+        ),
+        (
+            "addr",
+            4,
+            Some((
+                "[1][2][3][4][14][24][34][5][15][45][6][26][36][46][56][7][17][27][37][47][57]\
+                 [8][9][49][79][89]",
+                0x40de_ad21_dced_dd68,
+            )),
+        ),
+        ("subnet", 0, None),
+        (
+            "subnet",
+            1,
+            Some((
+                "[1][2][12][3][13][23][4][24][5][25][35][6][36][7][47][57][67][8][58][9][59]\
+                 [79][89]",
+                0x407f_3c15_7dc4_92d7,
+            )),
+        ),
+        (
+            "subnet",
+            2,
+            Some((
+                "[1][2][3][23][4][34][5][15][25][45][6][16][46][7][67][8][9][39][89]",
+                0x4087_d864_7b96_d302,
+            )),
+        ),
+        ("subnet", 3, None),
+        (
+            "subnet",
+            4,
+            Some((
+                "[1][2][12][3][13][23][4][34][5][15][6][26][56][7][47][67][8][9][59][79][89]",
+                0x4071_3a1b_c369_a2a2,
+            )),
+        ),
+    ];
+
+    let ctx = ReproContext::new(DENOM, SEED);
+    let data = ctx.filtered_window(WINDOW);
+    let info = strata::build(&ctx, Strat::Rir);
+    let mut got = Vec::new();
+    for (name, subnets) in [("addr", false), ("subnet", true)] {
+        let est = strata::estimate(&ctx, &data, &info, subnets);
+        for (i, s) in est.strata.iter().enumerate() {
+            got.push((
+                name,
+                i,
+                s.as_ref().map(|e| (e.model.clone(), e.total.to_bits())),
+            ));
+        }
+    }
+    let want: Vec<Pin<String>> = want
+        .into_iter()
+        .map(|(name, i, pin)| (name, i, pin.map(|(m, bits)| (m.to_string(), bits))))
+        .collect();
+    assert_eq!(got, want);
 }
 
 /// Pins the §4.5 spoof filter on windows 0 and 10: per filtered source,

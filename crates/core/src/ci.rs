@@ -71,7 +71,7 @@ fn profile_loglik(
     fit_opts: &FitOptions,
     n0: f64,
 ) -> Result<f64, GlmError> {
-    let design = model.design_matrix_with_ghost();
+    let design = model.design_with_ghost();
     let mut y = Vec::with_capacity(design.rows());
     y.push(n0.max(0.0));
     y.extend(table.observed_cells());

@@ -147,8 +147,7 @@ pub fn fit_llm_opts(
         "model and table disagree on the number of sources"
     );
     invariant::check_table(table);
-    let design = model.design_matrix();
-    invariant::check_design(&design);
+    let design = model.design();
     let y = table.observed_cells();
     let family = cell_model.family(y.len(), 1);
     let glm = glm::fit(&design, &y, &family, fit_opts.glm_options()).inspect_err(|e| {

@@ -140,7 +140,7 @@ pub fn evaluate_ic_opts(
 ) -> Result<IcResult, GlmError> {
     let d = rule.divisor_for(table);
     let y = scaled_counts(table, d);
-    let design = model.design_matrix();
+    let design = model.design();
     let family = cell_model.family(y.len(), d);
     let fit = glm::fit(&design, &y, &family, fit_opts.glm_options())?;
     let k = model.num_params();

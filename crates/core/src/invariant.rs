@@ -13,8 +13,6 @@
 //! * **Contingency tables** (§3.3.1): exactly `2^t` cells for `t` sources,
 //!   and the ghost cell `z₀₀…₀` structurally zero — the all-zero history is
 //!   unobservable by definition.
-//! * **Design matrices** (§3.3.1): every entry finite. A NaN/∞ row would
-//!   silently poison the Newton score and every IC value downstream.
 //! * **Fit results** (§3.3.2): finite coefficients and cell means `μ`,
 //!   Poisson deviance ≥ 0, and — under the right-truncated refinement —
 //!   fitted means within the per-cell truncation bound, which is what keeps
@@ -25,7 +23,6 @@ use crate::fit::FittedLlm;
 use crate::history::{ContingencyTable, MAX_SOURCES};
 use ghosts_stats::glm::{CountFamily, GlmFit};
 use ghosts_stats::special::ln_gamma;
-use ghosts_stats::Matrix;
 
 /// Slack for the deviance sign check: the damped Newton loop stops on a
 /// relative tolerance, so the fitted log-likelihood may exceed the
@@ -46,15 +43,6 @@ pub enum InvariantViolation {
     GhostCellNonZero {
         /// The offending count.
         count: u64,
-    },
-    /// A design-matrix entry is NaN or infinite.
-    NonFiniteDesign {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-        /// The offending value.
-        value: f64,
     },
     /// A fitted coefficient is NaN or infinite.
     NonFiniteCoefficient {
@@ -112,9 +100,6 @@ impl std::fmt::Display for InvariantViolation {
             InvariantViolation::GhostCellNonZero { count } => {
                 write!(f, "ghost cell z0 holds {count}, must be structurally 0")
             }
-            InvariantViolation::NonFiniteDesign { row, col, value } => {
-                write!(f, "design[{row},{col}] = {value} is not finite")
-            }
             InvariantViolation::NonFiniteCoefficient { index, value } => {
                 write!(f, "coefficient {index} = {value} is not finite")
             }
@@ -163,24 +148,6 @@ pub fn validate_table(table: &ContingencyTable) -> Result<(), InvariantViolation
         return Err(InvariantViolation::GhostCellNonZero {
             count: table.count(0),
         });
-    }
-    Ok(())
-}
-
-/// Validates that every design-matrix entry is finite.
-///
-/// # Errors
-///
-/// The first non-finite entry.
-pub fn validate_design(design: &Matrix) -> Result<(), InvariantViolation> {
-    for row in 0..design.rows() {
-        for col in 0..design.cols() {
-            // lint: allow(panic-path) row/col iterate the matrix's own dimensions
-            let value = design[(row, col)];
-            if !value.is_finite() {
-                return Err(InvariantViolation::NonFiniteDesign { row, col, value });
-            }
-        }
     }
     Ok(())
 }
@@ -277,17 +244,6 @@ pub fn check_table(table: &ContingencyTable) {
     }
 }
 
-/// Debug-assert form of [`validate_design`]: free in release builds.
-#[inline]
-pub fn check_design(design: &Matrix) {
-    if cfg!(debug_assertions) {
-        if let Err(violation) = validate_design(design) {
-            // lint: allow(panic-path) deliberate fail-fast: debug-only invariant check
-            panic!("design-matrix invariant violated: {violation}");
-        }
-    }
-}
-
 /// Debug-assert form of [`validate_glm`]: free in release builds.
 #[inline]
 pub fn check_glm(fit: &GlmFit, y: &[f64], family: &CountFamily) {
@@ -330,21 +286,10 @@ mod tests {
         let t = table();
         validate_table(&t).unwrap();
         let model = LogLinearModel::independence(2);
-        validate_design(&model.design_matrix()).unwrap();
         let fit = fit_llm(&t, &model, CellModel::Poisson).unwrap();
         validate_glm(&fit.glm, &t.observed_cells(), &CountFamily::Poisson).unwrap();
         validate_estimate(&fit, None).unwrap();
         validate_estimate(&fit, Some(1 << 20)).unwrap();
-    }
-
-    #[test]
-    fn nan_design_is_rejected() {
-        let mut m = Matrix::zeros(2, 2);
-        m[(1, 0)] = f64::NAN;
-        assert!(matches!(
-            validate_design(&m),
-            Err(InvariantViolation::NonFiniteDesign { row: 1, col: 0, .. })
-        ));
     }
 
     #[test]

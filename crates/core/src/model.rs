@@ -12,6 +12,8 @@
 //! sub-terms are. This is the standard restriction for interpretable
 //! log-linear models and is what Rcapture fits.
 
+use ghosts_stats::linalg::LogLinearDesign;
+#[cfg(test)]
 use ghosts_stats::Matrix;
 
 /// A hierarchical log-linear model over `t` sources.
@@ -174,34 +176,45 @@ impl LogLinearModel {
         }
     }
 
-    /// The design matrix over the observed cells (history masks
-    /// `1..2^t − 1`, in ascending mask order): entry `(s−1, j)` is 1 iff
-    /// term `j` is a subset of history `s`.
+    /// The design over the observed cells (history masks `1..2^t − 1`, in
+    /// ascending mask order): entry `(s−1, j)` is 1 iff term `j` is a
+    /// subset of history `s`.
+    pub fn design(&self) -> LogLinearDesign {
+        LogLinearDesign::new(self.t, &self.terms, false)
+    }
+
+    /// The design including the ghost cell as the **first** row (history
+    /// mask 0: only the intercept applies). Used by the profile-likelihood
+    /// interval, which treats the ghost count as data.
+    pub fn design_with_ghost(&self) -> LogLinearDesign {
+        LogLinearDesign::new(self.t, &self.terms, true)
+    }
+
+    /// The dense form of [`Self::design`], a test reference.
+    #[cfg(test)]
     pub fn design_matrix(&self) -> Matrix {
         self.design_matrix_rows(false)
     }
 
-    /// The design matrix including the ghost cell as the **first** row
-    /// (history mask 0: only the intercept applies). Used by the
-    /// profile-likelihood interval, which treats the ghost count as data.
+    /// The dense form of [`Self::design_with_ghost`], a test reference.
+    #[cfg(test)]
     pub fn design_matrix_with_ghost(&self) -> Matrix {
         self.design_matrix_rows(true)
     }
 
+    #[cfg(test)]
     fn design_matrix_rows(&self, include_ghost: bool) -> Matrix {
         let cells = (1usize << self.t) - 1;
         let rows = cells + usize::from(include_ghost);
         let mut m = Matrix::zeros(rows, self.terms.len());
         let mut row = 0;
         if include_ghost {
-            // lint: allow(panic-path) rows >= 1 when include_ghost; column 0 is the intercept
             m[(0, 0)] = 1.0; // intercept only
             row = 1;
         }
         for s in 1..=(cells as u16) {
             for (j, &h) in self.terms.iter().enumerate() {
                 if h & s == h {
-                    // lint: allow(panic-path) row walks the matrix's own rows, j its columns
                     m[(row, j)] = 1.0;
                 }
             }
@@ -337,6 +350,27 @@ mod tests {
         for (row, mask) in (1u16..8).enumerate() {
             let want = if mask & 0b011 == 0b011 { 1.0 } else { 0.0 };
             assert_eq!(x[(row, col)], want, "mask {mask:#b}");
+        }
+    }
+
+    #[test]
+    fn design_is_the_dense_design_matrix() {
+        let m = LogLinearModel::with_interactions(3, &[0b011, 0b110]);
+        for (design, dense) in [
+            (m.design(), m.design_matrix()),
+            (m.design_with_ghost(), m.design_matrix_with_ghost()),
+        ] {
+            assert_eq!((design.rows(), design.cols()), (dense.rows(), dense.cols()));
+            // Column j of the design is X·e_j.
+            for j in 0..design.cols() {
+                let mut unit = vec![0.0; design.cols()];
+                unit[j] = 1.0;
+                let mut col = Vec::new();
+                design.eta_into(&unit, &mut col);
+                for (r, &x) in col.iter().enumerate() {
+                    assert_eq!(x, dense[(r, j)], "({r}, {j})");
+                }
+            }
         }
     }
 

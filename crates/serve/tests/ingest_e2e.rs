@@ -3,6 +3,11 @@
 //! sheds with `429` + `Retry-After`, drain checkpoints then refuses, and
 //! a fault-injected torn write is never acknowledged — and is truncated
 //! away on the next startup.
+//!
+//! The fault plan is process-global and the tests run in parallel, so
+//! every test in this binary takes `PLAN_LOCK` first: one that installs a
+//! plan clears it before releasing the lock, and one that does not can
+//! never meet another test's armed fault.
 
 mod common;
 
@@ -13,7 +18,7 @@ use ghosts_serve::{MetricsHub, Server, ServerConfig, ServerHandle};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-/// The fault plan is process-global: fault-using tests serialise on this.
+/// Serialises every test against the process-global fault plan.
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 fn plan_lock() -> MutexGuard<'static, ()> {
@@ -59,6 +64,7 @@ fn batch(key: &str, source: &str, addrs: &[&str]) -> String {
 
 #[test]
 fn acked_batches_survive_restart_byte_identically() {
+    let _guard = plan_lock();
     let dir = scratch("restart");
     let server = start_ingest(&dir, ServerConfig::default());
 
@@ -151,6 +157,7 @@ fn acked_batches_survive_restart_byte_identically() {
 
 #[test]
 fn worker_count_does_not_change_the_state_digest() {
+    let _guard = plan_lock();
     let digest_with = |workers: usize, tag: &str| {
         let dir = scratch(tag);
         let server = start_ingest(
@@ -186,6 +193,7 @@ fn worker_count_does_not_change_the_state_digest() {
 
 #[test]
 fn bounded_ingest_sheds_with_429_and_retry_after() {
+    let _guard = plan_lock();
     let dir = scratch("shed");
     let server = start_ingest(
         &dir,
@@ -228,6 +236,7 @@ fn bounded_ingest_sheds_with_429_and_retry_after() {
 
 #[test]
 fn drain_checkpoints_then_refuses_new_observations() {
+    let _guard = plan_lock();
     let dir = scratch("drain");
     let server = start_ingest(&dir, ServerConfig::default());
     assert!(!server.drain_requested());
@@ -271,6 +280,7 @@ fn drain_checkpoints_then_refuses_new_observations() {
 
 #[test]
 fn ingest_endpoints_404_without_an_ingest_dir() {
+    let _guard = plan_lock();
     let server = common::start(1);
     for (method, path) in [
         ("POST", "/v1/observations"),
@@ -293,6 +303,7 @@ fn ingest_endpoints_404_without_an_ingest_dir() {
 
 #[test]
 fn invalid_batches_are_rejected_and_estimate_422s_when_empty() {
+    let _guard = plan_lock();
     let dir = scratch("reject");
     let server = start_ingest(&dir, ServerConfig::default());
 

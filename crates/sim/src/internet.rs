@@ -318,12 +318,16 @@ impl GroundTruth {
             }
             while (total_spent as f64) < cumulative_target {
                 counter += 1;
-                let rir_idx = (0..5)
-                    .max_by(|&a, &b| {
-                        (desired[a] - spent_per_rir[a]).total_cmp(&(desired[b] - spent_per_rir[b]))
-                    })
-                    .expect("five registries"); // lint: allow(no-unwrap) RIR_ORDER is a non-empty const
-                let rir = RIR_ORDER[rir_idx];
+                // The registry furthest below its target (the last on a tie).
+                let Some((spent, rir)) = desired
+                    .iter()
+                    .zip(spent_per_rir.iter_mut())
+                    .zip(RIR_ORDER)
+                    .max_by(|((da, sa), _), ((db, sb), _)| (*da - **sa).total_cmp(&(*db - **sb)))
+                    .map(|((_, spent), rir)| (spent, rir))
+                else {
+                    break;
+                };
                 // Keep individual blocks within reach of the remaining
                 // budget (at small scales the legacy-era menu of short
                 // prefixes would otherwise blow straight through it).
@@ -345,10 +349,9 @@ impl GroundTruth {
                 };
                 let len =
                     weighted_pick(menu, unit(&[seed, label("len"), u64::from(year), counter]));
-                let ctab = countries(rir);
-                let menu: Vec<(usize, f64)> =
-                    ctab.iter().enumerate().map(|(i, c)| (i, c.1)).collect();
-                let ci = weighted_pick(
+                let menu: Vec<(&(&str, f64, f64), f64)> =
+                    countries(rir).iter().map(|c| (c, c.1)).collect();
+                let &(country_code, _, country_growth) = weighted_pick(
                     &menu,
                     unit(&[seed, label("country"), u64::from(year), counter]),
                 );
@@ -360,8 +363,8 @@ impl GroundTruth {
                     break;
                 };
                 total_spent += prefix.num_addresses();
-                spent_per_rir[rir_idx] += prefix.num_addresses() as f64;
-                let country = CountryCode::new(ctab[ci].0);
+                *spent += prefix.num_addresses() as f64;
+                let country = CountryCode::new(country_code);
                 let id = registry.add(Allocation {
                     prefix,
                     rir,
@@ -372,7 +375,6 @@ impl GroundTruth {
 
                 // --- Usage parameters for this allocation. ---
                 let (_, rir_final, rir_growth) = rir_params(rir);
-                let country_growth = ctab[ci].2;
                 let age_factor = 1.0 + 1.2 * ((f64::from(year) - 2004.0) / 10.0).max(0.0);
                 // Per-allocation heterogeneity in final utilisation: a mix
                 // of heavily-used, average and barely-used allocations.
@@ -440,15 +442,15 @@ impl GroundTruth {
         // --- Per-/24 blocks of the routed allocations. ---
         let mut blocks: Vec<Block> = Vec::new();
         let mut block_by_subnet: BTreeMap<u32, u32> = BTreeMap::new();
-        for (id, alloc) in registry.allocations().iter().enumerate() {
-            let meta = &alloc_meta[id];
+        for (id, (alloc, meta)) in registry.allocations().iter().zip(&alloc_meta).enumerate() {
             if !meta.routed {
                 continue;
             }
-            let tn = truth_networks
+            let truth = truth_networks
                 .iter()
-                .position(|n| n.prefix == alloc.prefix)
-                .map(|i| i as u8);
+                .enumerate()
+                .find(|(_, n)| n.prefix == alloc.prefix);
+            let tn = truth.map(|(i, _)| i as u8);
             for sub_prefix in alloc.prefix.split_into(24) {
                 let subnet = sub_prefix.base() >> 8;
                 let activation_u = unit(&[seed, label("activate"), u64::from(subnet)]);
@@ -468,10 +470,10 @@ impl GroundTruth {
                     DensityClass::Medium => u_dyn < 0.20,
                     DensityClass::Sparse => false,
                 };
-                if let Some(ti) = tn {
+                if let Some((_, network)) = truth {
                     // Ground-truth networks: uniform density equal to the
                     // network's peak usage fraction, no pools.
-                    target_addrs = (truth_networks[ti as usize].peak_fraction * 256.0) as u16;
+                    target_addrs = (network.peak_fraction * 256.0) as u16;
                     dynamic_pool = false;
                 }
                 let stealth =

@@ -40,6 +40,7 @@ impl SpoofSampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let x = rng.gen_range(0..self.total);
         let idx = self.cumulative.partition_point(|(cum, _)| *cum <= x);
+        // lint: allow(panic-path) x < total, the last cumulative count, so idx < len
         let (cum, prefix) = self.cumulative[idx];
         let offset = prefix.num_addresses() - (cum - x);
         (u64::from(prefix.base()) + offset) as u32
@@ -89,7 +90,9 @@ pub fn spoofed_set(gt: &GroundTruth, source: &str, q: Quarter, reflector_fractio
     let mut attempts = 0u64;
     while victims < target_victims && attempts < target_victims * 200 {
         attempts += 1;
-        let b = &blocks[rng.gen_range(0..blocks.len())];
+        let Some(b) = blocks.get(rng.gen_range(0..blocks.len())) else {
+            continue;
+        };
         if !gt.block_active(b, q) {
             continue;
         }

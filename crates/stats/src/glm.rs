@@ -13,9 +13,13 @@
 //! * hessian `∇²ℓ = −Xᵀ diag(v(η)) X`
 //!
 //! with `m = v = λ` for Poisson and the truncated mean/variance otherwise.
+//!
+//! The design is a [`LogLinearDesign`]: entry `(h, j)` is 1 iff term `j` is
+//! a subset of capture history `h`, and the products above walk that
+//! subset structure instead of a stored matrix (DESIGN.md §18.4).
 
 use crate::dist::{Poisson, TruncatedPoisson};
-use crate::linalg::{solve_spd_with_ridge, Matrix, SparseRows};
+use crate::linalg::{solve_spd_with_ridge, LogLinearDesign, Matrix};
 use crate::special::ln_gamma;
 
 /// Hard clamp on the linear predictor. `exp(120) ≈ 1.3e52` is far beyond any
@@ -93,15 +97,6 @@ pub enum GlmError {
         /// The offending value.
         value: f64,
     },
-    /// The design matrix contains a NaN or infinite entry.
-    InvalidDesign {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-        /// The offending value.
-        value: f64,
-    },
     /// The Newton system could not be solved even with ridging.
     SingularSystem,
     /// The iteration produced non-finite coefficients (numerical
@@ -123,9 +118,6 @@ impl std::fmt::Display for GlmError {
             }
             GlmError::InvalidResponse { index, value } => {
                 write!(f, "invalid response value {value} at index {index}")
-            }
-            GlmError::InvalidDesign { row, col, value } => {
-                write!(f, "invalid design entry {value} at ({row}, {col})")
             }
             GlmError::SingularSystem => write!(f, "Newton system singular"),
             GlmError::NonFiniteFit => write!(f, "iteration produced non-finite coefficients"),
@@ -191,51 +183,62 @@ fn rate(eta: f64) -> f64 {
     eta.clamp(-ETA_CLAMP, ETA_CLAMP).exp()
 }
 
-/// Total log-likelihood at coefficients `coef`, with `eta` as scratch.
+/// Total log-likelihood at coefficients `coef`, leaving each cell's rate
+/// `λ = exp(η)` in `lambda`.
 ///
 /// A non-finite coefficient makes the dense product `X·coef` NaN in every
-/// row where the design has a zero; the sparse product skips those zeros,
-/// so that case is decided here instead: the log-likelihood is NaN, and the
-/// Newton loop rejects the point.
+/// row where the design has a zero; the design's products never touch
+/// those zeros, so that case is decided here instead: the log-likelihood
+/// is NaN (and `lambda` is left as it was), and the Newton loop rejects
+/// the point.
 fn cells_log_likelihood(
-    rows: &SparseRows,
+    design: &LogLinearDesign,
     cells: &[Cell],
     coef: &[f64],
-    eta: &mut Vec<f64>,
+    lambda: &mut Vec<f64>,
 ) -> f64 {
     if !coef.iter().all(|c| c.is_finite()) {
         return f64::NAN;
     }
-    rows.matvec_into(coef, eta);
-    eta.iter()
+    design.eta_into(coef, lambda);
+    for rate_or_eta in lambda.iter_mut() {
+        *rate_or_eta = rate(*rate_or_eta);
+    }
+    lambda
+        .iter()
         .zip(cells)
-        .map(|(&e, cell)| cell.loglik(rate(e)))
+        .map(|(&lam, cell)| cell.loglik(lam))
         .sum()
 }
 
 /// Total log-likelihood at coefficients `coef` (NaN if a coefficient is
 /// not finite).
-pub fn log_likelihood(design: &Matrix, y: &[f64], family: &CountFamily, coef: &[f64]) -> f64 {
-    let rows = SparseRows::from_dense(design);
-    cells_log_likelihood(&rows, &Cell::all(y, family), coef, &mut Vec::new())
+pub fn log_likelihood(
+    design: &LogLinearDesign,
+    y: &[f64],
+    family: &CountFamily,
+    coef: &[f64],
+) -> f64 {
+    cells_log_likelihood(design, &Cell::all(y, family), coef, &mut Vec::new())
 }
 
 /// Fits a count GLM with log link by damped Newton–Raphson.
 ///
-/// `design` is the `n × p` model matrix, `y` the `n` observed counts
+/// `design` is the `n × p` log-linear design, `y` the `n` observed counts
 /// (non-negative, possibly non-integral after IC scaling).
 ///
-/// The design's nonzero entries and each cell's `ln Γ(y+1)` are listed once
-/// per fit, and the Newton buffers are reused across iterations; every
-/// floating-point result is the one the dense products give (DESIGN.md
-/// §18).
+/// Each cell's `ln Γ(y+1)` is computed once per fit, the rates of the
+/// accepted line-search point are kept for the next step's means and
+/// variances and for the result, and the Newton buffers are reused across
+/// iterations. Every floating-point result is the one the dense products,
+/// with rates recomputed at every step, give (DESIGN.md §18).
 ///
 /// # Errors
 ///
 /// Returns [`GlmError`] on dimension mismatch, invalid responses, or an
 /// unsolvable Newton system.
 pub fn fit(
-    design: &Matrix,
+    design: &LogLinearDesign,
     y: &[f64],
     family: &CountFamily,
     opts: GlmOptions,
@@ -286,18 +289,11 @@ pub fn fit(
             return Err(GlmError::InvalidResponse { index: i, value: v });
         }
     }
-    for row in 0..n {
-        for col in 0..p {
-            let value = design[(row, col)];
-            if !value.is_finite() {
-                return Err(GlmError::InvalidDesign { row, col, value });
-            }
-        }
-    }
 
-    let rows = SparseRows::from_dense(design);
     let cells = Cell::all(y, family);
-    let mut eta = Vec::with_capacity(n);
+    // Rates at the current coefficients, and scratch for a trial point's.
+    let mut lambda = Vec::with_capacity(n);
+    let mut trial_lambda = Vec::with_capacity(n);
     let mut resid = vec![0.0; n];
     let mut weights = vec![0.0; n];
     let mut score = Vec::with_capacity(p);
@@ -306,8 +302,8 @@ pub fn fit(
 
     // Initialise from the least-squares fit to ln(y + 0.5): X u ≈ ln(y+0.5).
     let target: Vec<f64> = y.iter().map(|&v| (v + 0.5).ln()).collect();
-    rows.weighted_gram_into(&vec![1.0; n], &mut hessian);
-    rows.tr_matvec_into(&target, &mut score);
+    design.gram_into(&mut hessian);
+    design.tr_matvec_into(&target, &mut score);
     let mut coef = match solve_spd_with_ridge(&hessian, &score) {
         Ok((c, _)) => c,
         Err(_) => vec![0.0; p],
@@ -319,22 +315,21 @@ pub fn fit(
         return Err(GlmError::NonFiniteFit);
     }
 
-    let mut loglik = cells_log_likelihood(&rows, &cells, &coef, &mut eta);
+    let mut loglik = cells_log_likelihood(design, &cells, &coef, &mut lambda);
     let mut converged = false;
     let mut iterations = 0;
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        rows.matvec_into(&coef, &mut eta);
-        for (((&e, cell), r), w) in eta.iter().zip(&cells).zip(&mut resid).zip(&mut weights) {
-            let (m, v) = cell.mean_var(rate(e));
+        for (((&lam, cell), r), w) in lambda.iter().zip(&cells).zip(&mut resid).zip(&mut weights) {
+            let (m, v) = cell.mean_var(lam);
             *r = cell.y - m;
             // Floor the weight so cells whose variance collapses (mean hard
             // against the truncation limit) do not zero out the Hessian row.
             *w = v.max(1e-12);
         }
-        rows.tr_matvec_into(&resid, &mut score);
-        rows.weighted_gram_into(&weights, &mut hessian);
+        design.tr_matvec_into(&resid, &mut score);
+        design.weighted_gram_into(&weights, &mut hessian);
         let (delta, _ridge) =
             solve_spd_with_ridge(&hessian, &score).map_err(|_| GlmError::SingularSystem)?;
 
@@ -344,10 +339,11 @@ pub fn fit(
         for _ in 0..40 {
             trial.clear();
             trial.extend(coef.iter().zip(&delta).map(|(c, d)| c + step * d));
-            let trial_ll = cells_log_likelihood(&rows, &cells, &trial, &mut eta);
+            let trial_ll = cells_log_likelihood(design, &cells, &trial, &mut trial_lambda);
             if trial_ll.is_finite() && trial_ll >= loglik - 1e-12 {
                 let improvement = trial_ll - loglik;
                 std::mem::swap(&mut coef, &mut trial);
+                std::mem::swap(&mut lambda, &mut trial_lambda);
                 let prev = loglik;
                 loglik = trial_ll;
                 accepted = true;
@@ -378,8 +374,6 @@ pub fn fit(
         return Err(GlmError::NonFiniteFit);
     }
 
-    rows.matvec_into(&coef, &mut eta);
-    let lambda: Vec<f64> = eta.iter().map(|&e| rate(e)).collect();
     let fitted = lambda
         .iter()
         .zip(&cells)
@@ -404,10 +398,22 @@ mod tests {
         assert!((a - b).abs() <= tol * (1.0 + b.abs()), "got {a}, want {b}");
     }
 
+    /// The intercept-only design over `rows` cells: two sources, with the
+    /// ghost row for four cells, without it for three.
+    fn intercept_only(rows: usize) -> LogLinearDesign {
+        LogLinearDesign::new(2, &[0], rows == 4)
+    }
+
+    /// The two-source independence design: rows are histories 01, 10, 11,
+    /// columns the intercept and both main effects (saturated on 3 cells).
+    fn independence2() -> LogLinearDesign {
+        LogLinearDesign::new(2, &[0, 1, 2], false)
+    }
+
     #[test]
     fn intercept_only_poisson_fits_mean() {
         // With only an intercept the MLE of λ is the sample mean.
-        let design = Matrix::from_vec(4, 1, vec![1.0; 4]);
+        let design = intercept_only(4);
         let y = [2.0, 4.0, 6.0, 8.0];
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         assert!(fit.converged);
@@ -419,8 +425,8 @@ mod tests {
 
     #[test]
     fn saturated_poisson_reproduces_counts() {
-        // One indicator per observation → fitted = observed.
-        let design = Matrix::identity(3);
+        // As many parameters as observed cells → fitted = observed.
+        let design = independence2();
         let y = [3.0, 7.0, 11.0];
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         for (f, want) in fit.fitted.iter().zip(&y) {
@@ -430,8 +436,10 @@ mod tests {
 
     #[test]
     fn two_group_poisson_matches_group_means() {
-        // Column 0 = intercept, column 1 = group indicator.
-        let design = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0], &[1.0, 1.0], &[1.0, 1.0]]);
+        // Intercept plus source 2's main effect, ghost row included: the
+        // histories without source 2 (00, 01) form group 0, those with it
+        // (10, 11) group 1.
+        let design = LogLinearDesign::new(2, &[0, 2], true);
         let y = [10.0, 14.0, 30.0, 34.0];
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         close(fit.coef[0].exp(), 12.0, 1e-7); // group-0 mean
@@ -441,11 +449,10 @@ mod tests {
     #[test]
     fn independence_log_linear_model_two_sources() {
         // Classic 2×2 contingency table generated from an independence model:
-        // both-sources 30, only-1 60, only-2 20. Under independence the
+        // only-1 60, only-2 20, both-sources 30. Under independence the
         // intercept exp(u) estimates the unseen cell: z00 = z10*z01/z11.
-        // Cells ordered (s1,s2) = (1,1), (1,0), (0,1); columns: 1, s1, s2.
-        let design = Matrix::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 1.0, 0.0], &[1.0, 0.0, 1.0]]);
-        let y = [30.0, 60.0, 20.0];
+        let design = independence2();
+        let y = [60.0, 20.0, 30.0];
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         // Saturated model on 3 cells with 3 params → fitted == observed, and
         // exp(intercept) = 60*20/30 = 40 (Lincoln–Petersen's unseen cell).
@@ -454,17 +461,18 @@ mod tests {
 
     #[test]
     fn zero_counts_are_handled() {
-        let design = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0]]);
-        let y = [0.0, 5.0];
+        // One source with the ghost row: cells 0 (intercept only) and 1.
+        let design = LogLinearDesign::new(1, &[0, 1], true);
+        let y = [5.0, 0.0];
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         assert!(fit.log_likelihood.is_finite());
-        close(fit.fitted[1], 5.0, 1e-6);
-        assert!(fit.fitted[0] < 1e-6, "zero cell fit {}", fit.fitted[0]);
+        close(fit.fitted[0], 5.0, 1e-6);
+        assert!(fit.fitted[1] < 1e-6, "zero cell fit {}", fit.fitted[1]);
     }
 
     #[test]
     fn truncated_far_limit_matches_poisson() {
-        let design = Matrix::from_vec(3, 1, vec![1.0; 3]);
+        let design = intercept_only(3);
         let y = [4.0, 5.0, 6.0];
         let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         let trunc = fit(
@@ -483,7 +491,7 @@ mod tests {
         // explains them with truncated mean ≈ limit; the plain Poisson must
         // put λ at the sample mean. The truncated λ estimate is therefore
         // at least the plain one.
-        let design = Matrix::from_vec(4, 1, vec![1.0; 4]);
+        let design = intercept_only(4);
         let y = [9.0, 10.0, 10.0, 8.0];
         let limit = 10u64;
         let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
@@ -507,8 +515,8 @@ mod tests {
     #[test]
     fn loglik_increases_along_fit() {
         // The fit's maximised log-likelihood is at least the init's.
-        let design = Matrix::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 1.0, 0.0], &[1.0, 0.0, 1.0]]);
-        let y = [12.0, 40.0, 9.0];
+        let design = independence2();
+        let y = [40.0, 9.0, 12.0];
         let f = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         let at_zero = log_likelihood(&design, &y, &CountFamily::Poisson, &[0.0, 0.0, 0.0]);
         assert!(f.log_likelihood >= at_zero);
@@ -516,17 +524,17 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let design = Matrix::zeros(3, 2);
+        let design = LogLinearDesign::new(2, &[0, 1], false);
         let y = [1.0, 2.0];
         assert!(matches!(
             fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
-            Err(GlmError::DimensionMismatch { .. })
+            Err(GlmError::DimensionMismatch { rows: 3, ys: 2 })
         ));
     }
 
     #[test]
     fn negative_response_rejected() {
-        let design = Matrix::from_vec(2, 1, vec![1.0; 2]);
+        let design = LogLinearDesign::new(1, &[0], true);
         let y = [1.0, -2.0];
         assert!(matches!(
             fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
@@ -538,8 +546,8 @@ mod tests {
     fn exhausted_budget_is_a_structured_error() {
         // The saturated 3-cell fit needs several Newton steps; a budget of 1
         // must surface as BudgetExhausted, not as a silent non-converged fit.
-        let design = Matrix::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 1.0, 0.0], &[1.0, 0.0, 1.0]]);
-        let y = [30.0, 60.0, 20.0];
+        let design = independence2();
+        let y = [60.0, 20.0, 30.0];
         let opts = GlmOptions {
             iteration_budget: Some(1),
             ..GlmOptions::default()
@@ -552,7 +560,7 @@ mod tests {
 
     #[test]
     fn generous_budget_does_not_change_the_fit() {
-        let design = Matrix::from_vec(4, 1, vec![1.0; 4]);
+        let design = intercept_only(4);
         let y = [2.0, 4.0, 6.0, 8.0];
         let opts = GlmOptions {
             iteration_budget: Some(200),
@@ -567,9 +575,234 @@ mod tests {
     #[test]
     fn non_integer_counts_accepted() {
         // The IC divisor heuristic produces scaled, non-integral counts.
-        let design = Matrix::from_vec(3, 1, vec![1.0; 3]);
+        let design = intercept_only(3);
         let y = [1.5, 2.5, 3.5];
         let f = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         close(f.coef[0].exp(), 2.5, 1e-7);
+    }
+
+    // -----------------------------------------------------------------------
+    // Newton oracle: the loop as it ran on a stored dense design, with the
+    // rates recomputed from the coefficients at every step.
+    // -----------------------------------------------------------------------
+
+    use crate::rng::rng_from_seed;
+    use rand::Rng;
+
+    /// The dense form of a log-linear design: entry `(r, j)` is 1 iff term
+    /// `j` is a subset of row `r`'s history.
+    fn dense(design: &LogLinearDesign) -> Matrix {
+        let first = usize::from(!design.has_ghost());
+        let mut m = Matrix::zeros(design.rows(), design.cols());
+        for r in 0..design.rows() {
+            let h = r + first;
+            for (j, &term) in design.terms().iter().enumerate() {
+                if usize::from(term) & h == usize::from(term) {
+                    m[(r, j)] = 1.0;
+                }
+            }
+        }
+        m
+    }
+
+    /// The Newton loop on the dense kernels, rates recomputed from `X·coef`
+    /// at every step: the reference [`fit`] must equal bit for bit.
+    fn dense_fit(
+        design: &Matrix,
+        y: &[f64],
+        family: &CountFamily,
+        opts: GlmOptions,
+    ) -> Result<GlmFit, GlmError> {
+        let n = design.rows();
+        if y.len() != n {
+            return Err(GlmError::DimensionMismatch {
+                rows: n,
+                ys: y.len(),
+            });
+        }
+        if let CountFamily::TruncatedPoisson(limits) = family {
+            if limits.len() != n {
+                return Err(GlmError::DimensionMismatch {
+                    rows: n,
+                    ys: limits.len(),
+                });
+            }
+        }
+        for (i, &v) in y.iter().enumerate() {
+            if !v.is_finite() || v < 0.0 {
+                return Err(GlmError::InvalidResponse { index: i, value: v });
+            }
+        }
+        let cells = Cell::all(y, family);
+        let loglik_at = |coef: &[f64]| -> f64 {
+            if !coef.iter().all(|c| c.is_finite()) {
+                return f64::NAN;
+            }
+            design
+                .matvec(coef)
+                .iter()
+                .zip(&cells)
+                .map(|(&e, cell)| cell.loglik(rate(e)))
+                .sum()
+        };
+
+        let target: Vec<f64> = y.iter().map(|&v| (v + 0.5).ln()).collect();
+        let mut coef = match solve_spd_with_ridge(
+            &design.weighted_gram(&vec![1.0; n]),
+            &design.tr_matvec(&target),
+        ) {
+            Ok((c, _)) => c,
+            Err(_) => vec![0.0; design.cols()],
+        };
+        if !coef.iter().all(|c| c.is_finite()) {
+            return Err(GlmError::NonFiniteFit);
+        }
+        let mut loglik = loglik_at(&coef);
+        let mut converged = false;
+        let mut iterations = 0;
+        for iter in 0..opts.max_iter {
+            iterations = iter + 1;
+            let mut resid = Vec::with_capacity(n);
+            let mut weights = Vec::with_capacity(n);
+            for (&e, cell) in design.matvec(&coef).iter().zip(&cells) {
+                let (m, v) = cell.mean_var(rate(e));
+                resid.push(cell.y - m);
+                weights.push(v.max(1e-12));
+            }
+            let (delta, _ridge) =
+                solve_spd_with_ridge(&design.weighted_gram(&weights), &design.tr_matvec(&resid))
+                    .map_err(|_| GlmError::SingularSystem)?;
+            let mut step = 1.0f64;
+            let mut accepted = false;
+            for _ in 0..40 {
+                let trial: Vec<f64> = coef.iter().zip(&delta).map(|(c, d)| c + step * d).collect();
+                let trial_ll = loglik_at(&trial);
+                if trial_ll.is_finite() && trial_ll >= loglik - 1e-12 {
+                    let improvement = trial_ll - loglik;
+                    coef = trial;
+                    let prev = loglik;
+                    loglik = trial_ll;
+                    accepted = true;
+                    if improvement.abs() <= opts.tol * (1.0 + prev.abs()) {
+                        converged = true;
+                    }
+                    break;
+                }
+                step *= 0.5;
+            }
+            if !accepted {
+                converged = true;
+            }
+            if converged {
+                break;
+            }
+            if let Some(budget) = opts.iteration_budget {
+                if iterations >= budget {
+                    return Err(GlmError::BudgetExhausted { iterations });
+                }
+            }
+        }
+        if coef.iter().any(|c| !c.is_finite()) || !loglik.is_finite() {
+            return Err(GlmError::NonFiniteFit);
+        }
+        let lambda: Vec<f64> = design.matvec(&coef).iter().map(|&e| rate(e)).collect();
+        let fitted = lambda
+            .iter()
+            .zip(&cells)
+            .map(|(&lam, cell)| cell.mean_var(lam).0)
+            .collect();
+        Ok(GlmFit {
+            coef,
+            fitted,
+            lambda,
+            log_likelihood: loglik,
+            iterations,
+            converged,
+        })
+    }
+
+    /// A random hierarchical term set over `t` sources: the intercept, then
+    /// each mask with all its one-smaller submasks present, with
+    /// probability `density`; the full `t`-way term only for `t = 1`.
+    fn random_terms(t: usize, density: f64, rng: &mut impl Rng) -> Vec<u16> {
+        let full = (1u16 << t) - 1;
+        let mut masks: Vec<u16> = (1..=full).filter(|&m| m != full || t == 1).collect();
+        masks.sort_by_key(|m| m.count_ones());
+        let mut terms = vec![0u16];
+        for m in masks {
+            let hierarchical = (0..t)
+                .filter(|&i| m & (1 << i) != 0)
+                .all(|i| terms.contains(&(m & !(1 << i))));
+            if hierarchical && rng.gen_bool(density) {
+                terms.push(m);
+            }
+        }
+        terms.sort_unstable();
+        terms
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// `fit` on the design's subset structure, with the accepted step's
+    /// rates kept, gives the dense loop's coefficients, means, rates,
+    /// log-likelihood, iteration count, convergence flag and errors, bit
+    /// for bit, on random Poisson and truncated problems.
+    #[test]
+    fn newton_fit_equals_the_dense_loop() {
+        let mut rng = rng_from_seed(0x5eed_9e77);
+        let mut compared = 0;
+        let mut bite = 0;
+        for case in 0..400u64 {
+            let t = rng.gen_range(1..=5usize);
+            let ghost = rng.gen_bool(0.3);
+            let design = LogLinearDesign::new(t, &random_terms(t, 0.6, &mut rng), ghost);
+            let n = design.rows();
+            let scale: f64 = [1.0, 30.0, 1e4, 1e8][rng.gen_range(0..4usize)];
+            let y: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..5) {
+                    0 => 0.0,
+                    1 => (rng.gen_range(0.0..4.0f64) * 2.0).round() / 2.0,
+                    _ => rng.gen_range(0.0..scale).round(),
+                })
+                .collect();
+            let max_y = y.iter().fold(0.0f64, |a, &b| a.max(b)) as u64;
+            let family = match rng.gen_range(0..3) {
+                0 => CountFamily::Poisson,
+                // A limit at or just above the largest count bites.
+                1 => CountFamily::TruncatedPoisson(vec![max_y + rng.gen_range(0..3u64); n]),
+                _ => CountFamily::TruncatedPoisson(vec![max_y * 4 + 10; n]),
+            };
+            let opts = GlmOptions {
+                max_iter: [200, 3][usize::from(case % 7 == 0)],
+                iteration_budget: [None, Some(2)][usize::from(case % 11 == 0)],
+                ..GlmOptions::default()
+            };
+            let got = fit(&design, &y, &family, opts);
+            let want = dense_fit(&dense(&design), &y, &family, opts);
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    assert!(
+                        same_bits(&g.coef, &w.coef)
+                            && same_bits(&g.fitted, &w.fitted)
+                            && same_bits(&g.lambda, &w.lambda)
+                            && g.log_likelihood.to_bits() == w.log_likelihood.to_bits()
+                            && g.iterations == w.iterations
+                            && g.converged == w.converged,
+                        "case {case}: {g:?} vs dense {w:?}"
+                    );
+                    compared += 1;
+                    if matches!(family, CountFamily::TruncatedPoisson(ref l) if l[0] <= max_y + 2) {
+                        bite += 1;
+                    }
+                }
+                _ => assert_eq!(got.err(), want.err(), "case {case}"),
+            }
+        }
+        assert!(
+            compared > 300 && bite > 80,
+            "{compared} fits, {bite} biting"
+        );
     }
 }

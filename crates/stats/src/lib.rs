@@ -10,7 +10,8 @@
 //! * [`dist`] — Poisson, **right-truncated Poisson** (the paper's cell
 //!   model, §3.3.1), binomial (spoof-filter thresholds, §4.5), normal and
 //!   chi-squared (profile-likelihood ranges, §3.3.3).
-//! * [`linalg`] — dense matrices, LU/Cholesky solvers, the §7 matrix `A`.
+//! * [`linalg`] — dense matrices, the log-linear design, LU/Cholesky
+//!   solvers, the §7 matrix `A`.
 //! * [`glm`] — Newton/IRLS fitting of Poisson and truncated-Poisson
 //!   log-linear models.
 //! * [`optimize`] — bisection/golden-section for profile-likelihood

@@ -82,6 +82,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major data, mutably.
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

@@ -2,9 +2,12 @@
 //! identities, special-function complements, and GLM invariants.
 
 use ghosts_stats::glm::{fit, CountFamily, GlmOptions};
+use ghosts_stats::linalg::LogLinearDesign;
+use ghosts_stats::rng::rng_from_seed;
 use ghosts_stats::special::{reg_beta, reg_gamma_p, reg_gamma_q};
 use ghosts_stats::{Binomial, Matrix, Normal, Poisson, TruncatedPoisson};
 use proptest::prelude::*;
+use rand::Rng;
 
 proptest! {
     #[test]
@@ -75,20 +78,18 @@ proptest! {
     /// Poisson families on the same random data.
     #[test]
     fn glm_fitted_means_finite_nonnegative(
-        counts in proptest::collection::vec(0u64..2_000, 2..16),
+        t in 1usize..5,
+        ghost in any::<bool>(),
+        counts in proptest::collection::vec(0u64..2_000, 16),
         slack in 1u64..5_000,
         truncated in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        let n = counts.len();
-        let mut data = vec![0.0; n * 2];
-        for i in 0..n {
-            data[i * 2] = 1.0; // intercept
-            data[i * 2 + 1] = (i % 4) as f64;
-        }
-        let design = Matrix::from_vec(n, 2, data);
-        let y: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let design = random_design(t, ghost, 0.6, seed);
+        let n = design.rows();
+        let y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
         prop_assume!(y.iter().sum::<f64>() > 0.0);
-        let max_count = *counts.iter().max().unwrap();
+        let max_count = *counts[..n].iter().max().unwrap();
         let family = if truncated {
             CountFamily::TruncatedPoisson(vec![max_count + slack; n])
         } else {
@@ -113,11 +114,14 @@ proptest! {
     /// plain Poisson family: same fitted means on the same data.
     #[test]
     fn truncated_glm_converges_to_poisson_at_large_limit(
-        counts in proptest::collection::vec(1u64..200, 3..10),
+        t in 1usize..5,
+        ghost in any::<bool>(),
+        counts in proptest::collection::vec(1u64..200, 16),
+        seed in any::<u64>(),
     ) {
-        let n = counts.len();
-        let design = Matrix::from_vec(n, 1, vec![1.0; n]);
-        let y: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let design = random_design(t, ghost, 0.5, seed);
+        let n = design.rows();
+        let y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
         let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default());
         let trunc = fit(
             &design,
@@ -133,35 +137,31 @@ proptest! {
         }
     }
 
-    /// Adversarial GLM inputs: exactly collinear columns (rank-deficient
-    /// normal equations), wildly scaled covariates and huge counts. The
-    /// contract under attack is all-or-nothing: `fit` must either return
-    /// `Err` or a fit whose every coefficient, mean and rate is finite —
-    /// never a "successful" result carrying NaN/∞ into model selection.
+    /// Adversarial GLM inputs: huge counts, limits that bite, and
+    /// saturated models over tables with many empty cells, which drive the
+    /// Newton Hessian towards singularity. The contract under attack is
+    /// all-or-nothing: `fit` must either return `Err` or a fit whose every
+    /// coefficient, mean and rate is finite — never a "successful" result
+    /// carrying NaN/∞ into model selection.
     #[test]
     fn glm_rejects_or_stays_finite_on_adversarial_input(
-        counts in proptest::collection::vec(0u64..1_000_000, 3..12),
-        scale in prop_oneof![Just(1e-30f64), Just(1e-8), Just(1.0), Just(1e8), Just(1e30)],
-        collinear in any::<bool>(),
+        t in 1usize..5,
+        ghost in any::<bool>(),
+        counts in proptest::collection::vec(0u64..1_000_000, 16),
+        empty in proptest::collection::vec(any::<bool>(), 16),
+        saturated in any::<bool>(),
         truncated in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        let n = counts.len();
-        let mut data = vec![0.0; n * 3];
-        for i in 0..n {
-            data[i * 3] = 1.0; // intercept
-            data[i * 3 + 1] = (i % 4) as f64 * scale;
-            // Third column: either an exact copy of the second (singular
-            // normal equations) or an independent alternating covariate.
-            data[i * 3 + 2] = if collinear {
-                data[i * 3 + 1]
-            } else {
-                f64::from(u8::from(i % 2 == 0))
-            };
-        }
-        let design = Matrix::from_vec(n, 3, data);
-        let y: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let design = random_design(t, ghost, if saturated { 1.0 } else { 0.5 }, seed);
+        let n = design.rows();
+        let y: Vec<f64> = counts[..n]
+            .iter()
+            .zip(&empty)
+            .map(|(&c, &e)| if e { 0.0 } else { c as f64 })
+            .collect();
         let family = if truncated {
-            let max_count = *counts.iter().max().unwrap();
+            let max_count = y.iter().fold(0.0f64, |a, &b| a.max(b)) as u64;
             CountFamily::TruncatedPoisson(vec![max_count + 1; n])
         } else {
             CountFamily::Poisson
@@ -178,40 +178,35 @@ proptest! {
         }
     }
 
-    /// Non-finite inputs must be rejected up front, never fitted through.
+    /// Non-finite responses must be rejected up front, never fitted
+    /// through.
     #[test]
-    fn glm_rejects_non_finite_design_and_response(
-        counts in proptest::collection::vec(0u64..100, 3..8),
+    fn glm_rejects_non_finite_response(
+        t in 1usize..4,
+        ghost in any::<bool>(),
+        counts in proptest::collection::vec(0u64..100, 8),
         poison in prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
-        in_design in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        let n = counts.len();
-        let mut data = vec![1.0; n * 2];
-        for i in 0..n {
-            data[i * 2 + 1] = i as f64;
-        }
-        let mut y: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
-        if in_design {
-            data[n] = poison; // somewhere past the first row
-        } else {
-            y[n / 2] = poison;
-        }
-        let design = Matrix::from_vec(n, 2, data);
+        let design = random_design(t, ghost, 0.5, seed);
+        let n = design.rows();
+        let mut y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
+        y[n / 2] = poison;
         prop_assert!(fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).is_err());
     }
 
     /// Poisson GLM invariant: with an intercept column, the fitted means
     /// sum to the observed total (score equation for the intercept).
     #[test]
-    fn poisson_glm_means_match_total(counts in proptest::collection::vec(0u64..500, 2..12)) {
-        let n = counts.len();
-        let mut data = vec![0.0; n * 2];
-        for i in 0..n {
-            data[i * 2] = 1.0; // intercept
-            data[i * 2 + 1] = (i % 3) as f64; // arbitrary covariate
-        }
-        let design = Matrix::from_vec(n, 2, data);
-        let y: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+    fn poisson_glm_means_match_total(
+        t in 1usize..5,
+        ghost in any::<bool>(),
+        counts in proptest::collection::vec(0u64..500, 16),
+        seed in any::<u64>(),
+    ) {
+        let design = random_design(t, ghost, 0.5, seed);
+        let n = design.rows();
+        let y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
         let total: f64 = y.iter().sum();
         prop_assume!(total > 0.0);
         let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
@@ -221,15 +216,40 @@ proptest! {
     }
 }
 
+/// Random hierarchical term masks over `t` sources: the intercept, then in
+/// order of popcount each mask whose one-smaller submasks are all present,
+/// with probability `density`, at most `max_terms` in all. The full `t`-way
+/// term is left out for `t > 1`, as the log-linear models leave it out.
+fn random_terms(t: usize, density: f64, max_terms: usize, seed: u64) -> Vec<u16> {
+    let mut rng = rng_from_seed(seed);
+    let full = (1u16 << t) - 1;
+    let mut masks: Vec<u16> = (1..=full).filter(|&m| m != full || t == 1).collect();
+    masks.sort_by_key(|m| m.count_ones());
+    let mut terms = vec![0u16];
+    for m in masks {
+        let hierarchical = (0..t)
+            .filter(|&i| m & (1 << i) != 0)
+            .all(|i| terms.contains(&(m & !(1 << i))));
+        if terms.len() < max_terms && hierarchical && rng.gen_bool(density) {
+            terms.push(m);
+        }
+    }
+    terms.sort_unstable();
+    terms
+}
+
+/// A log-linear design over random hierarchical terms.
+fn random_design(t: usize, ghost: bool, density: f64, seed: u64) -> LogLinearDesign {
+    LogLinearDesign::new(t, &random_terms(t, density, usize::MAX, seed), ghost)
+}
+
 // ---------------------------------------------------------------------------
 // Summary metrics and bootstrap intervals (reliability engine substrate).
 // ---------------------------------------------------------------------------
 
-use ghosts_stats::rng::rng_from_seed;
 use ghosts_stats::summary::{
     basic_interval, mae, percentile_interval, rmse, try_quantile, SummaryError,
 };
-use rand::Rng;
 
 /// Applies the Fisher–Yates permutation drawn from `seed` to `xs` (the
 /// vendored `rand` has no `shuffle`, so the swaps are spelled out).
@@ -359,45 +379,48 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Exactness of the Newton kernels (DESIGN.md §18): the sparse design
+// Exactness of the Newton kernels (DESIGN.md §18): the log-linear design's
 // products and the `ln_cdf` guard must give the bits the dense products and
 // the unguarded computation give.
 // ---------------------------------------------------------------------------
 
 use ghosts_stats::approx::is_exact_zero;
-use ghosts_stats::linalg::SparseRows;
 
-/// A random `rows × cols` design of one of three kinds — 0/1 indicators
-/// (a log-linear design), real values, or small signed integers — with
-/// about half its entries zero, and with one row and one column that are
-/// entirely zero.
-fn random_design(rows: usize, cols: usize, kind: u8, seed: u64) -> Matrix {
-    let mut rng = rng_from_seed(seed);
-    let mut m = Matrix::zeros(rows, cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            if i == rows / 2 || j == cols / 2 || rng.gen_range(0..2) == 0 {
-                continue;
+/// The dense form of a log-linear design: entry `(r, j)` is 1 iff term `j`
+/// is a subset of row `r`'s history.
+fn dense(design: &LogLinearDesign) -> Matrix {
+    let first = usize::from(!design.has_ghost());
+    let mut m = Matrix::zeros(design.rows(), design.cols());
+    for r in 0..design.rows() {
+        let h = r + first;
+        for (j, &term) in design.terms().iter().enumerate() {
+            if usize::from(term) & h == usize::from(term) {
+                m[(r, j)] = 1.0;
             }
-            m[(i, j)] = match kind {
-                0 => 1.0,
-                1 => rng.gen_range(-3.0..3.0),
-                _ => f64::from(rng.gen_range(-3i32..=3)),
-            };
         }
     }
     m
 }
 
-/// A random vector with exact zeros, tiny (subnormal-producing) values and
-/// ordinary ones.
-fn random_vector(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
+/// A random vector mixing ordinary values in `lo..hi` with `±0`,
+/// subnormals and magnitudes of 1e±300 (negated when `signed`).
+fn random_vector(n: usize, lo: f64, hi: f64, signed: bool, seed: u64) -> Vec<f64> {
     let mut rng = rng_from_seed(seed);
     (0..n)
-        .map(|_| match rng.gen_range(0..6) {
-            0 => 0.0,
-            1 => 1e-320,
-            _ => rng.gen_range(lo..hi),
+        .map(|_| {
+            let v = match rng.gen_range(0..10) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-320,
+                3 => 1e-300,
+                4 => 1e300,
+                _ => return rng.gen_range(lo..hi),
+            };
+            if signed && rng.gen_bool(0.5) {
+                -v
+            } else {
+                v
+            }
         })
         .collect()
 }
@@ -408,33 +431,41 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 
 proptest! {
     #[test]
-    fn sparse_products_equal_the_dense_kernels(
-        rows in 0usize..40,
-        cols in 0usize..12,
-        kind in 0u8..3,
+    fn design_products_equal_the_dense_kernels(
+        t in 1usize..=9,
+        ghost in any::<bool>(),
+        density in 0.2f64..1.0,
         seed in any::<u64>(),
     ) {
-        let m = random_design(rows, cols, kind, seed);
-        let s = SparseRows::from_dense(&m);
-        let coef = random_vector(cols, -5.0, 5.0, seed ^ 1);
-        let resid = random_vector(rows, -50.0, 50.0, seed ^ 2);
-        let weights = random_vector(rows, 0.0, 1e3, seed ^ 3);
+        // At most 48 terms keep the dense reference cheap at t = 9.
+        let design = LogLinearDesign::new(t, &random_terms(t, density, 48, seed), ghost);
+        let m = dense(&design);
+        let (n, p) = (design.rows(), design.cols());
+        let coef = random_vector(p, -5.0, 5.0, true, seed ^ 1);
+        let resid = random_vector(n, -50.0, 50.0, true, seed ^ 2);
+        let weights = random_vector(n, 0.0, 1e3, false, seed ^ 3);
 
-        // Score and Hessian: the same bits.
+        // Score and Hessians: the same bits.
         let mut score = Vec::new();
-        s.tr_matvec_into(&resid, &mut score);
+        design.tr_matvec_into(&resid, &mut score);
         prop_assert!(same_bits(&score, &m.tr_matvec(&resid)), "score {score:?}");
         let mut hessian = Matrix::zeros(3, 5);
-        s.weighted_gram_into(&weights, &mut hessian);
-        let dense = m.weighted_gram(&weights);
+        design.weighted_gram_into(&weights, &mut hessian);
+        let want = m.weighted_gram(&weights);
         prop_assert!(
-            hessian.rows() == dense.rows() && same_bits(hessian.data(), dense.data()),
-            "hessian {hessian:?} vs {dense:?}"
+            hessian.rows() == want.rows() && same_bits(hessian.data(), want.data()),
+            "hessian {hessian:?} vs {want:?}"
+        );
+        design.gram_into(&mut hessian);
+        let want = m.weighted_gram(&vec![1.0; n]);
+        prop_assert!(
+            hessian.rows() == want.rows() && same_bits(hessian.data(), want.data()),
+            "unit gram {hessian:?} vs {want:?}"
         );
 
         // Linear predictor: the same bits, except the sign of an exact zero.
         let mut eta = Vec::new();
-        s.matvec_into(&coef, &mut eta);
+        design.eta_into(&coef, &mut eta);
         let want = m.matvec(&coef);
         prop_assert_eq!(eta.len(), want.len());
         for (e, w) in eta.iter().zip(&want) {
