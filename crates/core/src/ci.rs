@@ -187,7 +187,8 @@ pub fn profile_interval_opts(
             .map(|r| (r.x, r.iterations))
             .unwrap_or((0.0, 0))
     };
-    obs.observe("ci.bisect_steps", lower_steps as u64);
+    let rec = obs.recorder();
+    rec.observe("ci.bisect_steps", lower_steps as u64);
     obs.event(
         "ci_lower",
         &[
@@ -206,7 +207,7 @@ pub fn profile_interval_opts(
         obs.error("ci_unbounded", &[("z0_hat", FieldValue::F64(z0_hat))]);
         CiError::Unbounded
     })?;
-    obs.observe("ci.bisect_steps", upper.iterations as u64);
+    rec.observe("ci.bisect_steps", upper.iterations as u64);
     obs.event(
         "ci_upper",
         &[
@@ -214,7 +215,7 @@ pub fn profile_interval_opts(
             ("bisect_steps", FieldValue::U64(upper.iterations as u64)),
         ],
     );
-    obs.add("ci.profile_evaluations", evals.get());
+    rec.add("ci.profile_evaluations", evals.get());
     obs.event(
         "ci",
         &[

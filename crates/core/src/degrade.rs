@@ -240,7 +240,7 @@ fn record_step(
     outcome: &str,
     error: Option<&str>,
 ) {
-    span.add("degrade.ladder_steps", 1);
+    span.recorder().add("degrade.ladder_steps", 1);
     let mut fields = vec![
         ("stage", FieldValue::Str(req.stage.to_string())),
         ("reason", FieldValue::Str(req.reason.clone())),

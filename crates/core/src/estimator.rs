@@ -313,7 +313,7 @@ fn selection_with_obs(cfg: &CrConfig) -> SelectionOptions {
 /// carry an extra `degraded` field naming the ladder rung; clean runs emit
 /// exactly the same bytes as before the ladder existed.
 fn record_estimate(obs: &Scope, est: &CrEstimate) {
-    obs.add("estimate.count", 1);
+    obs.recorder().add("estimate.count", 1);
     let mut fields = vec![
         ("observed", FieldValue::U64(est.observed)),
         ("unseen", FieldValue::F64(est.unseen)),
@@ -486,9 +486,9 @@ pub fn estimate_stratified(
         let limit = limits.map(|ls| ls[i]);
         estimate_table(table, limit, &stratum_cfg).map(Some)
     });
-    cfg.obs
-        .volatile_add("stratified.par_map_tasks", tables.len() as u64);
-    cfg.obs.volatile_max(
+    let rec = cfg.obs.recorder();
+    rec.volatile_add("stratified.par_map_tasks", tables.len() as u64);
+    rec.volatile_max(
         "stratified.par_map_workers",
         cfg.parallelism.threads().min(tables.len().max(1)) as u64,
     );

@@ -168,7 +168,7 @@ pub fn fit_llm_opts(
         CellModel::Truncated { limit } => {
             let remaining = limit.saturating_sub(observed);
             if remaining == 0 {
-                obs.add("fit.truncation_exhausted", 1);
+                obs.recorder().add("fit.truncation_exhausted", 1);
                 0.0
             } else {
                 let mean = TruncatedPoisson::new(lambda0.max(1e-300), remaining).mean();
@@ -177,14 +177,15 @@ pub fn fit_llm_opts(
                 // the routed space if unbounded (§6.2's plausibility
                 // guarantee doing actual work).
                 if mean >= 0.95 * remaining as f64 {
-                    obs.add("fit.truncation_bound_hit", 1);
+                    obs.recorder().add("fit.truncation_bound_hit", 1);
                 }
                 mean
             }
         }
     };
-    obs.add("fit.count", 1);
-    obs.observe("fit.glm_iterations", glm.iterations as u64);
+    let rec = obs.recorder();
+    rec.add("fit.count", 1);
+    rec.observe("fit.glm_iterations", glm.iterations as u64);
     obs.event(
         "fit",
         &[

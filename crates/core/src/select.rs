@@ -114,6 +114,7 @@ pub fn select_model(
     invariant::check_table(table);
     let divisor = opts.divisor.divisor_for(table);
     let span = opts.obs.child("select");
+    let rec = span.recorder();
     span.event(
         "search_started",
         &[
@@ -157,8 +158,8 @@ pub fn select_model(
             ("converged", FieldValue::Bool(baseline.converged)),
         ],
     );
-    span.add("select.models_evaluated", 1);
-    span.observe("select.glm_iterations", baseline.iterations as u64);
+    rec.add("select.models_evaluated", 1);
+    rec.observe("select.glm_iterations", baseline.iterations as u64);
     evaluated.push(EvaluatedModel {
         model: current.clone(),
         ic: current_ic,
@@ -174,15 +175,15 @@ pub fn select_model(
             evaluate_ic_opts(table, &trial, cell_model, opts.ic, opts.divisor, &opts.fit)
                 .map(|res| (trial, res))
         });
-        span.volatile_add("select.par_map_tasks", candidates.len() as u64);
-        span.volatile_max(
+        rec.volatile_add("select.par_map_tasks", candidates.len() as u64);
+        rec.volatile_max(
             "select.par_map_workers",
             opts.parallelism.threads().min(candidates.len().max(1)) as u64,
         );
         let round_span = span.child_idx("round", round as u64);
         let mut best: Option<(u16, f64)> = None;
         for (mask, fit) in candidates.iter().zip(fits) {
-            span.add("select.models_evaluated", 1);
+            rec.add("select.models_evaluated", 1);
             let (trial, res) = match fit {
                 Ok(ok) => ok,
                 Err(e) => {
@@ -194,7 +195,7 @@ pub fn select_model(
                             ("error", FieldValue::Str(e.to_string())),
                         ],
                     );
-                    span.add("select.candidates_failed", 1);
+                    rec.add("select.candidates_failed", 1);
                     continue;
                 }
             };
@@ -208,14 +209,14 @@ pub fn select_model(
                     ("converged", FieldValue::Bool(res.converged)),
                 ],
             );
-            span.observe("select.glm_iterations", res.iterations as u64);
+            rec.observe("select.glm_iterations", res.iterations as u64);
             let ic = res.ic;
             evaluated.push(EvaluatedModel { model: trial, ic });
             if best.is_none_or(|(_, b)| ic < b) {
                 best = Some((*mask, ic));
             }
         }
-        span.add("select.rounds", 1);
+        rec.add("select.rounds", 1);
         match best {
             Some((mask, ic)) if ic < current_ic - 1e-9 => {
                 round_span.event(

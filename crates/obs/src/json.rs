@@ -138,17 +138,18 @@ fn write_value(out: &mut String, v: &JsonValue) {
 /// Formats a `u64` into a stack buffer (avoids an allocation on the hot
 /// serialisation path).
 fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
+    // 20 digits hold u64::MAX, so the loop always ends on `n == 0`.
+    let mut start = buf.len();
+    for slot in buf.iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        start -= 1;
         n /= 10;
         if n == 0 {
             break;
         }
     }
     // Digits are ASCII by construction.
-    std::str::from_utf8(&buf[i..]).unwrap_or("0") // lint: allow(no-unwrap) ascii digits
+    std::str::from_utf8(&buf[start..]).unwrap_or("0") // lint: allow(no-unwrap) ascii digits
 }
 
 /// Float formatting byte-compatible with the vendored serde_json shim.
@@ -229,7 +230,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -247,6 +248,12 @@ impl Parser<'_> {
         }
     }
 
+    /// The input from `start` up to the cursor, which must be UTF-8.
+    fn text_from(&self, start: usize, what: &str) -> Result<&'a str, JsonError> {
+        let bytes = self.bytes.get(start..self.pos).unwrap_or_default();
+        std::str::from_utf8(bytes).map_err(|_| self.err(&format!("invalid utf-8 in {what}")))
+    }
+
     fn expect_byte(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -257,7 +264,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -342,8 +350,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?;
+                let chunk = self.text_from(start, "string")?;
                 out.push_str(chunk);
             }
             match self.peek() {
@@ -412,8 +419,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        let text = self.text_from(start, "number")?;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(u));

@@ -18,7 +18,7 @@
 //!    wraps a real `std::time::Instant` and may only be constructed by
 //!    binaries and benches (enforced by ghost-lint's `obs-clock` rule).
 //! 2. **Two lanes.** Deterministic data (spans, events, counters,
-//!    integer-valued histograms) feeds the JSONL trace and is a pure
+//!    [`LogLinearHist`] histograms) feeds the JSONL trace and is a pure
 //!    function of the input. Runtime facts (wall-clock durations, worker
 //!    counts, queue stats) go to the *volatile* lane, which only ever
 //!    reaches the [`RunManifest`] — never the trace.
@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod hist;
 pub mod json;
 pub mod manifest;
 pub mod profile;
@@ -60,7 +59,6 @@ pub mod sketch;
 pub mod wall;
 
 pub use clock::{Clock, LogicalClock};
-pub use hist::{HistSnapshot, BUCKET_BOUNDS, NUM_BUCKETS};
 pub use manifest::{Record, RunManifest};
 pub use profile::{StageGuard, StageProfiler, StageRow, StageTable};
 pub use recorder::{EventKind, EventLog, EventRecord, FieldValue, Recorder, Scope, SpanPath};
@@ -68,7 +66,7 @@ pub use registry::{Counter, Histogram, Registry, RegistrySnapshot};
 pub use ring::{EpochRing, TailClass, TailEntry, TailRing, TailStats};
 pub use schema::{
     validate_event_line, validate_jsonl, EVENTS_SCHEMA, EVENTS_SCHEMA_V1, EVENTS_SCHEMA_V2,
-    EVENTS_SCHEMA_V3,
+    EVENTS_SCHEMA_V3, EVENTS_SCHEMA_V4,
 };
 pub use sketch::{LogLinearHist, RELATIVE_ERROR, SUB_BITS, SUB_BUCKETS};
 pub use wall::WallClock;

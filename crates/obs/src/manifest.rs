@@ -9,13 +9,15 @@
 //! required to be identical across thread counts — that is the whole point
 //! of the split.
 
-use crate::hist::{HistSnapshot, NUM_BUCKETS};
 use crate::json::{parse, JsonError, JsonValue};
-use crate::recorder::{EventLog, FieldValue};
+use crate::recorder::{fold_volatile, EventLog, FieldValue};
+use crate::sketch::LogLinearHist;
 use std::collections::BTreeMap;
 
-/// Schema identifier written into every manifest.
-pub const MANIFEST_SCHEMA: &str = "ghosts-manifest/1";
+/// Schema identifier written into every manifest. Version 2 writes
+/// histograms in the sketch's sparse form (`buckets` as ascending
+/// `[lower_bound, count]` pairs, as on `ghosts-events/5` trace lines).
+pub const MANIFEST_SCHEMA: &str = "ghosts-manifest/2";
 
 /// One named entry in a manifest section — a summarised trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +67,7 @@ pub struct RunManifest {
     /// Final deterministic counters.
     pub counters: BTreeMap<String, u64>,
     /// Final deterministic histograms.
-    pub hists: BTreeMap<String, HistSnapshot>,
+    pub hists: BTreeMap<String, LogLinearHist>,
     /// The volatile lane: wall durations, worker/task stats. Runtime facts;
     /// allowed to differ between runs.
     pub volatile: BTreeMap<String, u64>,
@@ -88,7 +90,8 @@ impl RunManifest {
     }
 
     /// Copies counters, histograms and the volatile lane from a flushed
-    /// log (merging into anything already present).
+    /// log (merging into anything already present; max-gauges keep the
+    /// larger value).
     pub fn ingest_metrics(&mut self, log: &EventLog) {
         for (name, v) in &log.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -96,8 +99,8 @@ impl RunManifest {
         for (name, h) in &log.hists {
             self.hists.entry(name.clone()).or_default().merge(h);
         }
-        for (name, v) in &log.volatile {
-            *self.volatile.entry(name.clone()).or_insert(0) += v;
+        for (name, &v) in &log.volatile {
+            fold_volatile(&mut self.volatile, name, v, log.gauges.contains(name));
         }
     }
 
@@ -197,23 +200,7 @@ impl RunManifest {
         let hists = JsonValue::Object(
             self.hists
                 .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        JsonValue::Object(vec![
-                            ("count".to_string(), JsonValue::UInt(h.count)),
-                            ("sum".to_string(), JsonValue::UInt(h.sum)),
-                            ("min".to_string(), JsonValue::UInt(h.min)),
-                            ("max".to_string(), JsonValue::UInt(h.max)),
-                            (
-                                "buckets".to_string(),
-                                JsonValue::Array(
-                                    h.buckets.iter().map(|&b| JsonValue::UInt(b)).collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
+                .map(|(k, h)| (k.clone(), JsonValue::Object(h.json_fields())))
                 .collect(),
         );
         let volatile = JsonValue::Object(
@@ -240,8 +227,9 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed JSON or a wrong/missing schema
-    /// identifier.
+    /// Returns a [`JsonError`] on malformed JSON, a wrong/missing schema
+    /// identifier, or a histogram that fails the same sparse-form checks
+    /// as a `ghosts-events/5` `hist` line.
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let doc = parse(text)?;
         let bad = |message: &str| JsonError {
@@ -297,10 +285,9 @@ impl RunManifest {
         }
         if let Some(hists) = doc.get("hists").and_then(JsonValue::as_object) {
             for (k, v) in hists {
-                out.hists.insert(
-                    k.clone(),
-                    hist_from_json(v).ok_or_else(|| bad("malformed histogram"))?,
-                );
+                let h = LogLinearHist::from_json_fields(v)
+                    .map_err(|e| bad(&format!("histogram {k}: {e}")))?;
+                out.hists.insert(k.clone(), h);
             }
         }
         if let Some(volatile) = doc.get("volatile").and_then(JsonValue::as_object) {
@@ -337,22 +324,6 @@ fn field_from_json(v: &JsonValue) -> Option<FieldValue> {
         JsonValue::Null => Some(FieldValue::F64(f64::NAN)),
         _ => None,
     }
-}
-
-fn hist_from_json(v: &JsonValue) -> Option<HistSnapshot> {
-    let mut h = HistSnapshot::new();
-    h.count = v.get("count")?.as_u64()?;
-    h.sum = v.get("sum")?.as_u64()?;
-    h.min = v.get("min")?.as_u64()?;
-    h.max = v.get("max")?.as_u64()?;
-    let buckets = v.get("buckets")?.as_array()?;
-    if buckets.len() != NUM_BUCKETS {
-        return None;
-    }
-    for (slot, b) in h.buckets.iter_mut().zip(buckets) {
-        *slot = b.as_u64()?;
-    }
-    Some(h)
 }
 
 #[cfg(test)]
@@ -475,5 +446,21 @@ mod tests {
     fn rejects_wrong_schema() {
         assert!(RunManifest::from_json("{\"schema\":\"other/9\"}").is_err());
         assert!(RunManifest::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn histograms_are_sparse_and_checked_on_parse() {
+        let text = sample_manifest().to_json();
+        let hist = r#""glm.iterations":{"count":1,"sum":12,"min":12,"max":12,"buckets":[[12,1]]}"#;
+        assert!(text.contains(hist), "{text}");
+        for bad in [
+            r#"[[12,2]]"#,                  // counts do not sum to count
+            r#"[[12,0],[13,1]]"#,           // zero count
+            r#"[[0,1,2]]"#,                 // not a pair
+            r#"[0,0,1,0,0,0,0,0,0,0,0,0]"#, // dense legacy buckets
+        ] {
+            let tampered = text.replace(r#"[[12,1]]"#, bad);
+            assert!(RunManifest::from_json(&tampered).is_err(), "accepted {bad}");
+        }
     }
 }

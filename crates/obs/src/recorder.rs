@@ -22,11 +22,16 @@
 //! ([`Recorder::volatile_add`] / [`Recorder::volatile_max`]), which is
 //! reported only in the [`RunManifest`](crate::RunManifest), never in the
 //! JSONL trace.
+//!
+//! The recorder's store is run-scoped: [`Recorder::flush`] drains it, so
+//! each flushed [`EventLog`] holds exactly what was recorded since the
+//! previous flush. Cumulative totals across flushes (a server's lifetime
+//! counters) belong in a [`Registry`](crate::Registry).
 
 use crate::clock::Clock;
-use crate::hist::HistSnapshot;
 use crate::json::JsonValue;
-use std::collections::BTreeMap;
+use crate::sketch::LogLinearHist;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of sink shards; a small power of two keeps contention low without
@@ -165,13 +170,21 @@ type PendingEvent = (EventKind, String, Vec<(String, FieldValue)>);
 struct Shard {
     spans: BTreeMap<SpanPath, Vec<PendingEvent>>,
     counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, HistSnapshot>,
+    hists: BTreeMap<String, LogLinearHist>,
 }
 
 struct Inner {
     clock: Arc<dyn Clock>,
     shards: Vec<Mutex<Shard>>,
-    volatile: Mutex<BTreeMap<String, u64>>,
+    /// Volatile values, and the names set through `volatile_max`.
+    volatile: Mutex<(BTreeMap<String, u64>, BTreeSet<String>)>,
+}
+
+/// Folds one volatile value into `lane`: a max-gauge keeps the larger
+/// value, anything else adds.
+pub(crate) fn fold_volatile(lane: &mut BTreeMap<String, u64>, name: &str, v: u64, gauge: bool) {
+    let slot = lane.entry(name.to_string()).or_insert(0);
+    *slot = if gauge { (*slot).max(v) } else { *slot + v };
 }
 
 /// Locks a mutex, recovering the guard from a poisoned lock (a panicking
@@ -215,7 +228,7 @@ impl Recorder {
             inner: Some(Arc::new(Inner {
                 clock,
                 shards,
-                volatile: Mutex::new(BTreeMap::new()),
+                volatile: Mutex::default(),
             })),
         }
     }
@@ -228,30 +241,38 @@ impl Recorder {
     /// Opens a root span scope.
     pub fn root(&self, name: &str) -> Scope {
         Scope {
-            inner: self.inner.clone(),
+            rec: self.clone(),
             path: SpanPath::root(name),
         }
     }
 
     /// Adds `delta` to a deterministic counter.
     pub fn add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let shard = name_shard(name);
-            let mut guard = lock_or_recover(&inner.shards[shard]);
-            *guard.counters.entry(name.to_string()).or_insert(0) += delta;
-        }
+        self.with_metrics(name, |shard| {
+            *shard.counters.entry(name.to_string()).or_insert(0) += delta;
+        });
     }
 
     /// Records one observation into a deterministic histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let shard = name_shard(name);
-            let mut guard = lock_or_recover(&inner.shards[shard]);
-            guard
+        self.with_metrics(name, |shard| {
+            shard
                 .hists
                 .entry(name.to_string())
                 .or_default()
                 .observe(value);
+        });
+    }
+
+    /// Runs `f` on the shard that owns metric `name` (a no-op when
+    /// disabled).
+    fn with_metrics(&self, name: &str, f: impl FnOnce(&mut Shard)) {
+        if let Some(shard) = self
+            .inner
+            .as_ref()
+            .and_then(|inner| inner.shards.get(name_shard(name)))
+        {
+            f(&mut lock_or_recover(shard));
         }
     }
 
@@ -267,21 +288,27 @@ impl Recorder {
         self.inner.as_ref().is_some_and(|i| i.clock.is_wall())
     }
 
-    /// Adds to a volatile (manifest-only) gauge — wall durations, task
+    /// Adds to a volatile (manifest-only) value — wall durations, task
     /// counts, anything thread-count dependent.
     pub fn volatile_add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let mut guard = lock_or_recover(&inner.volatile);
-            *guard.entry(name.to_string()).or_insert(0) += delta;
-        }
+        self.volatile(name, delta, false);
     }
 
-    /// Raises a volatile gauge to at least `value`.
+    /// Raises a volatile max-gauge to at least `value`. The name stays a
+    /// max-gauge in the flushed log, so every merge keeps the larger value
+    /// instead of adding.
     pub fn volatile_max(&self, name: &str, value: u64) {
+        self.volatile(name, value, true);
+    }
+
+    fn volatile(&self, name: &str, value: u64, gauge: bool) {
         if let Some(inner) = &self.inner {
             let mut guard = lock_or_recover(&inner.volatile);
-            let slot = guard.entry(name.to_string()).or_insert(0);
-            *slot = (*slot).max(value);
+            let (values, gauges) = &mut *guard;
+            if gauge {
+                gauges.insert(name.to_string());
+            }
+            fold_volatile(values, name, value, gauge);
         }
     }
 
@@ -307,18 +334,15 @@ impl Recorder {
         };
         let mut spans: BTreeMap<SpanPath, Vec<PendingEvent>> = BTreeMap::new();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hists: BTreeMap<String, HistSnapshot> = BTreeMap::new();
+        let mut hists: BTreeMap<String, LogLinearHist> = BTreeMap::new();
         for shard in &inner.shards {
             let mut guard = lock_or_recover(shard);
             for (path, events) in std::mem::take(&mut guard.spans) {
                 spans.entry(path).or_default().extend(events);
             }
-            for (name, v) in std::mem::take(&mut guard.counters) {
-                *counters.entry(name).or_insert(0) += v;
-            }
-            for (name, h) in std::mem::take(&mut guard.hists) {
-                hists.entry(name).or_default().merge(&h);
-            }
+            // Each metric name lives in exactly one shard.
+            counters.append(&mut guard.counters);
+            hists.append(&mut guard.hists);
         }
         let spans = spans
             .into_iter()
@@ -336,13 +360,14 @@ impl Recorder {
                 (path, records)
             })
             .collect();
-        let volatile = std::mem::take(&mut *lock_or_recover(&inner.volatile));
+        let (volatile, gauges) = std::mem::take(&mut *lock_or_recover(&inner.volatile));
         EventLog {
             clock_is_wall: inner.clock.is_wall(),
             spans,
             counters,
             hists,
             volatile,
+            gauges,
         }
     }
 }
@@ -364,14 +389,14 @@ fn name_shard(name: &str) -> usize {
 /// owns a distinct span.
 #[derive(Clone, Default)]
 pub struct Scope {
-    inner: Option<Arc<Inner>>,
+    rec: Recorder,
     path: SpanPath,
 }
 
 impl std::fmt::Debug for Scope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scope")
-            .field("enabled", &self.inner.is_some())
+            .field("enabled", &self.is_enabled())
             .field("path", &self.path.render())
             .finish()
     }
@@ -385,7 +410,7 @@ impl Scope {
 
     /// Whether events recorded here are kept.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.rec.is_enabled()
     }
 
     /// This scope's span path.
@@ -395,11 +420,11 @@ impl Scope {
 
     /// A child scope with an unindexed segment.
     pub fn child(&self, name: &str) -> Scope {
-        if self.inner.is_none() {
+        if !self.is_enabled() {
             return Scope::default();
         }
         Scope {
-            inner: self.inner.clone(),
+            rec: self.rec.clone(),
             path: self.path.child(name),
         }
     }
@@ -408,56 +433,20 @@ impl Scope {
     /// (stratum number, window id, candidate position), never a
     /// thread-dependent one.
     pub fn child_idx(&self, name: &str, index: u64) -> Scope {
-        if self.inner.is_none() {
+        if !self.is_enabled() {
             return Scope::default();
         }
         Scope {
-            inner: self.inner.clone(),
+            rec: self.rec.clone(),
             path: self.path.child_idx(name, index),
         }
     }
 
-    /// Adds `delta` to a deterministic counter (counters are global names,
-    /// not span-scoped — same as [`Recorder::add`]).
-    pub fn add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let shard = name_shard(name);
-            let mut guard = lock_or_recover(&inner.shards[shard]);
-            *guard.counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Records one observation into a deterministic histogram (same as
-    /// [`Recorder::observe`]).
-    pub fn observe(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let shard = name_shard(name);
-            let mut guard = lock_or_recover(&inner.shards[shard]);
-            guard
-                .hists
-                .entry(name.to_string())
-                .or_default()
-                .observe(value);
-        }
-    }
-
-    /// Adds to a volatile (manifest-only) gauge (same as
-    /// [`Recorder::volatile_add`]).
-    pub fn volatile_add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let mut guard = lock_or_recover(&inner.volatile);
-            *guard.entry(name.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Raises a volatile gauge to at least `value` (same as
-    /// [`Recorder::volatile_max`]).
-    pub fn volatile_max(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let mut guard = lock_or_recover(&inner.volatile);
-            let slot = guard.entry(name.to_string()).or_insert(0);
-            *slot = (*slot).max(value);
-        }
+    /// The recorder this span records into. Metrics are global names,
+    /// not span-scoped, so they are recorded through it:
+    /// `span.recorder().add("fit.count", 1)`.
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
     }
 
     /// Records an event under this span.
@@ -487,14 +476,17 @@ impl Scope {
     }
 
     fn record(&self, kind: EventKind, name: &str, fields: &[(&str, FieldValue)]) {
-        if let Some(inner) = &self.inner {
+        if let Some(shard) = self
+            .rec
+            .inner
+            .as_ref()
+            .and_then(|inner| inner.shards.get(self.path.shard()))
+        {
             let owned: Vec<(String, FieldValue)> = fields
                 .iter()
                 .map(|(k, v)| ((*k).to_string(), v.clone()))
                 .collect();
-            let shard = self.path.shard();
-            let mut guard = lock_or_recover(&inner.shards[shard]);
-            guard
+            lock_or_recover(shard)
                 .spans
                 .entry(self.path.clone())
                 .or_default()
@@ -512,31 +504,24 @@ pub struct EventLog {
     pub spans: Vec<(SpanPath, Vec<EventRecord>)>,
     /// Final counter values.
     pub counters: BTreeMap<String, u64>,
-    /// Final histogram snapshots.
-    pub hists: BTreeMap<String, HistSnapshot>,
+    /// Final histogram sketches.
+    pub hists: BTreeMap<String, LogLinearHist>,
     /// The volatile lane (manifest only — never serialised to JSONL).
     pub volatile: BTreeMap<String, u64>,
+    /// The names in `volatile` set through [`Recorder::volatile_max`]:
+    /// max-gauges, which merge by max instead of by sum.
+    pub gauges: BTreeSet<String>,
 }
 
-/// Schema identifier written on the JSONL meta line. Version 4 adds the
-/// telemetry-plane event *names* (`stage_profile`, `tail_retention`) without
-/// new line kinds; version 3 added the `reliability` kind; version 2 added
+/// Schema identifier written on the JSONL meta line. Version 5 writes
+/// `hist` lines in the sketch's sparse form (`buckets` as ascending
+/// `[lower_bound, count]` pairs); version 4 added the telemetry-plane
+/// event *names* (`stage_profile`, `tail_retention`) without new line
+/// kinds; version 3 added the `reliability` kind; version 2 added
 /// `degradation` and `fault_injected`. Everything else is unchanged from
-/// version 1, and the validator still accepts v1–v3 traces (see
+/// version 1, and the validator still accepts v1–v4 traces (see
 /// [`crate::schema`]).
-pub const JSONL_SCHEMA: &str = "ghosts-events/4";
-
-/// The version-3 schema identifier, still accepted by the validator for
-/// traces written before the telemetry-plane names existed.
-pub const JSONL_SCHEMA_V3: &str = "ghosts-events/3";
-
-/// The version-2 schema identifier, still accepted by the validator for
-/// traces written before the reliability kind existed.
-pub const JSONL_SCHEMA_V2: &str = "ghosts-events/2";
-
-/// The original schema identifier, still accepted by the validator for
-/// traces written before the robustness kinds existed.
-pub const JSONL_SCHEMA_V1: &str = "ghosts-events/1";
+pub const JSONL_SCHEMA: &str = "ghosts-events/5";
 
 impl EventLog {
     /// Total number of [`EventKind::Error`] records.
@@ -580,11 +565,9 @@ impl EventLog {
 
     /// Folds another log into this one, preserving every invariant the
     /// serialisers rely on: spans stay sorted by path, events within a
-    /// span stay in arrival order with contiguous `seq`, counters and
-    /// volatile values add, histograms merge. This is what lets a
-    /// long-lived process (the estimation server) accumulate per-request
-    /// recorder flushes — [`Recorder::flush`] drains — into one
-    /// cumulative log for `/metrics` and the run manifest.
+    /// span stay in arrival order with contiguous `seq`, counters add,
+    /// histograms merge, and volatile values add — except max-gauges,
+    /// which keep the larger value.
     pub fn merge(&mut self, other: &EventLog) {
         self.clock_is_wall |= other.clock_is_wall;
         for (path, events) in &other.spans {
@@ -608,9 +591,10 @@ impl EventLog {
         for (name, hist) in &other.hists {
             self.hists.entry(name.clone()).or_default().merge(hist);
         }
-        for (name, value) in &other.volatile {
-            *self.volatile.entry(name.clone()).or_insert(0) += value;
+        for (name, &v) in &other.volatile {
+            fold_volatile(&mut self.volatile, name, v, other.gauges.contains(name));
         }
+        self.gauges.extend(other.gauges.iter().cloned());
     }
 
     /// Serialises the deterministic lane as JSONL: one meta line, then
@@ -675,17 +659,12 @@ impl EventLog {
             out.push('\n');
         }
         for (name, h) in &self.hists {
-            let buckets = JsonValue::Array(h.buckets.iter().map(|&b| JsonValue::UInt(b)).collect());
-            let line = JsonValue::Object(vec![
+            let mut fields = vec![
                 ("kind".to_string(), JsonValue::Str("hist".to_string())),
                 ("name".to_string(), JsonValue::Str(name.clone())),
-                ("count".to_string(), JsonValue::UInt(h.count)),
-                ("sum".to_string(), JsonValue::UInt(h.sum)),
-                ("min".to_string(), JsonValue::UInt(h.min)),
-                ("max".to_string(), JsonValue::UInt(h.max)),
-                ("buckets".to_string(), buckets),
-            ]);
-            out.push_str(&line.to_compact());
+            ];
+            fields.extend(h.json_fields());
+            out.push_str(&JsonValue::Object(fields).to_compact());
             out.push('\n');
         }
         out
@@ -745,7 +724,7 @@ mod tests {
         );
         assert_eq!(total.counters["hits"], 3);
         let lat = &total.hists["lat"];
-        assert_eq!((lat.count, lat.sum, lat.min, lat.max), (2, 40, 8, 32));
+        assert_eq!((lat.count(), lat.sum, lat.min, lat.max), (2, 40, 8, 32));
         assert_eq!(total.volatile["wall_us"], 150);
         assert!(!total.clock_is_wall);
 
@@ -753,6 +732,31 @@ mod tests {
         let before = total.clone();
         total.merge(&EventLog::default());
         assert_eq!(total, before);
+    }
+
+    #[test]
+    fn max_gauges_merge_by_max_while_sums_still_add() {
+        let rec = enabled();
+        let flush = || {
+            rec.volatile_max("select.par_map_workers", 2);
+            rec.volatile_add("select.par_map_tasks", 5);
+            rec.flush()
+        };
+        let (first, second) = (flush(), flush());
+        assert_eq!(first.volatile["select.par_map_workers"], 2);
+        assert!(first.gauges.contains("select.par_map_workers"));
+        assert!(!first.gauges.contains("select.par_map_tasks"));
+
+        let mut merged = first.clone();
+        merged.merge(&second);
+        assert_eq!(merged.volatile["select.par_map_workers"], 2);
+        assert_eq!(merged.volatile["select.par_map_tasks"], 10);
+
+        let mut manifest = crate::RunManifest::new();
+        manifest.ingest_metrics(&first);
+        manifest.ingest_metrics(&second);
+        assert_eq!(manifest.volatile["select.par_map_workers"], 2);
+        assert_eq!(manifest.volatile["select.par_map_tasks"], 10);
     }
 
     #[test]
@@ -794,7 +798,7 @@ mod tests {
         let log = rec.flush();
         assert_eq!(log.counters.get("fits"), Some(&5));
         let h = log.hists.get("iters").expect("hist present");
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 13, 4, 9));
+        assert_eq!((h.count(), h.sum, h.min, h.max), (2, 13, 4, 9));
     }
 
     #[test]
@@ -882,7 +886,7 @@ mod tests {
         let jsonl = log.to_jsonl();
         assert!(jsonl.contains("\"kind\":\"degradation\""));
         assert!(jsonl.contains("\"kind\":\"fault_injected\""));
-        assert!(jsonl.contains("\"schema\":\"ghosts-events/4\""));
+        assert!(jsonl.contains("\"schema\":\"ghosts-events/5\""));
     }
 
     #[test]

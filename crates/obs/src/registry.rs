@@ -2,11 +2,14 @@
 //! log-linear histograms with deterministic, order-independent snapshot
 //! merging.
 //!
-//! This is the hot-path complement to the [`Recorder`](crate::Recorder):
-//! the recorder owns *traces* (spans and events, which need program order
-//! and therefore locks), while the registry owns *metrics* — pure
-//! commutative accumulators that a serve worker must be able to bump in
-//! tens of nanoseconds without ever taking a lock. Three layers:
+//! This is the cumulative complement to the [`Recorder`](crate::Recorder):
+//! the recorder owns run-scoped *traces* (spans and events, which need
+//! program order and therefore locks, drained on every flush), while the
+//! registry owns lifetime *metrics* — pure commutative accumulators that a
+//! serve worker must be able to bump in tens of nanoseconds without ever
+//! taking a lock. A flushed trace's counters and histograms fold in
+//! through the same handles ([`Counter::add`], [`Histogram::merge`]).
+//! Three layers:
 //!
 //! 1. **Cells.** A [`Counter`] is `CELL_SHARDS` cache-line-padded
 //!    `AtomicU64`s; each thread picks a home shard once (round-robin) and
@@ -102,6 +105,14 @@ impl Counter {
         self.cell.add(1);
     }
 
+    /// Raises a max-gauge to at least `v`. A name is either added to or
+    /// raised, never both: raising keeps the maximum in one shard, so
+    /// [`value`](Self::value) reads it and epoch windows see its rises.
+    pub fn raise(&self, v: u64) {
+        let [first, ..] = &self.cell.shards;
+        first.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// The current total across all shards (non-mutating).
     pub fn value(&self) -> u64 {
         self.cell.value()
@@ -143,6 +154,15 @@ impl HistCell {
         }
     }
 
+    fn merge(&self, h: &LogLinearHist) {
+        for (cell, &n) in self.buckets.iter().zip(&h.buckets).filter(|(_, &n)| n > 0) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+        self.sum[home_shard()].0.fetch_add(h.sum, Ordering::Relaxed); // lint: allow(panic-path) home_shard() is % CELL_SHARDS
+        self.min.fetch_min(h.min, Ordering::Relaxed);
+        self.max.fetch_max(h.max, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> LogLinearHist {
         let mut out = LogLinearHist::new();
         for (slot, b) in out.buckets.iter_mut().zip(&self.buckets) {
@@ -173,6 +193,12 @@ impl Histogram {
     /// Records one observation.
     pub fn record(&self, v: u64) {
         self.cell.record(v);
+    }
+
+    /// Folds a whole sketch in — e.g. a flushed trace histogram — with the
+    /// same result as recording each of its observations.
+    pub fn merge(&self, h: &LogLinearHist) {
+        self.cell.merge(h);
     }
 
     /// A point-in-time sketch of everything recorded so far
@@ -221,7 +247,9 @@ impl RegistrySnapshot {
     }
 
     /// The per-name deltas from `earlier` to `self`, assuming `earlier`
-    /// is a prefix snapshot of the same registry.
+    /// is a prefix snapshot of the same registry. A histogram with no new
+    /// observation is omitted, so an epoch ring only pays for the sketches
+    /// that moved.
     pub fn diff(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
         fn counter_diff(
             cur: &BTreeMap<String, u64>,
@@ -241,9 +269,10 @@ impl RegistrySnapshot {
             old: &BTreeMap<String, LogLinearHist>,
         ) -> BTreeMap<String, LogLinearHist> {
             cur.iter()
-                .map(|(k, h)| match old.get(k) {
-                    Some(o) => (k.clone(), h.diff(o)),
-                    None => (k.clone(), h.clone()),
+                .filter_map(|(k, h)| match old.get(k) {
+                    Some(o) if o.count() == h.count() => None,
+                    Some(o) => Some((k.clone(), h.diff(o))),
+                    None => (!h.is_empty()).then(|| (k.clone(), h.clone())),
                 })
                 .collect()
         }
@@ -536,6 +565,37 @@ mod tests {
         assert_eq!(both.counters["req"], 12);
         assert_eq!(both.hists["lat"].count(), 3);
         assert_eq!(both.hists["lat"].sum, 600);
+    }
+
+    #[test]
+    fn merged_sketches_equal_recorded_ones_and_idle_epochs_drop_them() {
+        let reg = Registry::with_epochs(4);
+        let mut flushed = LogLinearHist::new();
+        for v in [3, 9, 9, 700] {
+            flushed.observe(v);
+        }
+        reg.hist("merged").merge(&flushed);
+        reg.hist("merged").merge(&LogLinearHist::new());
+        assert_eq!(reg.hist("merged").snapshot(), flushed);
+
+        let gauge = reg.volatile_counter("workers");
+        gauge.raise(2);
+        gauge.raise(1);
+        reg.advance_epoch();
+        assert_eq!(gauge.value(), 2, "raising keeps the maximum");
+        assert_eq!(reg.window(1).hists["merged"].count(), 4);
+
+        // An epoch without new observations carries no sketch at all.
+        reg.counter("requests").inc();
+        reg.advance_epoch();
+        let idle = reg.window(1);
+        assert!(
+            !idle.hists.contains_key("merged"),
+            "{:?}",
+            idle.hists.keys()
+        );
+        assert_eq!(idle.counters["requests"], 1);
+        assert_eq!(idle.volatile_counters["workers"], 0);
     }
 
     #[test]

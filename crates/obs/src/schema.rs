@@ -1,5 +1,5 @@
-//! Structural validation of `ghosts-events/4` (and legacy `ghosts-events/1`
-//! … `/3`) JSONL trace files.
+//! Structural validation of `ghosts-events/5` (and legacy `ghosts-events/1`
+//! … `/4`) JSONL trace files.
 //!
 //! `xtask lint --check-events <file>` and the CI smoke step use this to
 //! verify that a trace emitted by `repro --trace` is well-formed: a single
@@ -11,27 +11,40 @@
 //! grammar as `event`); version 3 adds `reliability` (same grammar again);
 //! version 4 adds no kinds but introduces the telemetry-plane event *names*
 //! (`stage_profile`, `tail_retention`) emitted by the stage profiler and the
-//! trace-tail ring. A trace whose meta line declares an older version is
-//! still accepted, but must not contain kinds — or, for v4, names —
-//! introduced after that version.
+//! trace-tail ring; version 5 writes `hist` lines in the sketch's sparse
+//! form — `buckets` as ascending `[lower_bound, count]` pairs — where v1–v4
+//! wrote 12 dense power-of-two buckets. A trace whose meta line declares an
+//! older version is still accepted, but must not contain kinds — or, for
+//! v4, names — introduced after that version, and its `hist` lines must
+//! use the bucket form of its version.
 
-use crate::hist::NUM_BUCKETS;
 use crate::json::{parse, JsonValue};
+use crate::sketch::LogLinearHist;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Bucket count of the dense `hist` lines of `ghosts-events/1` … `/4`.
+const LEGACY_HIST_BUCKETS: usize = 12;
 
 /// The schema identifier expected on the meta line (same constant the
 /// writer uses).
 pub const EVENTS_SCHEMA: &str = crate::recorder::JSONL_SCHEMA;
 
-/// The version-3 schema identifier, still accepted on the meta line.
-pub const EVENTS_SCHEMA_V3: &str = crate::recorder::JSONL_SCHEMA_V3;
+/// The version-4 schema identifier (dense 12-bucket `hist` lines), still
+/// accepted on the meta line.
+pub const EVENTS_SCHEMA_V4: &str = "ghosts-events/4";
 
-/// The version-2 schema identifier, still accepted on the meta line.
-pub const EVENTS_SCHEMA_V2: &str = crate::recorder::JSONL_SCHEMA_V2;
+/// The version-3 schema identifier (before the telemetry-plane names),
+/// still accepted on the meta line.
+pub const EVENTS_SCHEMA_V3: &str = "ghosts-events/3";
 
-/// The legacy schema identifier, still accepted on the meta line.
-pub const EVENTS_SCHEMA_V1: &str = crate::recorder::JSONL_SCHEMA_V1;
+/// The version-2 schema identifier (before the reliability kind), still
+/// accepted on the meta line.
+pub const EVENTS_SCHEMA_V2: &str = "ghosts-events/2";
+
+/// The original schema identifier (before the robustness kinds), still
+/// accepted on the meta line.
+pub const EVENTS_SCHEMA_V1: &str = "ghosts-events/1";
 
 /// The ghosts-events name registry: every `(name, kind)` pair the
 /// workspace is allowed to emit on an event-like trace line.
@@ -158,6 +171,29 @@ fn is_event_like(kind: &str) -> bool {
     )
 }
 
+/// The version a meta line's schema identifier names, if supported.
+fn schema_version(schema: &str) -> Option<u8> {
+    [
+        EVENTS_SCHEMA_V1,
+        EVENTS_SCHEMA_V2,
+        EVENTS_SCHEMA_V3,
+        EVENTS_SCHEMA_V4,
+        EVENTS_SCHEMA,
+    ]
+    .iter()
+    .position(|&s| s == schema)
+    .map(|i| i as u8 + 1)
+}
+
+/// Whether a `hist` line lists sparse `[lower_bound, count]` pairs (v5)
+/// rather than dense counts (v1–v4). An empty list is the sparse form of
+/// an empty histogram.
+fn is_sparse_hist(doc: &JsonValue) -> bool {
+    doc.get("buckets")
+        .and_then(JsonValue::as_array)
+        .is_some_and(|b| b.first().is_none_or(|first| first.as_array().is_some()))
+}
+
 fn keys_of(v: &JsonValue) -> Vec<&str> {
     v.as_object()
         .map(|m| m.iter().map(|(k, _)| k.as_str()).collect())
@@ -184,13 +220,9 @@ pub fn validate_event_line(line: &str) -> Result<(), String> {
                 return Err("meta line must have exactly kind, schema, clock".to_string());
             }
             let schema = doc.get("schema").and_then(JsonValue::as_str);
-            if schema != Some(EVENTS_SCHEMA)
-                && schema != Some(EVENTS_SCHEMA_V3)
-                && schema != Some(EVENTS_SCHEMA_V2)
-                && schema != Some(EVENTS_SCHEMA_V1)
-            {
+            if schema.and_then(schema_version).is_none() {
                 return Err(format!(
-                    "unsupported schema {schema:?}, expected {EVENTS_SCHEMA:?} (or legacy {EVENTS_SCHEMA_V3:?} / {EVENTS_SCHEMA_V2:?} / {EVENTS_SCHEMA_V1:?})"
+                    "unsupported schema {schema:?}, expected {EVENTS_SCHEMA:?} (or legacy ghosts-events/1 … /4)"
                 ));
             }
             match doc.get("clock").and_then(JsonValue::as_str) {
@@ -253,6 +285,9 @@ pub fn validate_event_line(line: &str) -> Result<(), String> {
             if doc.get("name").and_then(JsonValue::as_str).is_none() {
                 return Err("name must be a string".to_string());
             }
+            if is_sparse_hist(&doc) {
+                return LogLinearHist::from_json_fields(&doc).map(drop);
+            }
             let mut nums = [0u64; 4];
             for (slot, key) in nums.iter_mut().zip(["count", "sum", "min", "max"]) {
                 *slot = doc
@@ -264,9 +299,9 @@ pub fn validate_event_line(line: &str) -> Result<(), String> {
                 .get("buckets")
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| "buckets must be an array".to_string())?;
-            if buckets.len() != NUM_BUCKETS {
+            if buckets.len() != LEGACY_HIST_BUCKETS {
                 return Err(format!(
-                    "buckets must have {NUM_BUCKETS} entries, got {}",
+                    "buckets must have {LEGACY_HIST_BUCKETS} entries, got {}",
                     buckets.len()
                 ));
             }
@@ -310,10 +345,10 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, SchemaError> {
     }
     let mut summary = JsonlSummary::default();
     let mut phase: u8 = 0;
-    // Schema version the meta line declares (1–3 or the current 4); kinds
-    // (and, for v4, names) introduced after the declared version are
-    // rejected below.
-    let mut declared_version: u8 = 4;
+    // Schema version the meta line declares (1–4 or the current 5); kinds
+    // (and, for v4, names; for v5, sparse histograms) introduced after the
+    // declared version are rejected below.
+    let mut declared_version: u8 = 5;
     let mut next_seq: BTreeMap<String, u64> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -329,12 +364,11 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, SchemaError> {
             if kind != "meta" {
                 return Err(fail(lineno, "first line must be the meta line".to_string()));
             }
-            declared_version = match doc.get("schema").and_then(JsonValue::as_str) {
-                Some(s) if s == EVENTS_SCHEMA_V1 => 1,
-                Some(s) if s == EVENTS_SCHEMA_V2 => 2,
-                Some(s) if s == EVENTS_SCHEMA_V3 => 3,
-                _ => 4,
-            };
+            declared_version = doc
+                .get("schema")
+                .and_then(JsonValue::as_str)
+                .and_then(schema_version)
+                .unwrap_or(5);
         } else if kind == "meta" {
             return Err(fail(lineno, "duplicate meta line".to_string()));
         } else if this_phase < phase {
@@ -346,6 +380,13 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, SchemaError> {
         let mut needs_version: u8 = match kind {
             "degradation" | "fault_injected" => 2,
             "reliability" => 3,
+            "hist" if is_sparse_hist(&doc) => 5,
+            "hist" if declared_version >= 5 => {
+                return Err(fail(
+                    lineno,
+                    "dense 12-bucket hist lines belong to ghosts-events/1 … /4; v5 lists [lower_bound, count] pairs".to_string(),
+                ));
+            }
             _ => 1,
         };
         if is_event_like(kind) {
@@ -421,6 +462,14 @@ mod tests {
         rec.flush().to_jsonl()
     }
 
+    /// `sample_trace` as a v1–v4 writer wrote it: the older meta line and
+    /// the 12 dense buckets of its one histogram (`glm.iterations` = 9).
+    fn legacy_sample_trace(schema: &str) -> String {
+        sample_trace()
+            .replace(EVENTS_SCHEMA, schema)
+            .replace("[[9,1]]", "[0,0,0,0,1,0,0,0,0,0,0,0]")
+    }
+
     #[test]
     fn event_registry_is_sorted_and_well_formed() {
         // `is_registered_event` binary-searches, so the table must be
@@ -483,7 +532,7 @@ mod tests {
     #[test]
     fn legacy_v1_meta_accepted_but_v2_kinds_rejected_under_it() {
         // A v1 trace without the new kinds still validates.
-        let v1 = sample_trace().replace(EVENTS_SCHEMA, EVENTS_SCHEMA_V1);
+        let v1 = legacy_sample_trace(EVENTS_SCHEMA_V1);
         assert!(v1.contains(EVENTS_SCHEMA_V1), "substitution applied");
         validate_jsonl(&v1).expect("legacy trace stays valid");
 
@@ -520,7 +569,7 @@ mod tests {
         }
 
         // A v2 trace without reliability lines still validates.
-        let v2 = sample_trace().replace(EVENTS_SCHEMA, EVENTS_SCHEMA_V2);
+        let v2 = legacy_sample_trace(EVENTS_SCHEMA_V2);
         validate_jsonl(&v2).expect("v2 trace stays valid");
     }
 
@@ -549,8 +598,77 @@ mod tests {
         }
 
         // A v3 trace without the new names still validates.
-        let v3 = sample_trace().replace(EVENTS_SCHEMA, EVENTS_SCHEMA_V3);
+        let v3 = legacy_sample_trace(EVENTS_SCHEMA_V3);
         validate_jsonl(&v3).expect("v3 trace stays valid");
+    }
+
+    #[test]
+    fn v5_hist_lines_are_sparse_and_checked() {
+        let doc = |schema: &str, body: &str| {
+            format!(
+                "{{\"kind\":\"meta\",\"schema\":\"{schema}\",\"clock\":\"logical\"}}\n{{\"kind\":\"hist\",\"name\":\"h\",{body}}}\n"
+            )
+        };
+        // Two observations of 4 and one of 100 (100 opens a 2-wide bucket).
+        let valid = r#""count":3,"sum":108,"min":4,"max":100,"buckets":[[4,2],[100,1]]"#;
+        assert_eq!(
+            validate_jsonl(&doc(EVENTS_SCHEMA, valid))
+                .expect("valid v5")
+                .hists,
+            1
+        );
+        // The writer's own sparse line passes the same checks.
+        assert!(sample_trace().contains(r#""buckets":[[9,1]]"#));
+        for (body, why) in [
+            (
+                r#""count":3,"sum":108,"min":4,"max":100,"buckets":[[100,1],[4,2]]"#,
+                "strictly ascending",
+            ),
+            (
+                r#""count":3,"sum":109,"min":4,"max":101,"buckets":[[4,2],[101,1]]"#,
+                "not the lower bound",
+            ),
+            (
+                r#""count":3,"sum":108,"min":4,"max":100,"buckets":[[4,2],[50,0],[100,1]]"#,
+                "zero count",
+            ),
+            (
+                r#""count":4,"sum":108,"min":4,"max":100,"buckets":[[4,2],[100,1]]"#,
+                "sum to 3 but count is 4",
+            ),
+            (
+                r#""count":3,"sum":108,"min":5,"max":100,"buckets":[[4,2],[100,1]]"#,
+                "outside the first bucket",
+            ),
+            (
+                r#""count":3,"sum":108,"min":4,"max":102,"buckets":[[4,2],[100,1]]"#,
+                "outside the last bucket",
+            ),
+            (
+                r#""count":1,"sum":9,"min":9,"max":9,"buckets":[0,0,0,0,1,0,0,0,0,0,0,0]"#,
+                "dense 12-bucket",
+            ),
+        ] {
+            let err = validate_jsonl(&doc(EVENTS_SCHEMA, body)).expect_err(why);
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains(why), "{why}: {}", err.message);
+        }
+        // Sparse pairs under any v1–v4 meta line are rejected.
+        for legacy in [
+            EVENTS_SCHEMA_V4,
+            EVENTS_SCHEMA_V3,
+            EVENTS_SCHEMA_V2,
+            EVENTS_SCHEMA_V1,
+        ] {
+            let err = validate_jsonl(&doc(legacy, valid)).expect_err("sparse under old meta");
+            assert!(
+                err.message.contains("require schema version 5"),
+                "{}",
+                err.message
+            );
+        }
+        // And the v4 writer's dense form still validates under its own meta.
+        validate_jsonl(&legacy_sample_trace(EVENTS_SCHEMA_V4)).expect("v4 trace stays valid");
     }
 
     #[test]

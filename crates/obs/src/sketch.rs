@@ -1,22 +1,22 @@
-//! Log-linear `u64` histograms with bounded relative error (the "sketch"
-//! behind latency quantiles).
+//! Log-linear `u64` histograms with bounded relative error: the one
+//! histogram type of traces, manifests and the registry.
 //!
-//! The fixed-bucket [`HistSnapshot`](crate::HistSnapshot) is fine for small
-//! integer quantities (GLM iterations, bisection steps) but useless for
-//! latency: its 12 buckets stop at 1024 and give no quantiles. The sketch
-//! here is the HDR-histogram idea restricted to `u64`: exact buckets for
-//! small values, then a fixed number of sub-buckets per power-of-two
-//! octave, so every bucket's width is at most `1/SUB_BUCKETS` of its lower
-//! bound. Quantile readout therefore carries a *relative* error bound of
-//! `1/SUB_BUCKETS` (3.125 %) over the entire `u64` range with a fixed
-//! `NUM_SKETCH_BUCKETS`-slot table — no allocation growth, no precision
-//! cliff.
+//! The sketch is the HDR-histogram idea restricted to `u64`: exact buckets
+//! for small values (every value below 64 has its own), then a fixed
+//! number of sub-buckets per power-of-two octave, so every bucket's width
+//! is at most `1/SUB_BUCKETS` of its lower bound. Quantile readout
+//! therefore carries a *relative* error bound of `1/SUB_BUCKETS` (3.125 %)
+//! over the entire `u64` range with a fixed `NUM_SKETCH_BUCKETS`-slot
+//! table — no allocation growth, no precision cliff. `count`, `sum`, `min`
+//! and `max` are exact.
 //!
 //! Every accumulator is a commutative monoid (bucket counts and `sum` add,
 //! `min`/`max` meet/join), which is what makes [`merge`](LogLinearHist::merge)
 //! associative, commutative and identity-respecting — the properties the
 //! registry's order-independent snapshot merging is built on (and that the
 //! property tests pin).
+
+use crate::json::JsonValue;
 
 /// log2 of the number of sub-buckets per octave. 5 → 32 sub-buckets →
 /// relative error ≤ 1/32 ≈ 3.125 %.
@@ -159,6 +159,100 @@ impl LogLinearHist {
         out
     }
 
+    /// The sparse JSON fields — the exact `count`, `sum`, `min` and `max`,
+    /// then `buckets`: the non-empty buckets as ascending
+    /// `[lower_bound, count]` pairs. Shared by `hist` trace lines and
+    /// manifest histograms.
+    pub(crate) fn json_fields(&self) -> Vec<(String, JsonValue)> {
+        let pair = |(i, &n): (usize, &u64)| {
+            JsonValue::Array(vec![JsonValue::UInt(bucket_lo(i)), JsonValue::UInt(n)])
+        };
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(pair);
+        let field = |key: &str, v: JsonValue| (key.to_string(), v);
+        vec![
+            field("count", JsonValue::UInt(self.count())),
+            field("sum", JsonValue::UInt(self.sum)),
+            field("min", JsonValue::UInt(self.min)),
+            field("max", JsonValue::UInt(self.max)),
+            field("buckets", JsonValue::Array(buckets.collect())),
+        ]
+    }
+
+    /// Parses the fields [`json_fields`](Self::json_fields) writes,
+    /// rejecting anything it cannot produce: bounds that are not strictly
+    /// ascending or not the lower bound of a bucket, a zero count, counts
+    /// that do not sum to `count`, `min` outside the first bucket or `max`
+    /// outside the last, and an empty sketch whose `sum`/`min`/`max` are
+    /// not the empty values.
+    pub(crate) fn from_json_fields(doc: &JsonValue) -> Result<Self, String> {
+        let num = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("{key} must be a non-negative integer"))
+        };
+        let (count, sum, min, max) = (num("count")?, num("sum")?, num("min")?, num("max")?);
+        let pairs = doc
+            .get("buckets")
+            .and_then(JsonValue::as_array)
+            .and_then(|pairs| {
+                pairs
+                    .iter()
+                    .map(|pair| match pair.as_array() {
+                        Some([lo, n]) => lo.as_u64().zip(n.as_u64()),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()
+            })
+            .ok_or("buckets must be [lower_bound, count] pairs of non-negative integers")?;
+        if !pairs
+            .iter()
+            .zip(pairs.iter().skip(1))
+            .all(|(a, b)| a.0 < b.0)
+        {
+            return Err("bucket bounds must be strictly ascending".to_string());
+        }
+        let mut h = Self {
+            sum,
+            min,
+            max,
+            ..Self::new()
+        };
+        for &(lo, n) in &pairs {
+            let slot = h
+                .buckets
+                .get_mut(bucket_of(lo))
+                .filter(|_| bucket_lo(bucket_of(lo)) == lo);
+            match slot {
+                None => return Err(format!("{lo} is not the lower bound of a sketch bucket")),
+                Some(_) if n == 0 => return Err(format!("bucket {lo} has a zero count")),
+                Some(slot) => *slot = n,
+            }
+        }
+        if h.count() != count {
+            return Err(format!(
+                "bucket counts sum to {} but count is {count}",
+                h.count()
+            ));
+        }
+        match (pairs.first(), pairs.last()) {
+            (Some(&(first, _)), _) if bucket_of(min) != bucket_of(first) => {
+                Err(format!("min {min} lies outside the first bucket"))
+            }
+            (_, Some(&(last, _))) if bucket_of(max) != bucket_of(last) => {
+                Err(format!("max {max} lies outside the last bucket"))
+            }
+            (None, _) if (sum, min, max) != (0, u64::MAX, 0) => {
+                Err("an empty histogram must have sum 0, min u64::MAX and max 0".to_string())
+            }
+            _ => Ok(h),
+        }
+    }
+
     /// The value at quantile `q ∈ [0, 1]`, or `0` when empty.
     ///
     /// Returns the upper bound of the bucket holding the rank-`⌈q·count⌉`
@@ -180,26 +274,6 @@ impl LogLinearHist {
             }
         }
         self.max
-    }
-
-    /// The median (p50).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// The 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// The 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// The 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
     }
 
     /// Mean observation, or `None` when empty.
@@ -323,6 +397,29 @@ mod tests {
         assert_eq!(h.max, u64::MAX);
         assert_eq!(h.quantile(1.0), u64::MAX);
         assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn sparse_form_round_trips_exactly() {
+        let mut h = LogLinearHist::new();
+        for v in [3, 1, 7, 63, 1024, 2000, 2000] {
+            h.observe(v);
+        }
+        assert_eq!((h.count(), h.sum, h.min, h.max), (7, 5098, 1, 2000));
+        let doc = JsonValue::Object(h.json_fields());
+        // Values below 64 keep a bucket of their own.
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"count":7,"sum":5098,"min":1,"max":2000,"buckets":[[1,1],[3,1],[7,1],[63,1],[1024,1],[1984,2]]}"#
+        );
+        assert_eq!(LogLinearHist::from_json_fields(&doc), Ok(h));
+        let empty = JsonValue::Object(LogLinearHist::new().json_fields());
+        assert_eq!(
+            LogLinearHist::from_json_fields(&empty),
+            Ok(LogLinearHist::new())
+        );
+        let bad_empty = crate::json::parse(r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#);
+        assert!(LogLinearHist::from_json_fields(&bad_empty.expect("json")).is_err());
     }
 
     #[test]

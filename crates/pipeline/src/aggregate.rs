@@ -64,8 +64,9 @@ pub fn window_observed_traced(data: &WindowData, obs: &Scope) -> WindowObserved 
         ips: u.len(),
         subnets: u.to_subnet24().len(),
     };
-    obs.add("aggregate.windows", 1);
-    obs.add("aggregate.union_ips", observed.ips);
+    let rec = obs.recorder();
+    rec.add("aggregate.windows", 1);
+    rec.add("aggregate.union_ips", observed.ips);
     obs.event(
         "window_observed",
         &[

@@ -42,9 +42,10 @@ pub fn filter_to_routed_traced(
             stats.kept += 1;
         }
     }
-    obs.add("filter.dropped_reserved", stats.dropped_reserved);
-    obs.add("filter.dropped_unrouted", stats.dropped_unrouted);
-    obs.add("filter.kept", stats.kept);
+    let rec = obs.recorder();
+    rec.add("filter.dropped_reserved", stats.dropped_reserved);
+    rec.add("filter.dropped_unrouted", stats.dropped_unrouted);
+    rec.add("filter.kept", stats.kept);
     obs.event(
         "filter",
         &[

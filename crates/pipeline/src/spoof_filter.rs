@@ -112,9 +112,10 @@ impl SpoofFilterReport {
     /// are deterministic only under a seeded RNG — callers feeding a
     /// deterministic trace must use `component_rng` or similar.
     pub fn record(&self, obs: &Scope) {
-        obs.add("spoof.removed_subnets", self.removed_subnets);
-        obs.add("spoof.removed_stage1", self.removed_stage1);
-        obs.add("spoof.removed_stage2", self.removed_stage2);
+        let rec = obs.recorder();
+        rec.add("spoof.removed_subnets", self.removed_subnets);
+        rec.add("spoof.removed_stage1", self.removed_stage1);
+        rec.add("spoof.removed_stage2", self.removed_stage2);
         obs.event(
             "spoof_filter",
             &[

@@ -233,9 +233,9 @@ pub fn bootstrap_table(
             .map(|est| (est.total, est.model))
             .map_err(|e| e.to_string())
     });
-    cfg.obs
-        .volatile_add("bootstrap.par_map_tasks", indices.len() as u64);
-    cfg.obs.volatile_max(
+    let rec = cfg.obs.recorder();
+    rec.volatile_add("bootstrap.par_map_tasks", indices.len() as u64);
+    rec.volatile_max(
         "bootstrap.par_map_workers",
         bcfg.parallelism.threads().min(indices.len().max(1)) as u64,
     );

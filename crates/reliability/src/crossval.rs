@@ -361,9 +361,9 @@ pub fn cross_validate_batch<W: std::borrow::Borrow<WindowData>>(
             .child_idx("cv_cell", idx as u64);
         estimate_cell(input, &cell_cfg, with_ranges)
     });
-    cfg.obs
-        .volatile_add("crossval.par_map_tasks", inputs.len() as u64);
-    cfg.obs.volatile_max(
+    let rec = cfg.obs.recorder();
+    rec.volatile_add("crossval.par_map_tasks", inputs.len() as u64);
+    rec.volatile_max(
         "crossval.par_map_workers",
         cfg.parallelism.threads().min(inputs.len().max(1)) as u64,
     );

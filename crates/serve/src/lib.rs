@@ -14,8 +14,8 @@
 //!   match plus a single bit test of the observed union's segmented
 //!   bitmap plane (`ghosts_addrplane`);
 //! * `GET /healthz`, `GET /manifest`, `GET /metrics` — liveness, a
-//!   `ghosts-manifest/1` document, and a text exposition of the
-//!   cumulative `ghosts_obs` counters and histograms.
+//!   `ghosts-manifest/2` document, and a text exposition of the hub's
+//!   cumulative `ghosts_obs` registry, request traces folded in.
 //!
 //! Three mechanisms make it production-shaped (DESIGN.md §12):
 //!

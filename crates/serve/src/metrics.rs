@@ -1,14 +1,16 @@
 //! The server's telemetry hub: the sharded lock-free metric registry, the
-//! stage profiler, the cumulative trace log and the request-tail ring
+//! stage profiler, the robustness records and the request-tail ring
 //! behind `/metrics`, `/v1/trace/tail`, `/v1/profile` and `/manifest`.
 //!
 //! The hot path never takes a lock: request counters and the latency
 //! histogram are pre-resolved [`Registry`] handles (relaxed atomics on
-//! sharded cells), and every read surface is a **non-mutating merge
-//! view** — a snapshot is a sum over cells plus a clone of the absorbed
-//! trace log, never a drain, so two consecutive reads of a quiescent hub
-//! are byte-identical. Per-request *traces* still flow through short-lived
-//! [`Recorder`]s in the server and are folded in via [`MetricsHub::absorb`].
+//! sharded cells), and every read surface is a **non-mutating view** — a
+//! snapshot is a sum over cells, never a drain, so two consecutive reads
+//! of a quiescent hub are byte-identical. Per-request *traces* still flow
+//! through short-lived [`Recorder`]s in the server; [`MetricsHub::absorb`]
+//! folds each flushed log's counters, histograms and volatile values into
+//! the same registry under the same names, so the registry is the hub's
+//! only cumulative store and `/metrics` renders one [`RegistrySnapshot`].
 //!
 //! Two lanes keep the determinism contract: deterministic series (request
 //! counts, cache dispositions) are pure functions of the request sequence
@@ -46,74 +48,96 @@ pub const TAIL_OK_SAMPLE: u64 = 2;
 /// classed [`TailClass::Slow`].
 pub const SLOW_REQUEST_US: u64 = 250_000;
 
-/// Pre-resolved hot-path handles: one relaxed `fetch_add` per bump, no
-/// name lookup, no lock.
-pub struct HotStats {
-    /// Every request read off a connection.
-    pub requests: Counter,
-    /// Connections answered 503 at the door.
-    pub shed: Counter,
-    /// Unparseable or invalid requests.
-    pub bad_request: Counter,
-    /// `/v1/membership` lookups.
-    pub membership: Counter,
-    /// Handler panics trapped into 500s.
-    pub panic: Counter,
-    /// Estimate requests received.
-    pub estimate_received: Counter,
-    /// Estimator runs actually executed.
-    pub estimate_computed: Counter,
-    /// Backend window/strata resolutions.
-    pub backend_resolve: Counter,
-    /// In-memory cache hits.
-    pub cache_hit_mem: Counter,
-    /// On-disk cache hits.
-    pub cache_hit_disk: Counter,
-    /// Cache misses.
-    pub cache_miss: Counter,
-    /// Cache bypasses (fault-injected).
-    pub cache_bypassed: Counter,
-    /// Requests that replayed a single-flight leader's bytes.
-    pub singleflight_waited: Counter,
-    /// Requests whose single-flight leader failed.
-    pub singleflight_leader_failed: Counter,
-    /// Observation batches received on `POST /v1/observations`.
-    pub ingest_received: Counter,
-    /// Observation batches durably applied (acked `201`).
-    pub ingest_applied: Counter,
-    /// Duplicate idempotency keys acked without re-applying.
-    pub ingest_duplicate: Counter,
-    /// Batches rejected `429` by ingest backpressure.
-    pub ingest_rejected: Counter,
-    /// WAL appends acknowledged (append → fsync → ack completed).
-    pub wal_appends: Counter,
-    /// WAL appends that failed (the batch was NOT acknowledged).
-    pub wal_append_errors: Counter,
-    /// WAL records replayed during recovery at startup.
-    pub wal_recovered_records: Counter,
-    /// Torn-tail bytes truncated during recovery.
-    pub wal_torn_truncated: Counter,
-    /// WAL segments quarantined to `*.corrupt` during recovery.
-    pub wal_segments_quarantined: Counter,
-    /// Checkpoints written (periodic and drain-triggered).
-    pub checkpoint_written: Counter,
-    /// Checkpoint writes that failed (the WAL still covers the state).
-    pub checkpoint_failed: Counter,
-    /// Checkpoint files quarantined during recovery.
-    pub checkpoints_quarantined: Counter,
-    /// Corrupt cache spill files quarantined to `*.corrupt` on load.
-    pub cache_quarantined: Counter,
-    /// Request latency sketch (volatile lane: follows the hub clock).
-    pub request_us: Histogram,
+/// Declares [`HotStats`] from one table: each row names a counter once —
+/// its field, its registry name and its doc.
+macro_rules! hot_stats {
+    ($($(#[doc = $doc:literal])+ $field:ident => $name:literal,)+) => {
+        /// Pre-resolved hot-path handles: one relaxed `fetch_add` per bump,
+        /// no name lookup, no lock.
+        pub struct HotStats {
+            $($(#[doc = $doc])+ pub $field: Counter,)+
+            /// Request latency sketch (volatile lane: follows the hub clock).
+            pub request_us: Histogram,
+        }
+
+        impl HotStats {
+            fn resolve(registry: &Registry) -> Self {
+                Self {
+                    $($field: registry.counter($name),)+
+                    request_us: registry.volatile_hist("serve.request_us"),
+                }
+            }
+        }
+    };
 }
 
-/// Shared registry + profiler + cumulative trace log + request tail.
+hot_stats! {
+    /// Every request read off a connection.
+    requests => "serve.requests",
+    /// Connections answered 503 at the door.
+    shed => "serve.shed",
+    /// Unparseable or invalid requests.
+    bad_request => "serve.http.bad_request",
+    /// `/v1/membership` lookups.
+    membership => "serve.membership",
+    /// Handler panics trapped into 500s.
+    panic => "serve.panic",
+    /// Estimate requests received.
+    estimate_received => "serve.estimate.received",
+    /// Estimator runs actually executed.
+    estimate_computed => "serve.estimate.computed",
+    /// Backend window/strata resolutions.
+    backend_resolve => "serve.backend.resolve",
+    /// In-memory cache hits.
+    cache_hit_mem => "serve.cache.hit_mem",
+    /// On-disk cache hits.
+    cache_hit_disk => "serve.cache.hit_disk",
+    /// Cache misses.
+    cache_miss => "serve.cache.miss",
+    /// Cache bypasses (fault-injected).
+    cache_bypassed => "serve.cache.bypassed",
+    /// Requests that replayed a single-flight leader's bytes.
+    singleflight_waited => "serve.singleflight.waited",
+    /// Requests whose single-flight leader failed.
+    singleflight_leader_failed => "serve.singleflight.leader_failed",
+    /// Observation batches received on `POST /v1/observations`.
+    ingest_received => "serve.ingest.received",
+    /// Observation batches durably applied (acked `201`).
+    ingest_applied => "serve.ingest.applied",
+    /// Duplicate idempotency keys acked without re-applying.
+    ingest_duplicate => "serve.ingest.duplicate",
+    /// Batches rejected `429` by ingest backpressure.
+    ingest_rejected => "serve.ingest.rejected",
+    /// WAL appends acknowledged (append → fsync → ack completed).
+    wal_appends => "serve.wal.appends",
+    /// WAL appends that failed (the batch was NOT acknowledged).
+    wal_append_errors => "serve.wal.append_errors",
+    /// WAL records replayed during recovery at startup.
+    wal_recovered_records => "serve.wal.recovered_records",
+    /// Torn-tail bytes truncated during recovery.
+    wal_torn_truncated => "serve.wal.torn_truncated_bytes",
+    /// WAL segments quarantined to `*.corrupt` during recovery.
+    wal_segments_quarantined => "serve.wal.segments_quarantined",
+    /// Checkpoints written (periodic and drain-triggered).
+    checkpoint_written => "serve.checkpoint.written",
+    /// Checkpoint writes that failed (the WAL still covers the state).
+    checkpoint_failed => "serve.checkpoint.failed",
+    /// Checkpoint files quarantined during recovery.
+    checkpoints_quarantined => "serve.checkpoint.quarantined",
+    /// Corrupt cache spill files quarantined to `*.corrupt` on load.
+    cache_quarantined => "serve.cache.quarantined",
+}
+
+/// Shared registry + profiler + robustness records + request tail.
 pub struct MetricsHub {
     registry: Registry,
     stats: HotStats,
     profiler: StageProfiler,
     clock: Arc<dyn Clock>,
-    cumulative: Mutex<EventLog>,
+    /// The absorbed error, degradation, fault-injection and reliability
+    /// records `/manifest` lists (records only: metrics live in
+    /// `registry`).
+    records: Mutex<RunManifest>,
     tail: Mutex<TailRing>,
     tail_seq: AtomicU64,
     served: AtomicU64,
@@ -122,42 +146,12 @@ pub struct MetricsHub {
 impl MetricsHub {
     fn with_clock(clock: Arc<dyn Clock>) -> Arc<Self> {
         let registry = Registry::new();
-        let stats = HotStats {
-            requests: registry.counter("serve.requests"),
-            shed: registry.counter("serve.shed"),
-            bad_request: registry.counter("serve.http.bad_request"),
-            membership: registry.counter("serve.membership"),
-            panic: registry.counter("serve.panic"),
-            estimate_received: registry.counter("serve.estimate.received"),
-            estimate_computed: registry.counter("serve.estimate.computed"),
-            backend_resolve: registry.counter("serve.backend.resolve"),
-            cache_hit_mem: registry.counter("serve.cache.hit_mem"),
-            cache_hit_disk: registry.counter("serve.cache.hit_disk"),
-            cache_miss: registry.counter("serve.cache.miss"),
-            cache_bypassed: registry.counter("serve.cache.bypassed"),
-            singleflight_waited: registry.counter("serve.singleflight.waited"),
-            singleflight_leader_failed: registry.counter("serve.singleflight.leader_failed"),
-            ingest_received: registry.counter("serve.ingest.received"),
-            ingest_applied: registry.counter("serve.ingest.applied"),
-            ingest_duplicate: registry.counter("serve.ingest.duplicate"),
-            ingest_rejected: registry.counter("serve.ingest.rejected"),
-            wal_appends: registry.counter("serve.wal.appends"),
-            wal_append_errors: registry.counter("serve.wal.append_errors"),
-            wal_recovered_records: registry.counter("serve.wal.recovered_records"),
-            wal_torn_truncated: registry.counter("serve.wal.torn_truncated_bytes"),
-            wal_segments_quarantined: registry.counter("serve.wal.segments_quarantined"),
-            checkpoint_written: registry.counter("serve.checkpoint.written"),
-            checkpoint_failed: registry.counter("serve.checkpoint.failed"),
-            checkpoints_quarantined: registry.counter("serve.checkpoint.quarantined"),
-            cache_quarantined: registry.counter("serve.cache.quarantined"),
-            request_us: registry.volatile_hist("serve.request_us"),
-        };
         Arc::new(Self {
+            stats: HotStats::resolve(&registry),
             registry,
-            stats,
             profiler: StageProfiler::enabled(Arc::clone(&clock)),
             clock,
-            cumulative: Mutex::new(EventLog::default()),
+            records: Mutex::default(),
             tail: Mutex::new(TailRing::new(TAIL_CAPACITY, TAIL_OK_SAMPLE)),
             tail_seq: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -198,15 +192,26 @@ impl MetricsHub {
         &self.profiler
     }
 
-    /// Folds a flushed per-request trace log into the cumulative totals.
+    /// Folds a flushed per-request trace log into the registry — its
+    /// counters, histograms and volatile values under the same names
+    /// (max-gauges by max) — and keeps the records `/manifest` lists.
+    /// Plain events are dropped: nothing reads them after the request.
     pub fn absorb(&self, log: &EventLog) {
-        lock(&self.cumulative).merge(log);
-    }
-
-    /// A non-mutating clone of the cumulative trace log. Reading never
-    /// drains: consecutive calls on a quiescent hub return equal logs.
-    pub fn trace_log(&self) -> EventLog {
-        lock(&self.cumulative).clone()
+        for (name, v) in &log.counters {
+            self.registry.counter(name).add(*v);
+        }
+        for (name, h) in &log.hists {
+            self.registry.hist(name).merge(h);
+        }
+        for (name, v) in &log.volatile {
+            let cell = self.registry.volatile_counter(name);
+            if log.gauges.contains(name) {
+                cell.raise(*v);
+            } else {
+                cell.add(*v);
+            }
+        }
+        lock(&self.records).ingest_events(log, &[]);
     }
 
     /// Marks one request finished; every [`EPOCH_EVERY`]-th call closes a
@@ -232,79 +237,44 @@ impl MetricsHub {
     }
 
     /// The `/metrics` exposition: Prometheus-compatible text, name-sorted
-    /// within every section, deterministic given the same history.
+    /// within every section, deterministic given the same history. Series
+    /// folded in from request traces (`fit.count`, `fit.glm_iterations`)
+    /// render exactly like the server's own.
     ///
     /// ```text
+    /// # TYPE fit_count counter
+    /// fit_count 1
     /// # TYPE serve_requests counter
     /// serve_requests 3
+    /// # TYPE fit_glm_iterations summary
+    /// fit_glm_iterations{quantile="0.5"} 4
+    /// ...
+    /// fit_glm_iterations_sum 4
     /// # TYPE serve_request_us summary
     /// serve_request_us{lane="volatile",quantile="0.5"} 120
     /// ...
     /// serve_requests{window="8"} 3
     /// ```
     pub fn render_text(&self) -> String {
-        let snap = self.registry.snapshot();
-        let log = self.trace_log();
         let mut out = String::from("# ghosts-serve metrics\n");
-
-        // Deterministic counters: registry totals merged with the
-        // trace-derived counters (estimate.*, filter.*, …).
-        let mut counters = snap.counters.clone();
-        for (name, v) in &log.counters {
-            let slot = counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        for (name, v) in &counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-
-        // Deterministic histograms: registry sketches with quantiles,
-        // then the coarse trace histograms (count/sum/min/max only).
-        for (name, h) in &snap.hists {
-            render_summary(&mut out, &sanitize(name), &[], h);
-        }
-        for (name, h) in &log.hists {
-            if h.count == 0 {
-                continue;
-            }
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            out.push_str(&format!("{n}_sum {}\n", h.sum));
-            out.push_str(&format!("{n}_count {}\n", h.count));
-            out.push_str(&format!("{n}_min {}\n", h.min));
-            out.push_str(&format!("{n}_max {}\n", h.max));
-        }
-
-        // Volatile lane (labelled): wall durations under a wall clock,
-        // deterministic ticks under a logical one.
-        let mut volatile = snap.volatile_counters.clone();
-        for (name, v) in &log.volatile {
-            let slot = volatile.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        for (name, v) in &volatile {
-            let n = sanitize(name);
-            out.push_str(&format!(
-                "# TYPE {n} counter\n{n}{{lane=\"volatile\"}} {v}\n"
-            ));
-        }
-        for (name, h) in &snap.volatile_hists {
-            render_summary(&mut out, &sanitize(name), &["lane=\"volatile\""], h);
-        }
+        render_snapshot(&mut out, &self.registry.snapshot(), None);
 
         // Sliding window: the last WINDOW_EPOCHS closed epochs merged.
         out.push_str(&format!(
             "# window: last {WINDOW_EPOCHS} epochs of {} closed ({EPOCH_EVERY} requests each)\n",
             self.registry.epoch()
         ));
-        let win = self.registry.window(WINDOW_EPOCHS);
-        render_window(&mut out, &win);
+        let window_label = format!("window=\"{WINDOW_EPOCHS}\"");
+        render_snapshot(
+            &mut out,
+            &self.registry.window(WINDOW_EPOCHS),
+            Some(&window_label),
+        );
         out
     }
 
     /// The `/v1/trace/tail` body: the most recent `n` retained wide
-    /// events rendered as a schema-valid `ghosts-events/4` JSONL document
+    /// events rendered as a schema-valid `ghosts-events/5` JSONL document
     /// (a `tail_retention` stats event followed by one `request` event per
     /// entry, errors on the error channel).
     pub fn render_tail(&self, n: usize) -> String {
@@ -376,42 +346,29 @@ impl MetricsHub {
     }
 
     /// The `/manifest` document: server configuration echoed through a
-    /// [`RunManifest`] with cumulative metrics, robustness events and the
-    /// stage-profile table ingested.
+    /// [`RunManifest`] with the registry's cumulative metrics, the absorbed
+    /// robustness records and the stage-profile table.
     pub fn render_manifest(&self, config: &[(String, String)]) -> String {
-        let mut log = self.trace_log();
         let snap = self.registry.snapshot();
-        for (name, v) in &snap.counters {
-            let slot = log.counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        for (name, v) in &snap.volatile_counters {
-            let slot = log.volatile.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        for (name, h) in &snap.volatile_hists {
-            log.volatile.insert(format!("{name}.count"), h.count());
-            log.volatile.insert(format!("{name}.sum"), h.sum);
-        }
-        let mut manifest = RunManifest::new();
+        let mut manifest = lock(&self.records).clone();
         for (key, value) in config {
             manifest.set_config(key, value.clone());
         }
-        manifest.ingest_metrics(&log);
-        manifest.ingest_events(&log, &[]);
+        manifest.counters = snap.counters;
+        manifest.hists = snap.hists;
+        manifest.volatile = snap.volatile_counters;
+        for (name, h) in &snap.volatile_hists {
+            manifest.volatile.insert(format!("{name}.count"), h.count());
+            manifest.volatile.insert(format!("{name}.sum"), h.sum);
+        }
         manifest.ingest_stage_table(&self.profiler.table());
         manifest.to_json()
     }
 
-    /// One cumulative counter: the registry total plus any trace-derived
-    /// contribution (test and shed-policy observability).
+    /// One cumulative deterministic counter (test and shed-policy
+    /// observability).
     pub fn counter(&self, name: &str) -> u64 {
-        let traced = lock(&self.cumulative)
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0);
-        self.registry.counter_value(name).saturating_add(traced)
+        self.registry.counter_value(name)
     }
 }
 
@@ -423,6 +380,15 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// `{a,b}` for a non-empty label list, nothing otherwise.
+fn braces(labels: &[&str]) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", labels.join(","))
+    }
+}
+
 /// Renders one log-linear sketch as a Prometheus summary: the four
 /// standing quantiles plus `_sum`/`_count`/`_min`/`_max`.
 fn render_summary(out: &mut String, name: &str, labels: &[&str], h: &LogLinearHist) {
@@ -431,46 +397,47 @@ fn render_summary(out: &mut String, name: &str, labels: &[&str], h: &LogLinearHi
     }
     out.push_str(&format!("# TYPE {name} summary\n"));
     for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
-        let mut all: Vec<String> = labels.iter().map(|l| (*l).to_string()).collect();
-        all.push(format!("quantile=\"{tag}\""));
-        out.push_str(&format!("{name}{{{}}} {}\n", all.join(","), h.quantile(q)));
+        let quantile = format!("quantile=\"{tag}\"");
+        let all: Vec<&str> = labels.iter().copied().chain([quantile.as_str()]).collect();
+        out.push_str(&format!("{name}{} {}\n", braces(&all), h.quantile(q)));
     }
-    let suffix = |out: &mut String, part: &str, v: u64| {
-        if labels.is_empty() {
-            out.push_str(&format!("{name}_{part} {v}\n"));
-        } else {
-            out.push_str(&format!("{name}_{part}{{{}}} {v}\n", labels.join(",")));
-        }
-    };
-    suffix(out, "sum", h.sum);
-    suffix(out, "count", h.count());
-    suffix(out, "min", h.min);
-    suffix(out, "max", h.max);
+    let labels = braces(labels);
+    for (part, v) in [
+        ("sum", h.sum),
+        ("count", h.count()),
+        ("min", h.min),
+        ("max", h.max),
+    ] {
+        out.push_str(&format!("{name}_{part}{labels} {v}\n"));
+    }
 }
 
-/// Renders the sliding-window section: every series re-labelled with
-/// `window="N"` so scrapes can tell rates from lifetime totals.
-fn render_window(out: &mut String, win: &RegistrySnapshot) {
-    let window_label = format!("window=\"{WINDOW_EPOCHS}\"");
-    for (name, v) in &win.counters {
-        out.push_str(&format!("{}{{{window_label}}} {v}\n", sanitize(name)));
-    }
-    for (name, h) in &win.hists {
-        render_summary(out, &sanitize(name), &[&window_label], h);
-    }
-    for (name, v) in &win.volatile_counters {
-        out.push_str(&format!(
-            "{}{{lane=\"volatile\",{window_label}}} {v}\n",
-            sanitize(name)
-        ));
-    }
-    for (name, h) in &win.volatile_hists {
-        render_summary(
-            out,
-            &sanitize(name),
-            &["lane=\"volatile\"", &window_label],
-            h,
-        );
+/// Renders one snapshot: counters, then a summary per histogram, for the
+/// deterministic lane and then the `lane="volatile"` one. The lifetime
+/// section `# TYPE`s its counters; the window section re-labels every
+/// series with `window="N"` so scrapes can tell rates from lifetime
+/// totals.
+fn render_snapshot(out: &mut String, snap: &RegistrySnapshot, window: Option<&str>) {
+    let lanes = [
+        (&snap.counters, &snap.hists, None),
+        (
+            &snap.volatile_counters,
+            &snap.volatile_hists,
+            Some("lane=\"volatile\""),
+        ),
+    ];
+    for (counters, hists, lane) in lanes {
+        let labels: Vec<&str> = lane.into_iter().chain(window).collect();
+        for (name, v) in counters {
+            let n = sanitize(name);
+            if window.is_none() {
+                out.push_str(&format!("# TYPE {n} counter\n"));
+            }
+            out.push_str(&format!("{n}{} {v}\n", braces(&labels)));
+        }
+        for (name, h) in hists {
+            render_summary(out, &sanitize(name), &labels, h);
+        }
     }
 }
 
@@ -537,7 +504,6 @@ mod tests {
         assert_eq!(hub.counter("estimate.cells"), 7);
         let second = hub.render_text();
         assert_eq!(first, second, "metrics reads must not drain");
-        assert_eq!(hub.trace_log().counters, hub.trace_log().counters);
     }
 
     #[test]
@@ -593,7 +559,7 @@ mod tests {
         let summary = validate_jsonl(&body).expect("tail must be schema-valid ghosts-events");
         assert_eq!(summary.events, 2, "tail_retention + the OK request");
         assert_eq!(summary.errors, 1, "the 500 renders on the error channel");
-        assert!(body.contains("ghosts-events/4"), "{body}");
+        assert!(body.contains("ghosts-events/5"), "{body}");
         assert!(body.contains("tail_retention"));
     }
 

@@ -884,7 +884,7 @@ fn healthz(shared: &Shared) -> Response {
 }
 
 /// `GET /v1/trace/tail?n=` — the most recent `n` retained wide events as
-/// `ghosts-events/4` JSONL (default and cap: the ring capacity).
+/// `ghosts-events/5` JSONL (default and cap: the ring capacity).
 fn trace_tail(shared: &Shared, target: &str) -> Response {
     let parsed: Result<usize, _> = target
         .split_once('?')
@@ -950,7 +950,7 @@ fn estimate(shared: &Shared, request: &Request) -> Response {
     // Per-request trace recorder (logical clock: traces stay
     // deterministic; wall time lives in the hub's volatile lane). Kept
     // outside `catch_unwind` so events recorded before a panic survive
-    // into the 500 response and the cumulative log.
+    // into the 500 response and the hub's records.
     let recorder = Recorder::enabled(Arc::new(LogicalClock::new()));
     let span = recorder.root("serve").child_idx("request", request_id);
     span.event(

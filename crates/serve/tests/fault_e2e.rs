@@ -12,7 +12,7 @@ mod common;
 use common::{counter, start};
 use ghosts_faultinject::{clear, drain_fires, install, Fault, FaultPlan, FaultRule};
 use ghosts_obs::json::{parse, JsonValue};
-use ghosts_obs::validate_jsonl;
+use ghosts_obs::{validate_jsonl, RunManifest};
 use ghosts_serve::client::{get, post_json};
 use std::sync::{Mutex, MutexGuard};
 
@@ -70,6 +70,29 @@ fn server_survives_panicking_handler_and_cache_drop() {
     assert_eq!(counter(&metrics, "serve.panic"), 1);
     assert_eq!(counter(&metrics, "serve.cache.bypassed"), 1);
     assert_eq!(counter(&metrics, "serve.estimate.computed"), 2);
+
+    // `/manifest` keeps the robustness records of those requests — the
+    // handler panic and both fired faults — but no plain events.
+    let text = get(addr, "/manifest").expect("manifest").body_text();
+    let manifest = RunManifest::from_json(&text).expect("manifest parses");
+    let panics: Vec<_> = manifest.section("handler-panic").collect();
+    assert_eq!(panics.len(), 1, "{text}");
+    assert_eq!(panics[0].span, "serve/request[0]");
+    let faults: Vec<_> = manifest
+        .section("fault_injected")
+        .map(|r| (r.span.as_str(), r.str("kind")))
+        .collect();
+    assert_eq!(
+        faults,
+        [
+            // serve.handler
+            ("serve/request[0]", Some("worker-panic")),
+            // serve.cache
+            ("serve/request[1]", Some("drop-source")),
+        ],
+        "{text}"
+    );
+    assert_eq!(manifest.section("estimate").count(), 0, "{text}");
 
     let fires = drain_fires();
     assert_eq!(fires.len(), 2, "both planned rules fired: {fires:?}");

@@ -86,8 +86,44 @@ fn metrics_exposition_has_quantiles_window_and_lanes() {
         "{metrics}"
     );
     assert!(metrics.contains("# window: last"), "{metrics}");
-    // Trace-derived estimator counters merge into the same exposition.
+    // Trace-derived estimator series render through the same renderer:
+    // counters, and histograms with quantiles in both sections.
     assert!(metrics.contains("estimate_"), "{metrics}");
+    assert!(
+        metrics.contains("\nfit_glm_iterations{quantile=\"0.5\"} "),
+        "{metrics}"
+    );
+    assert!(metrics.contains("\nfit_glm_iterations_sum "), "{metrics}");
+}
+
+#[test]
+fn max_gauges_render_their_maximum_not_a_sum() {
+    let server = start(2);
+    let addr = server.local_addr();
+    // Six distinct cache keys, each selecting its model on two threads.
+    for w in 0..6 {
+        let body = format!(r#"{{"window":0,"config":{{"threads":2,"min_stratum_observed":{w}}}}}"#);
+        let res = post_json(addr, "/v1/estimate", &body).expect("estimate");
+        assert_eq!(res.status, 200, "{}", res.body_text());
+        assert_eq!(res.header("x-cache"), Some("miss"));
+    }
+    // Two more requests close the first 8-request epoch.
+    for _ in 0..2 {
+        assert_eq!(get(addr, "/healthz").expect("healthz").status, 200);
+    }
+    let metrics = get(addr, "/metrics").expect("metrics").body_text();
+    assert!(
+        metrics.contains("\nselect_par_map_workers{lane=\"volatile\"} 2\n"),
+        "{metrics}"
+    );
+    // Trace-derived series join the window section too.
+    assert!(metrics.contains("\nfit_count{window=\"8\"} "), "{metrics}");
+    let manifest = get(addr, "/manifest").expect("manifest").body_text();
+    assert!(
+        manifest.contains(r#""select.par_map_workers":2"#),
+        "{manifest}"
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -108,7 +144,7 @@ fn profile_attributes_serve_and_estimator_stages() {
 #[test]
 fn trace_tail_is_schema_valid_v4_with_retention_bias() {
     let (_, _, tail) = drive(2);
-    assert!(tail.contains("ghosts-events/4"), "{tail}");
+    assert!(tail.contains("ghosts-events/5"), "{tail}");
     let summary = ghosts_obs::validate_jsonl(&tail).expect("tail validates against the schema");
     assert!(summary.events >= 2, "tail_retention + retained requests");
     assert_eq!(summary.errors, 1, "the 400 rides the error channel");

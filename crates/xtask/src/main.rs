@@ -13,7 +13,7 @@ Usage: cargo run -p xtask -- <command>
 Commands:
   lint [flags]              run ghost-lint over the whole workspace
   lint --check-events PATH  validate a JSONL event trace (repro --trace output)
-                            against the ghosts-events/4 schema (v1–v3 traces
+                            against the ghosts-events/5 schema (v1–v4 traces
                             are still accepted)
 
 Lint flags:

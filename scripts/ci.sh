@@ -62,6 +62,11 @@ repo_root="$(pwd)"
 (cd "$smoke_dir" && "$repo_root/target/release/repro" table4 --denom 16384 --seed 7 --quiet \
     --profile --trace trace.jsonl --metrics-out manifest.json)
 cargo run -q -p xtask -- lint --check-events "$smoke_dir/trace.jsonl"
+head -n 1 "$smoke_dir/trace.jsonl" | grep -q '"schema":"ghosts-events/5"' || {
+    echo "ci.sh: the repro trace's meta line does not name ghosts-events/5" >&2
+    head -n 1 "$smoke_dir/trace.jsonl" >&2
+    exit 1
+}
 test -s "$smoke_dir/manifest.json"
 grep -q '"section":"stage_profile"' "$smoke_dir/manifest.json" || {
     echo "ci.sh: --profile manifest lacks the stage_profile section" >&2
@@ -166,6 +171,14 @@ grep -q '^serve_cache_hit_mem 1$' "$smoke_dir/serve_metrics.txt" || {
 }
 grep -q '^serve_request_us{lane="volatile",quantile="0.99"}' "$smoke_dir/serve_metrics.txt" || {
     echo "ci.sh: /metrics lacks the volatile latency quantiles" >&2
+    cat "$smoke_dir/serve_metrics.txt" >&2
+    exit 1
+}
+# Request traces fold into the hub's one registry, so a trace-derived
+# histogram renders through the same summary renderer: quantiles + _sum.
+grep -q '^fit_glm_iterations{quantile="0.5"} ' "$smoke_dir/serve_metrics.txt" && \
+    grep -q '^fit_glm_iterations_sum ' "$smoke_dir/serve_metrics.txt" || {
+    echo "ci.sh: /metrics does not render the trace-derived fit_glm_iterations summary" >&2
     cat "$smoke_dir/serve_metrics.txt" >&2
     exit 1
 }
