@@ -1,14 +1,7 @@
-//! `perf_record` — measures the estimator's hot paths through the
-//! observability layer and writes a `RunManifest` perf record
-//! (`BENCH_pr3.json` is the committed first point of the trajectory;
-//! `BENCH_pr5.json` is the serving layer's; `BENCH_pr6.json` the
-//! reliability engine's; `BENCH_pr7.json` ghost-lint's;
-//! `BENCH_pr8.json` the telemetry plane's; `BENCH_pr9.json` the durable
-//! state plane's; `BENCH_pr10.json` the address plane's).
+//! `perf_record` — one-off timings of kernels that no benchmark workload
+//! runs, each written as a `RunManifest` perf record.
 //!
 //! ```text
-//! cargo run -p ghosts-bench --release --bin perf_record -- BENCH_pr3.json
-//! cargo run -p ghosts-bench --release --bin perf_record -- serve BENCH_pr5.json
 //! cargo run -p ghosts-bench --release --bin perf_record -- reliability BENCH_pr6.json
 //! cargo run -p ghosts-bench --release --bin perf_record -- lint BENCH_pr7.json
 //! cargo run -p ghosts-bench --release --bin perf_record -- obs BENCH_pr8.json
@@ -16,61 +9,52 @@
 //! cargo run -p ghosts-bench --release --bin perf_record -- addrplane BENCH_pr10.json
 //! ```
 //!
-//! The `serve` mode measures the estimation server end to end over
-//! loopback: cold-estimate vs cached-hit latency and requests/sec at
-//! worker counts 1 and 4, against an in-process inline backend so the
-//! numbers isolate the serving layer (HTTP parse, digest, cache, single
-//! flight) from scenario generation.
+//! The first argument names the mode; the second, optional, is the output
+//! path (default: the mode's `BENCH_pr*.json` name above). A missing or
+//! unknown mode prints the mode list and exits 2 without writing anything.
+//!
+//! The pipeline itself — simulator, spoof filter, /24 projection, table
+//! build, selection, fit, range, and ghosts-serve's cold, cached and
+//! ingest traffic — is timed end to end and per layer by `ghostbench/`
+//! (see `BENCHMARK.json`), not here. The committed `BENCH_pr*.json` files
+//! are one-off history, not a comparable series: each mode uses its own
+//! field names. `BENCH_pr3.json` (estimator) and `BENCH_pr5.json` (serving
+//! layer) have no producer any more; their numbers are quoted in
+//! `CHANGES.md`.
 //!
 //! The `reliability` mode measures the parametric-bootstrap fan-out:
 //! refit+reselect throughput (refits/sec) over one fixed synthetic table
-//! at 1 worker thread and at `auto`, so the record tracks both the
-//! per-replicate cost and the parallel speed-up.
+//! at 1 worker thread and at `auto`, and asserts both give the same
+//! summary.
 //!
-//! The `lint` mode (`BENCH_pr7.json`) measures a full-workspace
-//! ghost-lint pass: the cold (empty parse cache) wall time, then warm
-//! medians at 1 thread and `auto` — the gap between the 1-thread and
-//! `auto` lanes is the per-file `par_map` speed-up, and the gap between
-//! cold and warm is the content-hash parse cache.
+//! The `lint` mode measures a full-workspace ghost-lint pass: the cold
+//! (empty parse cache) wall time, then warm medians at 1 thread and
+//! `auto` — the gap between the 1-thread and `auto` lanes is the per-file
+//! `par_map` speed-up, and the gap between cold and warm is the
+//! content-hash parse cache. The 1-thread and `auto` findings must agree.
 //!
-//! The `obs` mode (`BENCH_pr8.json`) measures the telemetry plane
-//! itself (DESIGN.md §15): counter/histogram record cost through the
-//! sharded registry — asserted at ≤100 ns/op, single-threaded and
-//! contended — the `/metrics` render time on a populated hub, and the
-//! serving layer's cache-hot request rate re-measured on the lock-free
-//! hot path (the regression check against `BENCH_pr5.json`, whose
-//! baseline is printed alongside when the file is present).
+//! The `obs` mode measures the telemetry plane itself (DESIGN.md §15):
+//! counter/histogram record cost through the sharded registry — asserted
+//! at ≤100 ns/op, single-threaded and contended — and the `/metrics` and
+//! trace-tail render times on a hub populated by cache-hot requests.
 //!
-//! The `durable` mode (`BENCH_pr9.json`) measures the crash-safe state
-//! plane (DESIGN.md §16): WAL append latency with the production
-//! fsync-per-record policy and with fsync off (the gap is the price of
-//! the durability guarantee), checkpoint write cost, recovery scan
-//! throughput over a populated log, and the end-to-end acked ingest
-//! rate of `POST /v1/observations` over loopback — the ack rate a
-//! client actually sees, fsync and all.
+//! The `durable` mode measures the crash-safe state plane (DESIGN.md
+//! §16): WAL append latency with the production fsync-per-record policy
+//! and with fsync off (the gap is the price of the durability guarantee),
+//! checkpoint write cost, and recovery scan time over a populated log,
+//! which must recover every append.
 //!
-//! The `addrplane` mode (`BENCH_pr10.json`) measures the segmented
-//! bitmap plane (DESIGN.md §17): 2^t contingency-cell construction via
-//! the word-wise kernel against the per-address oracle and a
-//! `BTreeMap<addr, mask>` baseline, at one and ten million observed
-//! addresses, plus per-probe membership cost (plane bit test and
-//! `PrefixPlane` longest-match vs `BTreeSet` lookup).
-//!
-//! Two timing lanes per workload:
-//! * `*_disabled_us` — recorder disabled (the no-op branch production code
-//!   runs with); this is the trajectory number.
-//! * `*_enabled_us` — full tracing on, to keep the cost of observing
-//!   itself observable.
+//! The `addrplane` mode measures the segmented bitmap plane (DESIGN.md
+//! §17): 2^t contingency-cell construction via the word-wise kernel
+//! against the per-address oracle and a `BTreeMap<addr, mask>` baseline,
+//! at one and ten million observed addresses (asserting equal cells and a
+//! ≥10× lead over the baseline), plus per-probe membership cost (plane
+//! bit test and `PrefixPlane` longest-match vs `BTreeSet` lookup).
 //!
 //! Wall timings are volatile by construction and land only in the
-//! manifest's `volatile` section; the deterministic counters/histograms
-//! ingested alongside them (fit counts, GLM iterations, models evaluated)
-//! are byte-stable for the pinned seed.
+//! manifest's `volatile` section and the `bench_point` records.
 
-use ghosts_core::{
-    estimate_stratified, estimate_table, CellModel, ContingencyTable, CrConfig, LogLinearModel,
-    Parallelism,
-};
+use ghosts_core::{ContingencyTable, CrConfig, Parallelism};
 use ghosts_obs::{Clock, FieldValue, LogicalClock, Recorder, RunManifest, WallClock};
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
@@ -110,11 +94,25 @@ fn median_us<F: FnMut()>(wall: &WallClock, iters: usize, mut f: F) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// The serve-mode backend: three overlapping synthetic sources over
-/// 8.0.0.0/8, big enough that a cold estimate dominates HTTP overhead.
-fn serve_backend(seed: u64) -> std::sync::Arc<ghosts_serve::InlineBackend> {
+/// Writes one perf record to `out`: the `config` echo in order, then the
+/// volatile values and `bench_point` events `rec` holds.
+fn write_record(out: &str, config: &[(&str, &str)], rec: &Recorder) {
+    let log = rec.flush();
+    let mut manifest = RunManifest::new();
+    for &(key, value) in config {
+        manifest.set_config(key, value);
+    }
+    manifest.ingest_metrics(&log);
+    manifest.ingest_events(&log, &["bench_point"]);
+    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
+        .expect("can write perf record");
+}
+
+/// The obs-mode backend: three overlapping synthetic sources over
+/// 8.0.0.0/8.
+fn serve_backend() -> Arc<ghosts_serve::InlineBackend> {
     use ghosts_net::{AddrSet, RoutedTable};
-    let mut rng = component_rng(seed, "perf-serve");
+    let mut rng = component_rng(5, "perf-serve");
     let routed = RoutedTable::from_prefixes(["8.0.0.0/8".parse().expect("prefix")]);
     let mut sources = vec![AddrSet::new(), AddrSet::new(), AddrSet::new()];
     for i in 0..40_000u32 {
@@ -127,118 +125,7 @@ fn serve_backend(seed: u64) -> std::sync::Arc<ghosts_serve::InlineBackend> {
             }
         }
     }
-    std::sync::Arc::new(ghosts_serve::InlineBackend::new(routed, sources))
-}
-
-/// Requests/sec over `clients` loopback connections issuing `per_client`
-/// digest-identical (cache-hot) POSTs each.
-fn serve_rps(
-    wall: &WallClock,
-    addr: std::net::SocketAddr,
-    clients: usize,
-    per_client: usize,
-    body: &str,
-) -> u64 {
-    let t0 = wall.now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let body = body.to_string();
-            std::thread::spawn(move || {
-                for _ in 0..per_client {
-                    let r = ghosts_serve::client::post_json(addr, "/v1/estimate", &body)
-                        .expect("serve answers");
-                    assert_eq!(r.status, 200, "{}", r.body_text());
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    let elapsed_us = (wall.now() - t0).max(1);
-    ((clients * per_client) as u64) * 1_000_000 / elapsed_us
-}
-
-/// The serving layer's perf record (`BENCH_pr5.json`).
-fn serve_mode(out: &str) {
-    use ghosts_serve::{client, MetricsHub, Server, ServerConfig};
-    let wall = WallClock::new();
-    let iters = 9usize;
-    let start = |workers: usize| {
-        Server::bind(
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-            serve_backend(5),
-            MetricsHub::wall(),
-        )
-        .expect("bind loopback")
-    };
-
-    eprintln!("perf_record: timing cold vs cached estimates (1 worker)…");
-    let server = start(1);
-    let addr = server.local_addr();
-    // Distinct `limit` values give distinct digests: every request below
-    // is a cache miss that runs the estimator ("cold").
-    let mut next_limit = 10_000_000u64;
-    let cold_us = median_us(&wall, iters, || {
-        next_limit += 1;
-        let body = format!("{{\"window\":0,\"limit\":{next_limit}}}");
-        let r = client::post_json(addr, "/v1/estimate", &body).expect("serve answers");
-        assert_eq!(r.status, 200, "{}", r.body_text());
-    });
-    let hot_body = r#"{"window":0}"#;
-    client::post_json(addr, "/v1/estimate", hot_body).expect("warm the cache");
-    let cached_us = median_us(&wall, iters, || {
-        let r = client::post_json(addr, "/v1/estimate", hot_body).expect("serve answers");
-        assert_eq!(r.status, 200);
-        assert_eq!(r.header("x-cache"), Some("hit-mem"));
-    });
-
-    eprintln!("perf_record: cache-hot throughput at 1 and 4 workers…");
-    let rps_w1 = serve_rps(&wall, addr, 1, 200, hot_body);
-    server.shutdown();
-    let server = start(4);
-    let addr = server.local_addr();
-    client::post_json(addr, "/v1/estimate", hot_body).expect("warm the cache");
-    let rps_w4 = serve_rps(&wall, addr, 4, 200, hot_body);
-    let shed = server.hub().counter("serve.shed");
-    server.shutdown();
-
-    let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
-    rec.volatile_add("perf.serve_cold_us", cold_us);
-    rec.volatile_add("perf.serve_cached_us", cached_us);
-    rec.volatile_add("perf.serve_rps_workers1", rps_w1);
-    rec.volatile_add("perf.serve_rps_workers4", rps_w4);
-    rec.root("perf").event(
-        "bench_point",
-        &[
-            ("bench", FieldValue::Str("pr5".to_string())),
-            ("serve_cold_us", FieldValue::U64(cold_us)),
-            ("serve_cached_us", FieldValue::U64(cached_us)),
-            ("serve_rps_workers1", FieldValue::U64(rps_w1)),
-            ("serve_rps_workers4", FieldValue::U64(rps_w4)),
-            ("shed_during_bench", FieldValue::U64(shed)),
-        ],
-    );
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr5");
-    manifest.set_config(
-        "workload.serve",
-        "inline backend, 3 sources x ~40k addrs; cold = unique limit per \
-         request, cached/rps = digest-identical requests",
-    );
-    manifest.set_config("iters", iters.to_string());
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
-    eprintln!(
-        "perf_record: serve cold {cold_us}us / cached {cached_us}us, \
-         {rps_w1} req/s @1 worker, {rps_w4} req/s @4 workers → {out}"
-    );
+    Arc::new(ghosts_serve::InlineBackend::new(routed, sources))
 }
 
 /// The reliability engine's perf record (`BENCH_pr6.json`): bootstrap
@@ -298,17 +185,17 @@ fn reliability_mode(out: &str) {
             ),
         ],
     );
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr6");
-    manifest.set_config(
-        "workload.bootstrap",
-        "5 sources x 40k individuals, 400 parametric replicates (refit + reselect each)",
+    write_record(
+        out,
+        &[
+            ("bench", "pr6"),
+            (
+                "workload.bootstrap",
+                "5 sources x 40k individuals, 400 parametric replicates (refit + reselect each)",
+            ),
+        ],
+        &rec,
     );
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
     eprintln!(
         "perf_record: bootstrap {rps_t1} refits/s @1 thread, {rps_auto} refits/s @auto \
          ({:.1}x) → {out}",
@@ -357,18 +244,18 @@ fn lint_mode(out: &str) {
             ),
         ],
     );
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr7");
-    manifest.set_config(
-        "workload.lint",
-        "full workspace ghost-lint: lex + item tree + call graph + 15 rules",
+    write_record(
+        out,
+        &[
+            ("bench", "pr7"),
+            (
+                "workload.lint",
+                "full workspace ghost-lint: lex + item tree + call graph + 15 rules",
+            ),
+            ("iters", &iters.to_string()),
+        ],
+        &rec,
     );
-    manifest.set_config("iters", iters.to_string());
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
     eprintln!(
         "perf_record: lint cold {cold_us}us, warm {warm_t1_us}us @1 thread / \
          {warm_auto_us}us @auto ({:.1}x), {} findings → {out}",
@@ -378,9 +265,8 @@ fn lint_mode(out: &str) {
 }
 
 /// The telemetry plane's perf record (`BENCH_pr8.json`): record-path
-/// cost of the sharded registry, `/metrics` render time on a populated
-/// hub, and the serve request rate re-measured on the lock-free hot
-/// path.
+/// cost of the sharded registry and the `/metrics` and trace-tail render
+/// times on a populated hub.
 fn obs_mode(out: &str) {
     use ghosts_obs::Registry;
     use ghosts_serve::{client, MetricsHub, Server, ServerConfig};
@@ -420,8 +306,9 @@ fn obs_mode(out: &str) {
     }
     let contended_ns = (wall.now() - t0).max(1) * 1000 / OPS;
     // The headline contract: recording must stay out of the request
-    // latency budget. 100 ns/op is the bar ISSUE 8 sets; a mutex-backed
-    // hub fails it under contention, the sharded cells pass with margin.
+    // latency budget. 100 ns/op is the bar (DESIGN.md §15.1); a
+    // mutex-backed hub fails it under contention, the sharded cells pass
+    // with margin.
     assert!(
         counter_ns <= 100,
         "counter record {counter_ns} ns/op breaches the 100 ns budget"
@@ -435,23 +322,23 @@ fn obs_mode(out: &str) {
         "contended counter record {contended_ns} ns/op breaches the 100 ns budget"
     );
 
-    eprintln!("perf_record: cache-hot serve throughput on the lock-free hub…");
-    let start = |workers: usize| {
-        Server::bind(
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-            serve_backend(5),
-            MetricsHub::wall(),
-        )
-        .expect("bind loopback")
-    };
-    let hot_body = r#"{"window":0}"#;
-    let server = start(1);
+    eprintln!("perf_record: populating a hub with cache-hot estimates…");
+    let server = Server::bind(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        serve_backend(),
+        MetricsHub::wall(),
+    )
+    .expect("bind loopback");
     let addr = server.local_addr();
+    let hot_body = r#"{"window":0}"#;
     client::post_json(addr, "/v1/estimate", hot_body).expect("warm the cache");
-    let rps_w1 = serve_rps(&wall, addr, 1, 200, hot_body);
+    for _ in 0..200 {
+        let r = client::post_json(addr, "/v1/estimate", hot_body).expect("serve answers");
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    }
     // Render timing on the hub this run just populated — counters,
     // latency sketch, epochs and tail are all live, so this is the
     // scrape cost an operator actually pays.
@@ -463,30 +350,6 @@ fn obs_mode(out: &str) {
         std::hint::black_box(hub.render_tail(64));
     });
     server.shutdown();
-    let server = start(4);
-    let addr = server.local_addr();
-    client::post_json(addr, "/v1/estimate", hot_body).expect("warm the cache");
-    let rps_w4 = serve_rps(&wall, addr, 4, 200, hot_body);
-    server.shutdown();
-
-    // The acceptance bar: req/s must not regress against the serving
-    // layer's pre-telemetry record. Read the committed baseline when
-    // it is on disk (perf_record runs from the repo root in CI).
-    let pr5_rps = std::fs::read_to_string("BENCH_pr5.json")
-        .ok()
-        .and_then(|s| ghosts_obs::json::parse(&s).ok())
-        .and_then(|v| {
-            v.get("volatile")
-                .and_then(|vol| vol.get("perf.serve_rps_workers1"))
-                .and_then(ghosts_obs::json::JsonValue::as_u64)
-        });
-    if let Some(baseline) = pr5_rps {
-        eprintln!(
-            "perf_record: {rps_w1} req/s @1 worker vs BENCH_pr5.json baseline {baseline} \
-             ({:+.1}%)",
-            100.0 * (rps_w1 as f64 - baseline as f64) / baseline as f64
-        );
-    }
 
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
     rec.volatile_add("perf.obs_counter_record_ns", counter_ns);
@@ -494,48 +357,42 @@ fn obs_mode(out: &str) {
     rec.volatile_add("perf.obs_counter_contended_ns", contended_ns);
     rec.volatile_add("perf.obs_metrics_render_us", render_us);
     rec.volatile_add("perf.obs_tail_render_us", tail_us);
-    rec.volatile_add("perf.serve_rps_workers1", rps_w1);
-    rec.volatile_add("perf.serve_rps_workers4", rps_w4);
-    let mut fields = vec![
-        ("bench", FieldValue::Str("pr8".to_string())),
-        ("counter_record_ns", FieldValue::U64(counter_ns)),
-        ("hist_record_ns", FieldValue::U64(hist_ns)),
-        ("counter_contended_ns", FieldValue::U64(contended_ns)),
-        ("metrics_render_us", FieldValue::U64(render_us)),
-        ("tail_render_us", FieldValue::U64(tail_us)),
-        ("serve_rps_workers1", FieldValue::U64(rps_w1)),
-        ("serve_rps_workers4", FieldValue::U64(rps_w4)),
-    ];
-    if let Some(baseline) = pr5_rps {
-        fields.push(("pr5_rps_workers1_baseline", FieldValue::U64(baseline)));
-    }
-    rec.root("perf").event("bench_point", &fields);
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr8");
-    manifest.set_config(
-        "workload.obs",
-        "8M counter/hist records (1 and 4 threads) through the sharded registry; \
-         /metrics + trace-tail render on a live hub; cache-hot serve rps as in pr5",
+    rec.root("perf").event(
+        "bench_point",
+        &[
+            ("bench", FieldValue::Str("pr8".to_string())),
+            ("counter_record_ns", FieldValue::U64(counter_ns)),
+            ("hist_record_ns", FieldValue::U64(hist_ns)),
+            ("counter_contended_ns", FieldValue::U64(contended_ns)),
+            ("metrics_render_us", FieldValue::U64(render_us)),
+            ("tail_render_us", FieldValue::U64(tail_us)),
+        ],
     );
-    manifest.set_config("iters", iters.to_string());
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
+    write_record(
+        out,
+        &[
+            ("bench", "pr8"),
+            (
+                "workload.obs",
+                "8M counter/hist records (1 and 4 threads) through the sharded registry; \
+                 /metrics + trace-tail render on a hub after 200 cache-hot estimates",
+            ),
+            ("iters", &iters.to_string()),
+        ],
+        &rec,
+    );
     eprintln!(
         "perf_record: record {counter_ns}ns/op counter / {hist_ns}ns/op hist \
          ({contended_ns}ns/op contended), /metrics render {render_us}us, \
-         {rps_w1} req/s @1 worker, {rps_w4} req/s @4 workers → {out}"
+         tail render {tail_us}us → {out}"
     );
 }
 
 /// The durable state plane's perf record (`BENCH_pr9.json`): WAL append
-/// latency (fsync on and off), checkpoint write cost, recovery scan
-/// time, and end-to-end acked observation ingest over loopback.
+/// latency (fsync on and off), checkpoint write cost and recovery scan
+/// time.
 fn durable_mode(out: &str) {
     use ghosts_durable::{DurableLog, WalConfigOverride};
-    use ghosts_serve::{client, MetricsHub, Server, ServerConfig};
     let wall = WallClock::new();
     let iters = 9usize;
     let scratch = std::env::temp_dir().join(format!("ghosts-perf-durable-{}", std::process::id()));
@@ -589,31 +446,6 @@ fn durable_mode(out: &str) {
         log.checkpoint(&state).expect("checkpoint");
     });
     drop(log);
-
-    eprintln!("perf_record: acked observation ingest over loopback…");
-    let server = Server::bind(
-        ServerConfig {
-            ingest_dir: Some(scratch.join("serve")),
-            ..ServerConfig::default()
-        },
-        serve_backend(5),
-        MetricsHub::wall(),
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr();
-    const POSTS: u64 = 256;
-    let t0 = wall.now();
-    for i in 0..POSTS {
-        let body = format!(
-            r#"{{"key":"perf-{i}","source":"s{}","addrs":["8.0.{}.1"]}}"#,
-            i % 3,
-            i % 250
-        );
-        let r = client::post_json(addr, "/v1/observations", &body).expect("serve answers");
-        assert_eq!(r.status, 201, "{}", r.body_text());
-    }
-    let acks_per_sec = POSTS * 1_000_000 / (wall.now() - t0).max(1);
-    server.shutdown();
     let _ = std::fs::remove_dir_all(&scratch);
 
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
@@ -622,7 +454,6 @@ fn durable_mode(out: &str) {
     rec.volatile_add("perf.wal_appends_per_sec", appends_per_sec);
     rec.volatile_add("perf.wal_recovery_us", recovery_us);
     rec.volatile_add("perf.checkpoint_us", checkpoint_us);
-    rec.volatile_add("perf.ingest_acks_per_sec", acks_per_sec);
     rec.root("perf").event(
         "bench_point",
         &[
@@ -633,26 +464,25 @@ fn durable_mode(out: &str) {
             ("wal_recovery_us", FieldValue::U64(recovery_us)),
             ("recovered_records", FieldValue::U64(recovered_records)),
             ("checkpoint_us", FieldValue::U64(checkpoint_us)),
-            ("ingest_acks_per_sec", FieldValue::U64(acks_per_sec)),
         ],
     );
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr9");
-    manifest.set_config(
-        "workload.durable",
-        "512 x 256 B WAL appends (fsync on/off); recovery scan of that log; \
-         64 KiB checkpoints; 256 acked POST /v1/observations over loopback",
+    write_record(
+        out,
+        &[
+            ("bench", "pr9"),
+            (
+                "workload.durable",
+                "512 x 256 B WAL appends (fsync on/off); recovery scan of that log; \
+                 64 KiB checkpoints",
+            ),
+            ("iters", &iters.to_string()),
+        ],
+        &rec,
     );
-    manifest.set_config("iters", iters.to_string());
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
     eprintln!(
         "perf_record: WAL append {append_fsync_us}us fsync / {append_nofsync_us}us unsynced \
-         ({appends_per_sec} appends/s), recovery {recovery_us}us, checkpoint {checkpoint_us}us, \
-         {acks_per_sec} acked obs/s → {out}"
+         ({appends_per_sec} appends/s), recovery {recovery_us}us of {recovered_records} \
+         records, checkpoint {checkpoint_us}us → {out}"
     );
 }
 
@@ -802,8 +632,8 @@ fn addrplane_mode(out: &str) {
              probe {plane_probe_ns}ns plane / {btree_probe_ns}ns btree"
         );
     }
-    // The acceptance bar ISSUE 10 sets: ≥10x faster cell construction
-    // than the baseline at a million addresses and up.
+    // The acceptance bar: ≥10x faster cell construction than the
+    // baseline at a million addresses and up.
     assert!(
         headline_speedup >= 10.0,
         "plane kernel speedup {headline_speedup:.1}x is below the 10x bar"
@@ -836,165 +666,45 @@ fn addrplane_mode(out: &str) {
             ("matched", FieldValue::U64(matched)),
         ],
     );
-
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr10");
-    manifest.set_config(
-        "workload.addrplane",
-        "4 sources over four /8s at 1e6 and 1e7 addresses: word-wise 2^t cell \
-         kernel vs per-address oracle vs BTreeMap<addr,mask> baseline; 2M \
-         membership probes per structure; 2M longest-match probes over 4096 \
-         random prefixes",
+    write_record(
+        out,
+        &[
+            ("bench", "pr10"),
+            (
+                "workload.addrplane",
+                "4 sources over four /8s at 1e6 and 1e7 addresses: word-wise 2^t cell \
+                 kernel vs per-address oracle vs BTreeMap<addr,mask> baseline; 2M \
+                 membership probes per structure; 2M longest-match probes over 4096 \
+                 random prefixes",
+            ),
+        ],
+        &rec,
     );
-    manifest.ingest_metrics(&log);
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
     eprintln!("perf_record: addrplane record (headline {headline_speedup:.1}x) → {out}");
 }
 
+/// A mode: its name, its run, and the record it writes by default.
+type Mode = (&'static str, fn(&str), &'static str);
+
+const MODES: [Mode; 5] = [
+    ("reliability", reliability_mode, "BENCH_pr6.json"),
+    ("lint", lint_mode, "BENCH_pr7.json"),
+    ("obs", obs_mode, "BENCH_pr8.json"),
+    ("durable", durable_mode, "BENCH_pr9.json"),
+    ("addrplane", addrplane_mode, "BENCH_pr10.json"),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("lint") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr7.json".to_string());
-        lint_mode(&out);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("reliability") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr6.json".to_string());
-        reliability_mode(&out);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("obs") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr8.json".to_string());
-        obs_mode(&out);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("durable") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr9.json".to_string());
-        durable_mode(&out);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("addrplane") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr10.json".to_string());
-        addrplane_mode(&out);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_pr5.json".to_string());
-        serve_mode(&out);
-        return;
-    }
-    let out = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr3.json".to_string());
-    let wall = WallClock::new();
-    let iters = 9usize;
-
-    let table6 = synthetic_table(6, 60_000, 1);
-    let strata: Vec<ContingencyTable> = (0..8)
-        .map(|s| synthetic_table(4, 20_000, 100 + s))
-        .collect();
-    let cfg_quiet = CrConfig {
-        truncated: false,
-        ..CrConfig::paper()
+    let mode = args.first().map(String::as_str);
+    let Some(&(_, run, default_out)) = MODES.iter().find(|(name, ..)| Some(*name) == mode) else {
+        match mode {
+            None => eprintln!("error: no mode given\n"),
+            Some(other) => eprintln!("error: unknown mode {other:?}\n"),
+        }
+        let names: Vec<&str> = MODES.iter().map(|(name, ..)| *name).collect();
+        eprintln!("usage: perf_record MODE [OUT]\nmodes: {}", names.join(" "));
+        std::process::exit(2);
     };
-
-    eprintln!("perf_record: timing estimate_table (recorder disabled)…");
-    let est_disabled_us = median_us(&wall, iters, || {
-        estimate_table(&table6, None, &cfg_quiet).expect("synthetic table estimable");
-    });
-
-    eprintln!("perf_record: timing estimate_table (recorder enabled)…");
-    // One long-lived recorder: the enabled lane measures recording into a
-    // live sink, and its counters become the deterministic payload below.
-    let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
-    let cfg_traced = CrConfig {
-        truncated: false,
-        obs: rec.root("perf").child("select6"),
-        ..CrConfig::paper()
-    };
-    let est_enabled_us = median_us(&wall, iters, || {
-        estimate_table(&table6, None, &cfg_traced).expect("synthetic table estimable");
-    });
-
-    eprintln!("perf_record: timing estimate_stratified (8 strata, auto threads)…");
-    let strat_cfg = CrConfig {
-        truncated: false,
-        min_stratum_observed: 100,
-        parallelism: Parallelism::Auto,
-        obs: rec.root("perf").child("stratified"),
-        ..CrConfig::paper()
-    };
-    let strat_us = median_us(&wall, 3, || {
-        estimate_stratified(&strata, None, &strat_cfg);
-    });
-
-    eprintln!("perf_record: timing fit_llm (independence, 6 sources)…");
-    let indep = LogLinearModel::independence(6);
-    let fit_us = median_us(&wall, iters, || {
-        ghosts_core::fit_llm(&table6, &indep, CellModel::Poisson).expect("fit");
-    });
-
-    rec.volatile_add("perf.estimate_table_disabled_us", est_disabled_us);
-    rec.volatile_add("perf.estimate_table_enabled_us", est_enabled_us);
-    rec.volatile_add("perf.estimate_stratified_us", strat_us);
-    rec.volatile_add("perf.fit_llm_us", fit_us);
-    rec.volatile_max("perf.worker_threads", Parallelism::Auto.threads() as u64);
-    let overhead_pct = if est_disabled_us > 0 {
-        100.0 * (est_enabled_us as f64 - est_disabled_us as f64) / est_disabled_us as f64
-    } else {
-        0.0
-    };
-    rec.root("perf").event(
-        "bench_point",
-        &[
-            ("bench", FieldValue::Str("pr3".to_string())),
-            (
-                "estimate_table_disabled_us",
-                FieldValue::U64(est_disabled_us),
-            ),
-            ("estimate_table_enabled_us", FieldValue::U64(est_enabled_us)),
-            ("tracing_overhead_pct", FieldValue::F64(overhead_pct)),
-            ("estimate_stratified_us", FieldValue::U64(strat_us)),
-            ("fit_llm_us", FieldValue::U64(fit_us)),
-        ],
-    );
-
-    let log = rec.flush();
-    let mut manifest = RunManifest::new();
-    manifest.set_config("bench", "pr3");
-    manifest.set_config("workload.select", "6 sources x 60k individuals, BIC");
-    manifest.set_config("workload.stratified", "8 strata x 4 sources x 20k");
-    manifest.set_config("iters", iters.to_string());
-    manifest.ingest_metrics(&log);
-    // Only the summary point: the enabled lane re-records model_chosen et
-    // al. every iteration, and those repeats add nothing to a perf record.
-    manifest.ingest_events(&log, &["bench_point"]);
-    ghosts_durable::atomic_write(std::path::Path::new(&out), manifest.to_json().as_bytes())
-        .expect("can write perf record");
-    eprintln!(
-        "perf_record: estimate_table {est_disabled_us}us (disabled) / {est_enabled_us}us \
-         (enabled, {overhead_pct:+.1}%), stratified {strat_us}us, fit {fit_us}us → {out}"
-    );
+    run(args.get(1).map_or(default_out, String::as_str));
 }

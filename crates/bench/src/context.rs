@@ -13,7 +13,7 @@ use ghosts_core::{
 use ghosts_net::SubnetSet;
 use ghosts_obs::{Recorder, Scope, StageProfiler};
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
-use ghosts_pipeline::spoof_filter::{filter_spoofed_profiled, SpoofFilterConfig};
+use ghosts_pipeline::spoof_filter::{filter_spoofed_traced, SpoofFilterConfig};
 use ghosts_pipeline::time::{paper_windows, TimeWindow};
 use ghosts_sim::{Scenario, SimConfig};
 use ghosts_stats::rng::component_rng;
@@ -173,7 +173,8 @@ impl ReproContext {
     }
 
     /// Analysis-ready window data: SWIN/CALT passed through the §4.5
-    /// spoof filter (universe-aware at mini-Internet scale).
+    /// spoof filter (universe-aware at mini-Internet scale). Each filter
+    /// pass is profiled as `pipeline/spoof_filter`.
     pub fn filtered_window(&self, i: usize) -> Arc<WindowData> {
         self.filtered.get_or_insert_with(i, || {
             let raw = self.raw_window(i);
@@ -192,14 +193,16 @@ impl ReproContext {
                             self.scenario.gt.cfg.seed,
                             &format!("repro-filter-{}-{}", d.name, i),
                         );
-                        let report = filter_spoofed_profiled(
-                            &d.addrs,
-                            &spoof_free,
-                            &fcfg,
-                            &mut rng,
-                            &obs.child(&d.name),
-                            &profile,
-                        );
+                        let report = {
+                            let _stage = profile.enter("spoof_filter");
+                            filter_spoofed_traced(
+                                &d.addrs,
+                                &spoof_free,
+                                &fcfg,
+                                &mut rng,
+                                &obs.child(&d.name),
+                            )
+                        };
                         SourceDataset::new(d.name.clone(), report.filtered, false)
                     }
                 })

@@ -180,6 +180,23 @@ pub fn estimate_table(
     limit: Option<u64>,
     cfg: &CrConfig,
 ) -> Result<CrEstimate, EstimateError> {
+    let Some(cell_model) = preamble(table, limit, cfg)? else {
+        return Ok(empty_estimate());
+    };
+    let (est, _) = estimate_cell(table, cell_model, None, cfg)?;
+    record_estimate(&cfg.obs, &est);
+    Ok(est)
+}
+
+/// The checks every entry point runs before fitting: fewer than two
+/// sources is an `estimate_failed` error, and an empty table has nothing
+/// to fit. Returns the cell model to fit, or `None` for an empty table,
+/// whose answer is [`empty_estimate`].
+fn preamble(
+    table: &ContingencyTable,
+    limit: Option<u64>,
+    cfg: &CrConfig,
+) -> Result<Option<CellModel>, EstimateError> {
     if table.num_sources() < 2 {
         cfg.obs.error(
             "estimate_failed",
@@ -195,20 +212,22 @@ pub fn estimate_table(
     invariant::check_table(table);
     if table.observed_total() == 0 {
         cfg.obs.event("estimate_empty", &[]);
-        return Ok(CrEstimate {
-            observed: 0,
-            unseen: 0.0,
-            total: 0.0,
-            model: String::from("(empty)"),
-            ic: f64::NAN,
-            divisor: 1,
-            degraded: None,
-        });
+        return Ok(None);
     }
-    let cell_model = cfg.cell_model(limit);
-    let (est, _) = estimate_cell(table, cell_model, None, cfg)?;
-    record_estimate(&cfg.obs, &est);
-    Ok(est)
+    Ok(Some(cfg.cell_model(limit)))
+}
+
+/// The estimate of an empty table: nothing observed, no ghosts.
+fn empty_estimate() -> CrEstimate {
+    CrEstimate {
+        observed: 0,
+        unseen: 0.0,
+        total: 0.0,
+        model: String::from("(empty)"),
+        ic: f64::NAN,
+        divisor: 1,
+        degraded: None,
+    }
 }
 
 /// The shared select → fit (→ range) path of [`estimate_table`] and
@@ -331,19 +350,22 @@ fn record_estimate(obs: &Scope, est: &CrEstimate) {
 /// Like [`estimate_table`] but also computes the profile-likelihood range
 /// at the paper's `α = 10⁻⁷`. Under the degradation ladder the estimate
 /// and the range always come from the *same* rung; the terminal Chao rung
-/// reports the one-sided range `[n̂, ∞)`.
+/// reports the one-sided range `[n̂, ∞)`, and so does an empty table
+/// (`[0, ∞)`), which no model bounds either.
 pub fn estimate_table_with_range(
     table: &ContingencyTable,
     limit: Option<u64>,
     cfg: &CrConfig,
 ) -> Result<(CrEstimate, EstimateRange), EstimateError> {
-    if table.num_sources() < 2 {
-        return Err(EstimateError::NotEnoughSources {
-            got: table.num_sources(),
-        });
-    }
-    invariant::check_table(table);
-    let cell_model = cfg.cell_model(limit);
+    let Some(cell_model) = preamble(table, limit, cfg)? else {
+        let range = EstimateRange {
+            lower: 0.0,
+            point: 0.0,
+            upper: f64::INFINITY,
+            alpha: PAPER_ALPHA,
+        };
+        return Ok((empty_estimate(), range));
+    };
     let (est, range) = estimate_cell(table, cell_model, Some(PAPER_ALPHA), cfg)?;
     let range = range.expect("estimate_cell returns a range when alpha is set"); // lint: allow(no-unwrap) alpha was passed
     record_estimate(&cfg.obs, &est);
@@ -366,7 +388,8 @@ pub struct CrFit {
 /// means alongside the estimate, and never walks the degradation ladder:
 /// a parametric bootstrap needs a parametric model to resample from, so a
 /// selection or fit failure here must surface as an error the replicate
-/// engine can isolate, not silently swap in a Chao bound.
+/// engine can isolate, not silently swap in a Chao bound. An empty table
+/// gets the `(empty)` estimate with every expected cell zero.
 ///
 /// # Errors
 ///
@@ -377,13 +400,13 @@ pub fn estimate_table_with_fit(
     limit: Option<u64>,
     cfg: &CrConfig,
 ) -> Result<CrFit, EstimateError> {
-    if table.num_sources() < 2 {
-        return Err(EstimateError::NotEnoughSources {
-            got: table.num_sources(),
+    let Some(cell_model) = preamble(table, limit, cfg)? else {
+        return Ok(CrFit {
+            estimate: empty_estimate(),
+            // All zero: the table is empty.
+            expected_cells: table.observed_cells(),
         });
-    }
-    invariant::check_table(table);
-    let cell_model = cfg.cell_model(limit);
+    };
     let sel = select_model(table, cell_model, &selection_with_obs(cfg))?;
     let fit = fit_llm_opts(table, &sel.model, cell_model, &cfg.fit, &cfg.obs)?;
     let estimate = CrEstimate {
@@ -626,21 +649,61 @@ mod tests {
         assert!(est.total <= limit as f64 + 1e-6, "{est:?}");
     }
 
+    /// An empty table gets the `(empty)` estimate from every entry point,
+    /// truncated or not: the range is the one-sided `[0, ∞)` and every
+    /// expected cell is zero.
     #[test]
     fn empty_table_is_zero() {
         let table = ContingencyTable::new(3);
-        let est = estimate_table(&table, None, &CrConfig::paper()).unwrap();
-        assert_eq!(est.observed, 0);
-        assert_eq!(est.total, 0.0);
+        for (truncated, limit) in [(false, None), (true, Some(1000))] {
+            let cfg = CrConfig {
+                truncated,
+                ..CrConfig::paper()
+            };
+            let est = estimate_table(&table, limit, &cfg).unwrap();
+            let (ranged, range) = estimate_table_with_range(&table, limit, &cfg).unwrap();
+            let fit = estimate_table_with_fit(&table, limit, &cfg).unwrap();
+            for e in [&est, &ranged, &fit.estimate] {
+                assert_eq!(e.observed, 0);
+                assert_eq!(e.total, 0.0);
+                assert_eq!(e.model, "(empty)");
+            }
+            assert_eq!((range.lower, range.point), (0.0, 0.0));
+            assert_eq!(range.upper, f64::INFINITY);
+            assert_eq!(fit.expected_cells, vec![0.0; 7]);
+        }
     }
 
+    /// Every entry point rejects a one-source table with the same error
+    /// and the same `estimate_failed` event.
     #[test]
     fn one_source_rejected() {
         let table = ContingencyTable::from_histories(1, [1u16, 1, 1]);
-        assert!(matches!(
-            estimate_table(&table, None, &CrConfig::paper()),
-            Err(EstimateError::NotEnoughSources { got: 1 })
-        ));
+        let rec =
+            ghosts_obs::Recorder::enabled(std::sync::Arc::new(ghosts_obs::LogicalClock::new()));
+        let cfg = CrConfig {
+            obs: rec.root("estimate"),
+            ..CrConfig::paper()
+        };
+        let got = [
+            estimate_table(&table, None, &cfg).err(),
+            estimate_table_with_range(&table, None, &cfg).err(),
+            estimate_table_with_fit(&table, None, &cfg).err(),
+        ];
+        for err in got {
+            assert!(matches!(
+                err,
+                Some(EstimateError::NotEnoughSources { got: 1 })
+            ));
+        }
+        let failed = rec
+            .flush()
+            .spans
+            .into_iter()
+            .flat_map(|(_, events)| events)
+            .filter(|e| e.name == "estimate_failed")
+            .count();
+        assert_eq!(failed, 3);
     }
 
     #[test]

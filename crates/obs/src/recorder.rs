@@ -276,18 +276,6 @@ impl Recorder {
         }
     }
 
-    /// Reads the recorder's clock (0 when disabled). With a wall clock this
-    /// is microseconds since start; with a logical clock, an event tick.
-    /// Readings must only feed the volatile lane.
-    pub fn now(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.clock.now())
-    }
-
-    /// Whether the clock is wall time (false when disabled).
-    pub fn clock_is_wall(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.clock.is_wall())
-    }
-
     /// Adds to a volatile (manifest-only) value — wall durations, task
     /// counts, anything thread-count dependent.
     pub fn volatile_add(&self, name: &str, delta: u64) {
@@ -309,16 +297,6 @@ impl Recorder {
                 gauges.insert(name.to_string());
             }
             fold_volatile(values, name, value, gauge);
-        }
-    }
-
-    /// Records the clock delta since `start` into the volatile lane, under
-    /// `name`. Use with [`now`](Self::now):
-    /// `let t = rec.now(); …; rec.elapsed_volatile("stage_us", t);`
-    pub fn elapsed_volatile(&self, name: &str, start: u64) {
-        if self.inner.is_some() {
-            let end = self.now();
-            self.volatile_add(name, end.saturating_sub(start));
         }
     }
 
@@ -690,7 +668,6 @@ mod tests {
         rec.add("c", 5);
         rec.observe("h", 3);
         rec.volatile_add("v", 1);
-        assert_eq!(rec.now(), 0);
         let log = rec.flush();
         assert_eq!(log, EventLog::default());
     }

@@ -3,7 +3,7 @@
 
 use crate::dataset::WindowData;
 use ghosts_net::{AddrSet, SubnetSet};
-use ghosts_obs::{FieldValue, Scope, StageProfiler};
+use ghosts_obs::{FieldValue, Scope};
 
 /// One row of a Table-2-style summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,17 +89,6 @@ pub fn window_observed_traced(data: &WindowData, obs: &Scope) -> WindowObserved 
         }
     }
     observed
-}
-
-/// [`window_observed_traced`] with stage attribution: the union counting
-/// is charged to a `window_observed` stage of `profile`.
-pub fn window_observed_profiled(
-    data: &WindowData,
-    obs: &Scope,
-    profile: &StageProfiler,
-) -> WindowObserved {
-    let _stage = profile.enter("window_observed");
-    window_observed_traced(data, obs)
 }
 
 /// Per-source observation sizes for a window (the per-dataset columns the

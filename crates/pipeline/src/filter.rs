@@ -4,7 +4,7 @@
 
 use ghosts_net::bogons::is_reserved;
 use ghosts_net::{AddrSet, RoutedTable};
-use ghosts_obs::{FieldValue, Scope, StageProfiler};
+use ghosts_obs::{FieldValue, Scope};
 
 /// Statistics of a filtering pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,19 +56,6 @@ pub fn filter_to_routed_traced(
         ],
     );
     (out, stats)
-}
-
-/// [`filter_to_routed_traced`] with stage attribution: the whole pass is
-/// charged to a `filter_routed` stage of `profile` (call count
-/// deterministic, duration in the profiler's clock).
-pub fn filter_to_routed_profiled(
-    set: &AddrSet,
-    routed: &RoutedTable,
-    obs: &Scope,
-    profile: &StageProfiler,
-) -> (AddrSet, FilterStats) {
-    let _stage = profile.enter("filter_routed");
-    filter_to_routed_traced(set, routed, obs)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use ghosts_addrplane::AddrPlane;
 use ghosts_net::AddrSet;
-use ghosts_obs::{FieldValue, Scope, StageProfiler};
+use ghosts_obs::{FieldValue, Scope};
 use ghosts_stats::Binomial;
 use rand::Rng;
 
@@ -199,20 +199,6 @@ pub fn filter_spoofed_traced<R: Rng + ?Sized>(
     let report = filter_spoofed_inner(target, spoof_free, cfg, rng);
     report.record(obs);
     report
-}
-
-/// [`filter_spoofed_traced`] with stage attribution: the whole pass is
-/// charged to a `spoof_filter` stage of `profile`.
-pub fn filter_spoofed_profiled<R: Rng + ?Sized>(
-    target: &AddrSet,
-    spoof_free: &AddrSet,
-    cfg: &SpoofFilterConfig,
-    rng: &mut R,
-    obs: &Scope,
-    profile: &StageProfiler,
-) -> SpoofFilterReport {
-    let _stage = profile.enter("spoof_filter");
-    filter_spoofed_traced(target, spoof_free, cfg, rng, obs)
 }
 
 fn filter_spoofed_inner<R: Rng + ?Sized>(

@@ -32,6 +32,27 @@ cmp -s target/lint-baseline.fresh.json lint-baseline.json || {
     exit 1
 }
 
+echo "==> ghostbench check (the benchmark harness builds and keeps its lockfile)"
+# Tier-1 never builds ghostbench/: a library change that breaks the
+# harness, or a dependency edit that makes ghostbench/run.sh rewrite
+# ghostbench/Cargo.lock, would otherwise show only when the benchmark
+# runs. `--locked` alone does not catch a dropped dependency, so the
+# lockfile is compared byte for byte and restored if the check changed it.
+cp ghostbench/Cargo.lock target/ghostbench-Cargo.lock.orig
+ghostbench_rc=0
+cargo check --offline --manifest-path ghostbench/Cargo.toml \
+    --target-dir target/ghostbench-check || ghostbench_rc=$?
+cmp -s ghostbench/Cargo.lock target/ghostbench-Cargo.lock.orig || {
+    echo "ci.sh: checking ghostbench rewrote ghostbench/Cargo.lock (restored):" >&2
+    diff target/ghostbench-Cargo.lock.orig ghostbench/Cargo.lock >&2 || true
+    cp target/ghostbench-Cargo.lock.orig ghostbench/Cargo.lock
+    exit 1
+}
+if [ "$ghostbench_rc" -ne 0 ]; then
+    echo "ci.sh: ghostbench does not build against this tree" >&2
+    exit 1
+fi
+
 echo "==> addrplane smoke (bitwise 2^t kernel ≡ per-address table on the repro scenario)"
 # The plane kernel must agree cell-for-cell with the per-address build at
 # multiple thread counts before anything downstream trusts it (DESIGN.md
