@@ -55,17 +55,17 @@ impl TextTable {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.chars().count());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.chars().count());
             }
         }
         let mut out = String::new();
         let write_row = |out: &mut String, cells: &[String]| {
-            for (i, cell) in cells.iter().enumerate() {
+            for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
                 if i > 0 {
                     out.push_str("  ");
                 }
-                let pad = widths[i] - cell.chars().count();
+                let pad = width - cell.chars().count();
                 // Right-align numeric-looking cells, left-align the rest.
                 let numeric = !cell.is_empty()
                     && cell.chars().any(|c| c.is_ascii_digit())

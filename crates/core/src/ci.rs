@@ -63,28 +63,6 @@ impl From<GlmError> for CiError {
     }
 }
 
-/// Profile log-likelihood at ghost count `n0` (≥ 0).
-fn profile_loglik(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    fit_opts: &FitOptions,
-    n0: f64,
-) -> Result<f64, GlmError> {
-    let design = model.design_with_ghost();
-    let mut y = Vec::with_capacity(design.rows());
-    y.push(n0.max(0.0));
-    y.extend(table.observed_cells());
-    let family = match cell_model {
-        CellModel::Poisson => glm::CountFamily::Poisson,
-        CellModel::Truncated { limit } => {
-            glm::CountFamily::TruncatedPoisson(vec![limit.max(1); y.len()])
-        }
-    };
-    let fit = glm::fit(&design, &y, &family, fit_opts.glm_options())?;
-    Ok(fit.log_likelihood)
-}
-
 /// Computes the profile-likelihood range for `N̂` under `model`.
 ///
 /// # Errors
@@ -156,6 +134,19 @@ pub fn profile_interval_opts(
     }
     let point_fit = fit_llm_opts(table, model, cell_model, fit_opts, obs)?;
     let z0_hat = point_fit.z0;
+    // The profile log-likelihood at ghost count `n0` (≥ 0). The design
+    // with the ghost row, the observed cells and the cell family are built
+    // once per interval, not once per evaluation.
+    let design = model.design_with_ghost();
+    let family = cell_model.family(design.rows(), 1);
+    let observed_cells = table.observed_cells();
+    let profile_loglik = |n0: f64| -> Result<f64, GlmError> {
+        let mut y = Vec::with_capacity(design.rows());
+        y.push(n0.max(0.0));
+        y.extend(&observed_cells);
+        let response = glm::Response::new(&y, &family)?;
+        Ok(glm::fit(&design, &response, fit_opts.glm_options())?.log_likelihood)
+    };
     // The profile search is sequential, so a plain Cell counts evaluations.
     let evals = Cell::new(0u64);
 
@@ -165,18 +156,17 @@ pub fn profile_interval_opts(
     let hi_bracket = (z0_hat * 3.0).max(10.0);
     let neg_ell = |n0: f64| -> f64 {
         evals.set(evals.get() + 1);
-        -profile_loglik(table, model, cell_model, fit_opts, n0).unwrap_or(f64::NEG_INFINITY)
+        -profile_loglik(n0).unwrap_or(f64::NEG_INFINITY)
     };
     let n0_star = golden_min(neg_ell, lo_bracket, hi_bracket, 1e-8)
         .expect("bracket is well-formed by construction"); // lint: allow(no-unwrap) lo < hi checked above
-    let ell_max = profile_loglik(table, model, cell_model, fit_opts, n0_star)?;
+    let ell_max = profile_loglik(n0_star)?;
     let threshold = ell_max - ChiSquared::new(1.0).quantile(1.0 - alpha) / 2.0;
 
     // Shifted profile: positive inside the interval, negative outside.
     let g = |n0: f64| -> f64 {
         evals.set(evals.get() + 1);
-        profile_loglik(table, model, cell_model, fit_opts, n0).unwrap_or(f64::NEG_INFINITY)
-            - threshold
+        profile_loglik(n0).unwrap_or(f64::NEG_INFINITY) - threshold
     };
 
     // Lower end: between 0 and the maximiser.

@@ -150,15 +150,17 @@ pub fn fit_llm_opts(
     let design = model.design();
     let y = table.observed_cells();
     let family = cell_model.family(y.len(), 1);
-    let glm = glm::fit(&design, &y, &family, fit_opts.glm_options()).inspect_err(|e| {
-        obs.error(
-            "fit_failed",
-            &[
-                ("model", FieldValue::Str(model.describe())),
-                ("error", FieldValue::Str(e.to_string())),
-            ],
-        );
-    })?;
+    let glm = glm::Response::new(&y, &family)
+        .and_then(|response| glm::fit(&design, &response, fit_opts.glm_options()))
+        .inspect_err(|e| {
+            obs.error(
+                "fit_failed",
+                &[
+                    ("model", FieldValue::Str(model.describe())),
+                    ("error", FieldValue::Str(e.to_string())),
+                ],
+            );
+        })?;
     invariant::check_glm(&glm, &y, &family);
     let observed = table.observed_total();
     // lint: allow(panic-path) coef has one entry per design column and the intercept is column 0

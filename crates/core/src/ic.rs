@@ -13,7 +13,7 @@
 use crate::fit::{CellModel, FitOptions};
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
-use ghosts_stats::glm::{self, GlmError};
+use ghosts_stats::glm::{self, GlmError, GlmOptions};
 
 /// Which information criterion to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,71 +97,107 @@ pub struct IcResult {
     pub log_likelihood: f64,
     /// Number of free parameters `k`.
     pub k: usize,
-    /// The divisor that was applied.
-    pub divisor: u64,
     /// Newton iterations the underlying GLM fit took (for the trace).
     pub iterations: usize,
     /// Whether that fit converged within its iteration budget.
     pub converged: bool,
 }
 
-/// Fits `model` to the **scaled** table and evaluates the criterion.
+/// The criterion of models fitted to one table, prepared once per model
+/// search: the divisor, the scaled counts as a GLM response (validated,
+/// with each cell's `ln Γ(y+1)` and rate bound computed once), `ln M` of
+/// the scaled total, and the Newton options every candidate fit obeys.
 ///
 /// The truncation limit is scaled alongside the counts so the bounded cell
 /// model stays consistent.
-///
-/// # Errors
-///
-/// Propagates [`GlmError`] from the fitter.
-pub fn evaluate_ic(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
+#[derive(Debug, Clone)]
+pub struct IcEvaluator {
     kind: IcKind,
-    rule: DivisorRule,
-) -> Result<IcResult, GlmError> {
-    evaluate_ic_opts(table, model, cell_model, kind, rule, &FitOptions::default())
+    divisor: u64,
+    response: glm::Response,
+    /// `ln M` of the scaled counts (at least `ln 1`), BIC's per-parameter
+    /// penalty.
+    ln_m_scaled: f64,
+    glm_opts: GlmOptions,
 }
 
-/// [`evaluate_ic`] with explicit [`FitOptions`], so the model search can
-/// impose the run's Newton budget on every candidate fit.
-///
-/// # Errors
-///
-/// Propagates [`GlmError`] from the fitter, including
-/// [`GlmError::BudgetExhausted`] when a budget is configured.
-pub fn evaluate_ic_opts(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    kind: IcKind,
-    rule: DivisorRule,
-    fit_opts: &FitOptions,
-) -> Result<IcResult, GlmError> {
-    let d = rule.divisor_for(table);
-    let y = scaled_counts(table, d);
-    let design = model.design();
-    let family = cell_model.family(y.len(), d);
-    let fit = glm::fit(&design, &y, &family, fit_opts.glm_options())?;
-    let k = model.num_params();
-    let m_scaled: f64 = y.iter().sum::<f64>().max(1.0);
-    let ic = match kind {
-        IcKind::Aic => 2.0 * k as f64 - 2.0 * fit.log_likelihood,
-        IcKind::Bic => m_scaled.ln() * k as f64 - 2.0 * fit.log_likelihood,
-    };
-    Ok(IcResult {
-        ic,
-        log_likelihood: fit.log_likelihood,
-        k,
-        divisor: d,
-        iterations: fit.iterations,
-        converged: fit.converged,
-    })
+impl IcEvaluator {
+    /// Prepares criterion `kind` on `table` under `cell_model`, with the
+    /// counts scaled by the divisor `rule` resolves to and every fit run
+    /// under `fit_opts`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GlmError`] from preparing the scaled counts.
+    pub fn new(
+        table: &ContingencyTable,
+        cell_model: CellModel,
+        kind: IcKind,
+        rule: DivisorRule,
+        fit_opts: &FitOptions,
+    ) -> Result<Self, GlmError> {
+        let divisor = rule.divisor_for(table);
+        let y = scaled_counts(table, divisor);
+        let family = cell_model.family(y.len(), divisor);
+        let m_scaled: f64 = y.iter().sum::<f64>().max(1.0);
+        Ok(Self {
+            kind,
+            divisor,
+            response: glm::Response::new(&y, &family)?,
+            ln_m_scaled: m_scaled.ln(),
+            glm_opts: fit_opts.glm_options(),
+        })
+    }
+
+    /// The divisor the rule resolved to for this table.
+    pub fn divisor(&self) -> u64 {
+        self.divisor
+    }
+
+    /// Fits `model` to the **scaled** table and evaluates the criterion.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GlmError`] from the fitter, including
+    /// [`GlmError::BudgetExhausted`] when a budget is configured.
+    pub fn evaluate(&self, model: &LogLinearModel) -> Result<IcResult, GlmError> {
+        let fit = glm::fit(&model.design(), &self.response, self.glm_opts)?;
+        let k = model.num_params();
+        let ic = match self.kind {
+            IcKind::Aic => 2.0 * k as f64 - 2.0 * fit.log_likelihood,
+            IcKind::Bic => self.ln_m_scaled * k as f64 - 2.0 * fit.log_likelihood,
+        };
+        Ok(IcResult {
+            ic,
+            log_likelihood: fit.log_likelihood,
+            k,
+            iterations: fit.iterations,
+            converged: fit.converged,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One model's criterion on Poisson cells, through an evaluator
+    /// prepared for this one evaluation.
+    fn evaluate(
+        table: &ContingencyTable,
+        model: &LogLinearModel,
+        kind: IcKind,
+        rule: DivisorRule,
+    ) -> Result<IcResult, GlmError> {
+        IcEvaluator::new(
+            table,
+            CellModel::Poisson,
+            kind,
+            rule,
+            &FitOptions::default(),
+        )?
+        .evaluate(model)
+    }
 
     fn toy_table() -> ContingencyTable {
         ContingencyTable::from_histories(
@@ -210,22 +246,8 @@ mod tests {
         let table = toy_table();
         let m_simple = LogLinearModel::independence(3);
         let m_complex = LogLinearModel::with_interactions(3, &[0b011, 0b101, 0b110]);
-        let simple = evaluate_ic(
-            &table,
-            &m_simple,
-            CellModel::Poisson,
-            IcKind::Aic,
-            DivisorRule::Fixed(1),
-        )
-        .unwrap();
-        let complex = evaluate_ic(
-            &table,
-            &m_complex,
-            CellModel::Poisson,
-            IcKind::Aic,
-            DivisorRule::Fixed(1),
-        )
-        .unwrap();
+        let simple = evaluate(&table, &m_simple, IcKind::Aic, DivisorRule::Fixed(1)).unwrap();
+        let complex = evaluate(&table, &m_complex, IcKind::Aic, DivisorRule::Fixed(1)).unwrap();
         // The complex model fits at least as well in likelihood...
         assert!(complex.log_likelihood >= simple.log_likelihood - 1e-6);
         // ...and the penalty structure is visible in k.
@@ -240,22 +262,8 @@ mod tests {
     fn bic_penalty_grows_with_m() {
         let table = toy_table();
         let m = LogLinearModel::independence(3);
-        let aic = evaluate_ic(
-            &table,
-            &m,
-            CellModel::Poisson,
-            IcKind::Aic,
-            DivisorRule::Fixed(1),
-        )
-        .unwrap();
-        let bic = evaluate_ic(
-            &table,
-            &m,
-            CellModel::Poisson,
-            IcKind::Bic,
-            DivisorRule::Fixed(1),
-        )
-        .unwrap();
+        let aic = evaluate(&table, &m, IcKind::Aic, DivisorRule::Fixed(1)).unwrap();
+        let bic = evaluate(&table, &m, IcKind::Bic, DivisorRule::Fixed(1)).unwrap();
         // M = 800 > e², so BIC's per-parameter penalty exceeds AIC's.
         assert!(bic.ic > aic.ic);
         let want = (800.0f64.ln() - 2.0) * 4.0;
@@ -270,22 +278,8 @@ mod tests {
         let m_simple = LogLinearModel::independence(3);
         let m_complex = LogLinearModel::with_interactions(3, &[0b011, 0b101, 0b110]);
         let gap = |d: u64| {
-            let s = evaluate_ic(
-                &table,
-                &m_simple,
-                CellModel::Poisson,
-                IcKind::Aic,
-                DivisorRule::Fixed(d),
-            )
-            .unwrap();
-            let c = evaluate_ic(
-                &table,
-                &m_complex,
-                CellModel::Poisson,
-                IcKind::Aic,
-                DivisorRule::Fixed(d),
-            )
-            .unwrap();
+            let s = evaluate(&table, &m_simple, IcKind::Aic, DivisorRule::Fixed(d)).unwrap();
+            let c = evaluate(&table, &m_complex, IcKind::Aic, DivisorRule::Fixed(d)).unwrap();
             c.log_likelihood - s.log_likelihood
         };
         assert!(gap(10) < gap(1));

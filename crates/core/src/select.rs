@@ -12,7 +12,7 @@
 
 use crate::fit::{CellModel, FitOptions};
 use crate::history::ContingencyTable;
-use crate::ic::{evaluate_ic_opts, DivisorRule, IcKind};
+use crate::ic::{DivisorRule, IcEvaluator, IcKind};
 use crate::invariant;
 use crate::model::LogLinearModel;
 use crate::parallel::{par_map, Parallelism};
@@ -112,9 +112,18 @@ pub fn select_model(
     opts: &SelectionOptions,
 ) -> Result<SelectionResult, GlmError> {
     invariant::check_table(table);
-    let divisor = opts.divisor.divisor_for(table);
     let span = opts.obs.child("select");
     let rec = span.recorder();
+    let baseline_failed = |e: &GlmError| {
+        span.error(
+            "baseline_failed",
+            &[("error", FieldValue::Str(e.to_string()))],
+        );
+    };
+    // One prepared criterion serves the baseline and every candidate.
+    let criterion = IcEvaluator::new(table, cell_model, opts.ic, opts.divisor, &opts.fit)
+        .inspect_err(baseline_failed)?;
+    let divisor = criterion.divisor();
     span.event(
         "search_started",
         &[
@@ -132,21 +141,9 @@ pub fn select_model(
     // for the independence rung of the degradation ladder.
     let baseline = match ghosts_faultinject::fire("select.baseline") {
         Some(_) => Err(GlmError::NonFiniteFit),
-        None => evaluate_ic_opts(
-            table,
-            &current,
-            cell_model,
-            opts.ic,
-            opts.divisor,
-            &opts.fit,
-        ),
+        None => criterion.evaluate(&current),
     }
-    .inspect_err(|e| {
-        span.error(
-            "baseline_failed",
-            &[("error", FieldValue::Str(e.to_string()))],
-        );
-    })?;
+    .inspect_err(baseline_failed)?;
     let mut current_ic = baseline.ic;
     span.event(
         "candidate",
@@ -172,8 +169,7 @@ pub fn select_model(
         // and the first-minimum tie-break identical to the sequential loop.
         let fits = par_map(opts.parallelism, &candidates, |_, &mask| {
             let trial = current.with_term(mask);
-            evaluate_ic_opts(table, &trial, cell_model, opts.ic, opts.divisor, &opts.fit)
-                .map(|res| (trial, res))
+            criterion.evaluate(&trial).map(|res| (trial, res))
         });
         rec.volatile_add("select.par_map_tasks", candidates.len() as u64);
         rec.volatile_max(

@@ -106,28 +106,41 @@ impl TruncatedPoisson {
         if self.base.cdf_rounds_to_one(self.limit) {
             return lam;
         }
-        let ratio = (self.base.ln_cdf(self.limit - 1) - self.ln_norm()).exp();
-        lam * ratio
+        self.mean_given(self.ln_norm())
+    }
+
+    /// `λ · F(l−1)/F(l)` given `ln F(l)`, for `l ≥ 1`.
+    fn mean_given(&self, ln_norm: f64) -> f64 {
+        let ratio = (self.base.ln_cdf(self.limit - 1) - ln_norm).exp();
+        self.base.lambda() * ratio
     }
 
     /// Variance of the truncated variable.
     pub fn variance(&self) -> f64 {
+        self.mean_variance().1
+    }
+
+    /// Mean and variance together, with `ln F(l)` and the mean computed
+    /// once: one `ln_cdf` evaluation per distinct argument. The mean has
+    /// the bits of [`Self::mean`].
+    pub fn mean_variance(&self) -> (f64, f64) {
         let lam = self.base.lambda();
         if self.limit == 0 {
-            return 0.0;
+            return (0.0, 0.0);
         }
         if self.base.cdf_rounds_to_one(self.limit) {
-            return lam;
+            return (lam, lam);
         }
-        let m = self.mean();
+        let ln_norm = self.ln_norm();
+        let m = self.mean_given(ln_norm);
         if self.limit == 1 {
             // Bernoulli on {0, 1}.
-            return m * (1.0 - m);
+            return (m, m * (1.0 - m));
         }
-        let r2 = (self.base.ln_cdf(self.limit - 2) - self.ln_norm()).exp();
+        let r2 = (self.base.ln_cdf(self.limit - 2) - ln_norm).exp();
         // E[Z(Z-1)] = λ² F(l-2)/F(l).
         let ezz1 = lam * lam * r2;
-        (ezz1 + m - m * m).max(0.0)
+        (m, (ezz1 + m - m * m).max(0.0))
     }
 
     /// Draws a sample by rejection from the untruncated Poisson. When the
@@ -193,6 +206,49 @@ mod tests {
             close(d.mean(), bm, 1e-9);
             close(d.variance(), bv, 1e-7);
         }
+    }
+
+    /// The variance as separate `mean()` and `variance()` calls computed it
+    /// before they shared a pass: `mean()` again, then `ln F(l)` again.
+    fn two_call_variance(d: &TruncatedPoisson) -> f64 {
+        let lam = d.lambda();
+        let l = d.limit();
+        if l == 0 {
+            return 0.0;
+        }
+        if d.base.cdf_rounds_to_one(l) {
+            return lam;
+        }
+        let m = d.mean();
+        if l == 1 {
+            return m * (1.0 - m);
+        }
+        let r2 = (d.base.ln_cdf(l - 2) - d.base.ln_cdf(l)).exp();
+        (lam * lam * r2 + m - m * m).max(0.0)
+    }
+
+    /// One pass gives the bits of the separate calls, on a grid where the
+    /// limit bites (and, at its small-λ end, where it does not).
+    #[test]
+    fn mean_variance_equals_the_separate_calls() {
+        let mut bite = 0;
+        for l in [0u64, 1, 2, 3, 7, 30, 64, 65, 1_000, 1 << 20] {
+            for i in -60..=60 {
+                let lam = (f64::from(i) * 0.25).exp() * (l.max(1) as f64);
+                let d = TruncatedPoisson::new(lam, l);
+                let (m, v) = d.mean_variance();
+                assert_eq!(m.to_bits(), d.mean().to_bits(), "mean λ={lam} l={l}");
+                assert_eq!(
+                    v.to_bits(),
+                    two_call_variance(&d).to_bits(),
+                    "var λ={lam} l={l}"
+                );
+                if l > 0 && !d.base.cdf_rounds_to_one(l) {
+                    bite += 1;
+                }
+            }
+        }
+        assert!(bite > 600, "{bite} biting points");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! a subset of capture history `h`, and the products above walk that
 //! subset structure instead of a stored matrix (DESIGN.md §18.4).
 
+use crate::approx::is_exact_zero;
 use crate::dist::{Poisson, TruncatedPoisson};
 use crate::linalg::{solve_spd_with_ridge, LogLinearDesign, Matrix};
 use crate::special::ln_gamma;
@@ -130,8 +131,22 @@ impl std::fmt::Display for GlmError {
 
 impl std::error::Error for GlmError {}
 
-/// What the Newton loop needs of one cell besides its linear predictor,
-/// computed once per fit.
+/// A conservative rate bound for a cell truncated at `limit`: every rate
+/// at or below it satisfies [`Poisson::cdf_rounds_to_one`]`(limit)`, so
+/// the cell's truncated moments and normaliser are exactly the untruncated
+/// ones (DESIGN.md §18.5). `λ + 12√λ + 30 < l` iff `√λ < √(l + 6) − 6`,
+/// and the factor `1 − 1e-9` keeps rounding on the safe side. Limits up to
+/// 64 get `−∞`, no rate (below 31 no positive rate passes the guard).
+fn untruncated_rate_bound(limit: u64) -> f64 {
+    if limit <= 64 {
+        return f64::NEG_INFINITY;
+    }
+    let root = (limit as f64 + 6.0).sqrt() - 6.0;
+    root * root * (1.0 - 1e-9)
+}
+
+/// What the Newton loop needs of one cell besides its linear predictor.
+#[derive(Debug, Clone)]
 struct Cell {
     /// The observed (possibly scaled) count.
     y: f64,
@@ -140,41 +155,98 @@ struct Cell {
     ln_gamma_y1: f64,
     /// Inclusive truncation limit, `None` for a plain Poisson cell.
     limit: Option<u64>,
+    /// [`untruncated_rate_bound`] of the limit (unused without one).
+    untruncated_to: f64,
 }
 
 impl Cell {
-    fn all(y: &[f64], family: &CountFamily) -> Vec<Cell> {
-        y.iter()
-            .enumerate()
-            .map(|(i, &y)| Cell {
-                y,
-                ln_gamma_y1: ln_gamma(y + 1.0),
-                limit: match family {
-                    CountFamily::Poisson => None,
-                    CountFamily::TruncatedPoisson(limits) => limits.get(i).copied(),
-                },
-            })
-            .collect()
-    }
-
     /// Mean and variance at rate `λ` (limit-aware).
     fn mean_var(&self, lambda: f64) -> (f64, f64) {
         match self.limit {
             None => (lambda, lambda),
-            Some(limit) => {
-                let d = TruncatedPoisson::new(lambda, limit);
-                (d.mean(), d.variance())
-            }
+            Some(_) if lambda <= self.untruncated_to => (lambda, lambda),
+            Some(limit) => TruncatedPoisson::new(lambda, limit).mean_variance(),
         }
     }
 
     /// Log-likelihood contribution at rate `λ`.
     fn loglik(&self, lambda: f64) -> f64 {
-        let base = self.y * lambda.ln() - lambda - self.ln_gamma_y1;
+        // For a zero count `y·ln λ` is ±0, and `±0 − λ` is exactly `−λ`
+        // because every rate is finite and positive.
+        let base = if is_exact_zero(self.y) {
+            -lambda - self.ln_gamma_y1
+        } else {
+            self.y * lambda.ln() - lambda - self.ln_gamma_y1
+        };
         match self.limit {
             None => base,
+            // `ln F(l; λ)` is exactly 0 here, and `base − 0.0` is `base`.
+            Some(_) if lambda <= self.untruncated_to => base,
             Some(limit) => base - Poisson::new(lambda).ln_cdf(limit),
         }
+    }
+}
+
+/// Rejects a negative or non-finite count, reporting the first.
+fn check_counts(y: &[f64]) -> Result<(), GlmError> {
+    for (index, &value) in y.iter().enumerate() {
+        if !value.is_finite() || value < 0.0 {
+            return Err(GlmError::InvalidResponse { index, value });
+        }
+    }
+    Ok(())
+}
+
+/// Counts prepared for fitting: validated once, with everything each cell
+/// needs besides its rate computed once (`ln Γ(y+1)`, the limit and its
+/// rate bound) and the least-squares start's target `ln(y + 0.5)`. One
+/// response serves every model fitted to the same counts, such as all the
+/// candidates of a model search.
+#[derive(Debug, Clone)]
+pub struct Response {
+    cells: Vec<Cell>,
+    start_target: Vec<f64>,
+}
+
+impl Response {
+    /// Prepares the counts `y` (non-negative, possibly non-integral after
+    /// IC scaling) under `family`.
+    ///
+    /// # Errors
+    ///
+    /// [`GlmError::DimensionMismatch`] (with `rows` the number of counts)
+    /// when the truncation limits and the counts differ in length;
+    /// [`GlmError::InvalidResponse`] for a negative or non-finite count.
+    pub fn new(y: &[f64], family: &CountFamily) -> Result<Self, GlmError> {
+        if let CountFamily::TruncatedPoisson(limits) = family {
+            if limits.len() != y.len() {
+                return Err(GlmError::DimensionMismatch {
+                    rows: y.len(),
+                    ys: limits.len(),
+                });
+            }
+        }
+        check_counts(y)?;
+        let cells = y
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| {
+                let limit = match family {
+                    CountFamily::Poisson => None,
+                    CountFamily::TruncatedPoisson(limits) => limits.get(i).copied(),
+                };
+                Cell {
+                    y,
+                    ln_gamma_y1: ln_gamma(y + 1.0),
+                    limit,
+                    untruncated_to: limit.map_or(f64::NEG_INFINITY, untruncated_rate_bound),
+                }
+            })
+            .collect();
+        Ok(Self {
+            cells,
+            start_target: y.iter().map(|&v| (v + 0.5).ln()).collect(),
+        })
     }
 }
 
@@ -213,84 +285,64 @@ fn cells_log_likelihood(
 
 /// Total log-likelihood at coefficients `coef` (NaN if a coefficient is
 /// not finite).
-pub fn log_likelihood(
-    design: &LogLinearDesign,
-    y: &[f64],
-    family: &CountFamily,
-    coef: &[f64],
-) -> f64 {
-    cells_log_likelihood(design, &Cell::all(y, family), coef, &mut Vec::new())
+pub fn log_likelihood(design: &LogLinearDesign, response: &Response, coef: &[f64]) -> f64 {
+    cells_log_likelihood(design, &response.cells, coef, &mut Vec::new())
 }
 
 /// Fits a count GLM with log link by damped Newton–Raphson.
 ///
-/// `design` is the `n × p` log-linear design, `y` the `n` observed counts
-/// (non-negative, possibly non-integral after IC scaling).
+/// `design` is the `n × p` log-linear design, `response` the `n` observed
+/// counts, prepared once for every model fitted to them.
 ///
-/// Each cell's `ln Γ(y+1)` is computed once per fit, the rates of the
-/// accepted line-search point are kept for the next step's means and
-/// variances and for the result, and the Newton buffers are reused across
-/// iterations. Every floating-point result is the one the dense products,
-/// with rates recomputed at every step, give (DESIGN.md §18).
+/// The rates of the accepted line-search point are kept for the next
+/// step's means and variances and for the result, and the Newton buffers
+/// are reused across iterations. Every floating-point result is the one
+/// the dense products, with rates recomputed at every step, give
+/// (DESIGN.md §18).
 ///
 /// # Errors
 ///
-/// Returns [`GlmError`] on dimension mismatch, invalid responses, or an
-/// unsolvable Newton system.
+/// Returns [`GlmError`] when the response and the design disagree on the
+/// number of cells, when the Newton system cannot be solved, and when the
+/// iteration breaks down or runs out of its budget.
 pub fn fit(
     design: &LogLinearDesign,
-    y: &[f64],
-    family: &CountFamily,
+    response: &Response,
     opts: GlmOptions,
 ) -> Result<GlmFit, GlmError> {
     // Fault point (a no-op unless a fault plan is armed; DESIGN.md §11):
     // forces the failure classes the degradation ladder must handle. The
-    // NaN-cell fault poisons a copy of the response so the regular
+    // NaN-cell fault poisons a copy of the counts so the regular
     // validation below reports it — injection exercises the real error
     // path, it does not invent a new one.
-    let mut y = y;
-    let poisoned: Vec<f64>;
-    match ghosts_faultinject::fire("glm.fit") {
+    let poison_first_cell = match ghosts_faultinject::fire("glm.fit") {
         Some(ghosts_faultinject::Fault::NonFiniteFit) => return Err(GlmError::NonFiniteFit),
         Some(ghosts_faultinject::Fault::BudgetExhaustion) => {
             return Err(GlmError::BudgetExhausted {
                 iterations: opts.iteration_budget.unwrap_or(0),
             });
         }
-        Some(ghosts_faultinject::Fault::NanCell) => {
-            let mut cells = y.to_vec();
-            if let Some(first) = cells.first_mut() {
-                *first = f64::NAN;
-            }
-            poisoned = cells;
-            y = &poisoned;
-        }
-        _ => {}
-    }
+        Some(ghosts_faultinject::Fault::NanCell) => true,
+        _ => false,
+    };
 
+    let cells = &response.cells;
     let n = design.rows();
     let p = design.cols();
-    if y.len() != n {
+    if cells.len() != n {
         return Err(GlmError::DimensionMismatch {
             rows: n,
-            ys: y.len(),
+            ys: cells.len(),
         });
     }
-    if let CountFamily::TruncatedPoisson(limits) = family {
-        if limits.len() != n {
-            return Err(GlmError::DimensionMismatch {
-                rows: n,
-                ys: limits.len(),
-            });
+    if poison_first_cell {
+        let mut poisoned: Vec<f64> = cells.iter().map(|c| c.y).collect();
+        if let Some(first) = poisoned.first_mut() {
+            *first = f64::NAN;
         }
-    }
-    for (i, &v) in y.iter().enumerate() {
-        if !v.is_finite() || v < 0.0 {
-            return Err(GlmError::InvalidResponse { index: i, value: v });
-        }
+        check_counts(&poisoned)?;
     }
 
-    let cells = Cell::all(y, family);
     // Rates at the current coefficients, and scratch for a trial point's.
     let mut lambda = Vec::with_capacity(n);
     let mut trial_lambda = Vec::with_capacity(n);
@@ -301,9 +353,8 @@ pub fn fit(
     let mut trial = Vec::with_capacity(p);
 
     // Initialise from the least-squares fit to ln(y + 0.5): X u ≈ ln(y+0.5).
-    let target: Vec<f64> = y.iter().map(|&v| (v + 0.5).ln()).collect();
     design.gram_into(&mut hessian);
-    design.tr_matvec_into(&target, &mut score);
+    design.tr_matvec_into(&response.start_target, &mut score);
     let mut coef = match solve_spd_with_ridge(&hessian, &score) {
         Ok((c, _)) => c,
         Err(_) => vec![0.0; p],
@@ -315,13 +366,13 @@ pub fn fit(
         return Err(GlmError::NonFiniteFit);
     }
 
-    let mut loglik = cells_log_likelihood(design, &cells, &coef, &mut lambda);
+    let mut loglik = cells_log_likelihood(design, cells, &coef, &mut lambda);
     let mut converged = false;
     let mut iterations = 0;
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        for (((&lam, cell), r), w) in lambda.iter().zip(&cells).zip(&mut resid).zip(&mut weights) {
+        for (((&lam, cell), r), w) in lambda.iter().zip(cells).zip(&mut resid).zip(&mut weights) {
             let (m, v) = cell.mean_var(lam);
             *r = cell.y - m;
             // Floor the weight so cells whose variance collapses (mean hard
@@ -339,7 +390,7 @@ pub fn fit(
         for _ in 0..40 {
             trial.clear();
             trial.extend(coef.iter().zip(&delta).map(|(c, d)| c + step * d));
-            let trial_ll = cells_log_likelihood(design, &cells, &trial, &mut trial_lambda);
+            let trial_ll = cells_log_likelihood(design, cells, &trial, &mut trial_lambda);
             if trial_ll.is_finite() && trial_ll >= loglik - 1e-12 {
                 let improvement = trial_ll - loglik;
                 std::mem::swap(&mut coef, &mut trial);
@@ -376,7 +427,7 @@ pub fn fit(
 
     let fitted = lambda
         .iter()
-        .zip(&cells)
+        .zip(cells)
         .map(|(&lam, cell)| cell.mean_var(lam).0)
         .collect();
 
@@ -398,6 +449,16 @@ mod tests {
         assert!((a - b).abs() <= tol * (1.0 + b.abs()), "got {a}, want {b}");
     }
 
+    /// [`fit`] on counts prepared for this one fit.
+    fn fit_y(
+        design: &LogLinearDesign,
+        y: &[f64],
+        family: &CountFamily,
+        opts: GlmOptions,
+    ) -> Result<GlmFit, GlmError> {
+        fit(design, &Response::new(y, family)?, opts)
+    }
+
     /// The intercept-only design over `rows` cells: two sources, with the
     /// ghost row for four cells, without it for three.
     fn intercept_only(rows: usize) -> LogLinearDesign {
@@ -415,7 +476,7 @@ mod tests {
         // With only an intercept the MLE of λ is the sample mean.
         let design = intercept_only(4);
         let y = [2.0, 4.0, 6.0, 8.0];
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         assert!(fit.converged);
         close(fit.coef[0].exp(), 5.0, 1e-8);
         for &f in &fit.fitted {
@@ -428,7 +489,7 @@ mod tests {
         // As many parameters as observed cells → fitted = observed.
         let design = independence2();
         let y = [3.0, 7.0, 11.0];
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         for (f, want) in fit.fitted.iter().zip(&y) {
             close(*f, *want, 1e-6);
         }
@@ -441,7 +502,7 @@ mod tests {
         // (10, 11) group 1.
         let design = LogLinearDesign::new(2, &[0, 2], true);
         let y = [10.0, 14.0, 30.0, 34.0];
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         close(fit.coef[0].exp(), 12.0, 1e-7); // group-0 mean
         close((fit.coef[0] + fit.coef[1]).exp(), 32.0, 1e-7); // group-1 mean
     }
@@ -453,7 +514,7 @@ mod tests {
         // intercept exp(u) estimates the unseen cell: z00 = z10*z01/z11.
         let design = independence2();
         let y = [60.0, 20.0, 30.0];
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         // Saturated model on 3 cells with 3 params → fitted == observed, and
         // exp(intercept) = 60*20/30 = 40 (Lincoln–Petersen's unseen cell).
         close(fit.coef[0].exp(), 40.0, 1e-6);
@@ -464,7 +525,7 @@ mod tests {
         // One source with the ghost row: cells 0 (intercept only) and 1.
         let design = LogLinearDesign::new(1, &[0, 1], true);
         let y = [5.0, 0.0];
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         assert!(fit.log_likelihood.is_finite());
         close(fit.fitted[0], 5.0, 1e-6);
         assert!(fit.fitted[1] < 1e-6, "zero cell fit {}", fit.fitted[1]);
@@ -474,8 +535,8 @@ mod tests {
     fn truncated_far_limit_matches_poisson() {
         let design = intercept_only(3);
         let y = [4.0, 5.0, 6.0];
-        let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
-        let trunc = fit(
+        let plain = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let trunc = fit_y(
             &design,
             &y,
             &CountFamily::TruncatedPoisson(vec![1_000_000; 3]),
@@ -494,8 +555,8 @@ mod tests {
         let design = intercept_only(4);
         let y = [9.0, 10.0, 10.0, 8.0];
         let limit = 10u64;
-        let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
-        let trunc = fit(
+        let plain = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let trunc = fit_y(
             &design,
             &y,
             &CountFamily::TruncatedPoisson(vec![limit; 4]),
@@ -517,8 +578,9 @@ mod tests {
         // The fit's maximised log-likelihood is at least the init's.
         let design = independence2();
         let y = [40.0, 9.0, 12.0];
-        let f = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
-        let at_zero = log_likelihood(&design, &y, &CountFamily::Poisson, &[0.0, 0.0, 0.0]);
+        let f = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let response = Response::new(&y, &CountFamily::Poisson).unwrap();
+        let at_zero = log_likelihood(&design, &response, &[0.0, 0.0, 0.0]);
         assert!(f.log_likelihood >= at_zero);
     }
 
@@ -527,7 +589,7 @@ mod tests {
         let design = LogLinearDesign::new(2, &[0, 1], false);
         let y = [1.0, 2.0];
         assert!(matches!(
-            fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
+            fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
             Err(GlmError::DimensionMismatch { rows: 3, ys: 2 })
         ));
     }
@@ -537,7 +599,7 @@ mod tests {
         let design = LogLinearDesign::new(1, &[0], true);
         let y = [1.0, -2.0];
         assert!(matches!(
-            fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
+            fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()),
             Err(GlmError::InvalidResponse { index: 1, .. })
         ));
     }
@@ -553,7 +615,7 @@ mod tests {
             ..GlmOptions::default()
         };
         assert_eq!(
-            fit(&design, &y, &CountFamily::Poisson, opts).unwrap_err(),
+            fit_y(&design, &y, &CountFamily::Poisson, opts).unwrap_err(),
             GlmError::BudgetExhausted { iterations: 1 }
         );
     }
@@ -566,8 +628,8 @@ mod tests {
             iteration_budget: Some(200),
             ..GlmOptions::default()
         };
-        let budgeted = fit(&design, &y, &CountFamily::Poisson, opts).unwrap();
-        let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let budgeted = fit_y(&design, &y, &CountFamily::Poisson, opts).unwrap();
+        let plain = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         assert!(budgeted.converged);
         assert_eq!(budgeted.coef[0].to_bits(), plain.coef[0].to_bits());
     }
@@ -577,17 +639,93 @@ mod tests {
         // The IC divisor heuristic produces scaled, non-integral counts.
         let design = intercept_only(3);
         let y = [1.5, 2.5, 3.5];
-        let f = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let f = fit_y(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         close(f.coef[0].exp(), 2.5, 1e-7);
     }
 
     // -----------------------------------------------------------------------
     // Newton oracle: the loop as it ran on a stored dense design, with the
-    // rates recomputed from the coefficients at every step.
+    // rates recomputed from the coefficients at every step and its own
+    // frozen copy of the per-cell formulas, so it shares no fast path with
+    // `Cell`.
     // -----------------------------------------------------------------------
 
     use crate::rng::rng_from_seed;
     use rand::Rng;
+
+    /// `Poisson::cdf_rounds_to_one`, frozen.
+    fn frozen_rounds_to_one(lam: f64, k: u64) -> bool {
+        (k as f64) > lam + 12.0 * lam.sqrt() + 30.0
+    }
+
+    /// `Poisson::ln_cdf`, frozen: the guard, `ln` of the incomplete-gamma
+    /// CDF, and the backward log-space sum in the deep lower tail.
+    fn frozen_ln_cdf(lam: f64, k: u64) -> f64 {
+        if frozen_rounds_to_one(lam, k) {
+            return 0.0;
+        }
+        let p = Poisson::new(lam);
+        let q = p.cdf(k);
+        if q > 1e-280 {
+            return q.ln();
+        }
+        let mut ratio_sum = 1.0f64;
+        let mut term = 1.0f64;
+        let mut j = k;
+        while j > 0 {
+            term *= j as f64 / lam;
+            ratio_sum += term;
+            if term < 1e-18 * ratio_sum {
+                break;
+            }
+            j -= 1;
+        }
+        p.ln_pmf(k) + ratio_sum.ln()
+    }
+
+    /// `TruncatedPoisson::mean`, frozen.
+    fn frozen_mean(lam: f64, l: u64) -> f64 {
+        if l == 0 {
+            return 0.0;
+        }
+        if frozen_rounds_to_one(lam, l) {
+            return lam;
+        }
+        lam * (frozen_ln_cdf(lam, l - 1) - frozen_ln_cdf(lam, l)).exp()
+    }
+
+    /// `TruncatedPoisson::variance`, frozen.
+    fn frozen_variance(lam: f64, l: u64) -> f64 {
+        if l == 0 {
+            return 0.0;
+        }
+        if frozen_rounds_to_one(lam, l) {
+            return lam;
+        }
+        let m = frozen_mean(lam, l);
+        if l == 1 {
+            return m * (1.0 - m);
+        }
+        let r2 = (frozen_ln_cdf(lam, l - 2) - frozen_ln_cdf(lam, l)).exp();
+        (lam * lam * r2 + m - m * m).max(0.0)
+    }
+
+    /// The cell log-likelihood `y·ln λ − λ − ln Γ(y+1) − ln F(l; λ)`, frozen.
+    fn frozen_loglik(y: f64, limit: Option<u64>, lam: f64) -> f64 {
+        let base = y * lam.ln() - lam - ln_gamma(y + 1.0);
+        match limit {
+            None => base,
+            Some(l) => base - frozen_ln_cdf(lam, l),
+        }
+    }
+
+    /// The cell mean and variance, frozen.
+    fn frozen_mean_var(limit: Option<u64>, lam: f64) -> (f64, f64) {
+        match limit {
+            None => (lam, lam),
+            Some(l) => (frozen_mean(lam, l), frozen_variance(lam, l)),
+        }
+    }
 
     /// The dense form of a log-linear design: entry `(r, j)` is 1 iff term
     /// `j` is a subset of row `r`'s history.
@@ -605,8 +743,9 @@ mod tests {
         m
     }
 
-    /// The Newton loop on the dense kernels, rates recomputed from `X·coef`
-    /// at every step: the reference [`fit`] must equal bit for bit.
+    /// The Newton loop on the dense kernels and the frozen cell formulas,
+    /// rates recomputed from `X·coef` at every step: the reference [`fit`]
+    /// must equal bit for bit.
     fn dense_fit(
         design: &Matrix,
         y: &[f64],
@@ -620,20 +759,23 @@ mod tests {
                 ys: y.len(),
             });
         }
-        if let CountFamily::TruncatedPoisson(limits) = family {
-            if limits.len() != n {
-                return Err(GlmError::DimensionMismatch {
-                    rows: n,
-                    ys: limits.len(),
-                });
+        let limits: Vec<Option<u64>> = match family {
+            CountFamily::Poisson => vec![None; n],
+            CountFamily::TruncatedPoisson(limits) => {
+                if limits.len() != n {
+                    return Err(GlmError::DimensionMismatch {
+                        rows: n,
+                        ys: limits.len(),
+                    });
+                }
+                limits.iter().map(|&l| Some(l)).collect()
             }
-        }
+        };
         for (i, &v) in y.iter().enumerate() {
             if !v.is_finite() || v < 0.0 {
                 return Err(GlmError::InvalidResponse { index: i, value: v });
             }
         }
-        let cells = Cell::all(y, family);
         let loglik_at = |coef: &[f64]| -> f64 {
             if !coef.iter().all(|c| c.is_finite()) {
                 return f64::NAN;
@@ -641,8 +783,8 @@ mod tests {
             design
                 .matvec(coef)
                 .iter()
-                .zip(&cells)
-                .map(|(&e, cell)| cell.loglik(rate(e)))
+                .zip(y.iter().zip(&limits))
+                .map(|(&e, (&y, &limit))| frozen_loglik(y, limit, rate(e)))
                 .sum()
         };
 
@@ -664,9 +806,9 @@ mod tests {
             iterations = iter + 1;
             let mut resid = Vec::with_capacity(n);
             let mut weights = Vec::with_capacity(n);
-            for (&e, cell) in design.matvec(&coef).iter().zip(&cells) {
-                let (m, v) = cell.mean_var(rate(e));
-                resid.push(cell.y - m);
+            for (&e, (&y, &limit)) in design.matvec(&coef).iter().zip(y.iter().zip(&limits)) {
+                let (m, v) = frozen_mean_var(limit, rate(e));
+                resid.push(y - m);
                 weights.push(v.max(1e-12));
             }
             let (delta, _ridge) =
@@ -708,8 +850,8 @@ mod tests {
         let lambda: Vec<f64> = design.matvec(&coef).iter().map(|&e| rate(e)).collect();
         let fitted = lambda
             .iter()
-            .zip(&cells)
-            .map(|(&lam, cell)| cell.mean_var(lam).0)
+            .zip(&limits)
+            .map(|(&lam, &limit)| frozen_mean_var(limit, lam).0)
             .collect();
         Ok(GlmFit {
             coef,
@@ -746,14 +888,17 @@ mod tests {
     }
 
     /// `fit` on the design's subset structure, with the accepted step's
-    /// rates kept, gives the dense loop's coefficients, means, rates,
-    /// log-likelihood, iteration count, convergence flag and errors, bit
-    /// for bit, on random Poisson and truncated problems.
+    /// rates kept and the per-cell shortcuts taken, gives the dense loop's
+    /// coefficients, means, rates, log-likelihood, iteration count,
+    /// convergence flag and errors, bit for bit, on random Poisson and
+    /// truncated problems.
     #[test]
     fn newton_fit_equals_the_dense_loop() {
         let mut rng = rng_from_seed(0x5eed_9e77);
         let mut compared = 0;
         let mut bite = 0;
+        let mut straddle = 0;
+        let mut with_zero = 0;
         for case in 0..400u64 {
             let t = rng.gen_range(1..=5usize);
             let ghost = rng.gen_bool(0.3);
@@ -768,18 +913,22 @@ mod tests {
                 })
                 .collect();
             let max_y = y.iter().fold(0.0f64, |a, &b| a.max(b)) as u64;
-            let family = match rng.gen_range(0..3) {
-                0 => CountFamily::Poisson,
+            let limit = match rng.gen_range(0..3) {
+                0 => None,
                 // A limit at or just above the largest count bites.
-                1 => CountFamily::TruncatedPoisson(vec![max_y + rng.gen_range(0..3u64); n]),
-                _ => CountFamily::TruncatedPoisson(vec![max_y * 4 + 10; n]),
+                1 => Some(max_y + rng.gen_range(0..3u64)),
+                _ => Some(max_y * 4 + 10),
+            };
+            let family = match limit {
+                None => CountFamily::Poisson,
+                Some(l) => CountFamily::TruncatedPoisson(vec![l; n]),
             };
             let opts = GlmOptions {
                 max_iter: [200, 3][usize::from(case % 7 == 0)],
                 iteration_budget: [None, Some(2)][usize::from(case % 11 == 0)],
                 ..GlmOptions::default()
             };
-            let got = fit(&design, &y, &family, opts);
+            let got = fit_y(&design, &y, &family, opts);
             let want = dense_fit(&dense(&design), &y, &family, opts);
             match (&got, &want) {
                 (Ok(g), Ok(w)) => {
@@ -793,16 +942,109 @@ mod tests {
                         "case {case}: {g:?} vs dense {w:?}"
                     );
                     compared += 1;
-                    if matches!(family, CountFamily::TruncatedPoisson(ref l) if l[0] <= max_y + 2) {
+                    if limit.is_some_and(|l| l <= max_y + 2) {
                         bite += 1;
+                    }
+                    if let Some(l) = limit.filter(|&l| l > 64) {
+                        let bound = untruncated_rate_bound(l);
+                        if g.lambda.iter().any(|&lam| lam <= bound)
+                            && g.lambda.iter().any(|&lam| lam > bound)
+                        {
+                            straddle += 1;
+                        }
+                    }
+                    if y.iter().any(|&v| is_exact_zero(v)) {
+                        with_zero += 1;
                     }
                 }
                 _ => assert_eq!(got.err(), want.err(), "case {case}"),
             }
         }
         assert!(
-            compared > 300 && bite > 80,
-            "{compared} fits, {bite} biting"
+            compared > 300 && bite > 80 && straddle > 30 && with_zero > 150,
+            "{compared} fits, {bite} biting, {straddle} with rates on both sides of the bound, \
+             {with_zero} with zero cells"
         );
+    }
+
+    /// The rate bound is conservative: at the bound itself, and so (the
+    /// guard is monotone in λ) at every smaller rate, the truncation limit
+    /// is far enough above the rate that `F(l; λ)` rounds to 1. No rate
+    /// qualifies for limits up to 64.
+    #[test]
+    fn untruncated_rate_bound_is_conservative() {
+        let holds = |k: u64| {
+            let bound = untruncated_rate_bound(k);
+            bound > 0.0 && Poisson::new(bound).cdf_rounds_to_one(k)
+        };
+        for k in 0..=64u64 {
+            let bound = untruncated_rate_bound(k);
+            assert!(
+                bound.is_infinite() && bound < 0.0,
+                "limit {k}: bound {bound}"
+            );
+        }
+        for k in 65..=1u64 << 22 {
+            assert!(holds(k), "limit {k}");
+        }
+        let mut rng = rng_from_seed(0xb0_0d);
+        for _ in 0..200_000 {
+            let k = rng.gen_range((1u64 << 22)..=u64::from(u32::MAX));
+            assert!(holds(k), "limit {k}");
+        }
+        for k in [u64::from(u32::MAX), 1 << 40, u64::MAX / 2, u64::MAX] {
+            assert!(holds(k), "limit {k}");
+        }
+    }
+
+    /// Each cell's log-likelihood and moments have the frozen formulas'
+    /// bits, over rates from e^-120 to e^120 (each limit's bound and the
+    /// next float up included), zero, small, large and non-integral
+    /// counts, and limits on both sides of 64.
+    #[test]
+    fn cell_shortcuts_are_bit_exact() {
+        let limits = [
+            None,
+            Some(1),
+            Some(2),
+            Some(64),
+            Some(65),
+            Some(1_000),
+            Some(u64::from(u32::MAX)),
+        ];
+        let ys = [0.0, -0.0, 1.0, 2.0, 3.0, 17.0, 0.5, 2.5, 1e3, 1e6 + 0.5];
+        let mut rates: Vec<f64> = (-480..=480).map(|i| (f64::from(i) * 0.25).exp()).collect();
+        for l in limits.iter().flatten() {
+            let bound = untruncated_rate_bound(*l);
+            if bound > 0.0 {
+                rates.extend([bound.next_down(), bound, bound.next_up()]);
+            }
+        }
+        let mut shortcut = 0;
+        for limit in limits {
+            let family = match limit {
+                None => CountFamily::Poisson,
+                Some(l) => CountFamily::TruncatedPoisson(vec![l; ys.len()]),
+            };
+            let response = Response::new(&ys, &family).unwrap();
+            for (cell, &y) in response.cells.iter().zip(&ys) {
+                for &lam in &rates {
+                    let (m, v) = cell.mean_var(lam);
+                    let (fm, fv) = frozen_mean_var(limit, lam);
+                    let ll = cell.loglik(lam);
+                    let fll = frozen_loglik(y, limit, lam);
+                    assert!(
+                        m.to_bits() == fm.to_bits()
+                            && v.to_bits() == fv.to_bits()
+                            && ll.to_bits() == fll.to_bits(),
+                        "y={y:?} limit={limit:?} λ={lam:e}: ({m}, {v}, {ll}) vs ({fm}, {fv}, {fll})"
+                    );
+                    if limit.is_some() && lam <= cell.untruncated_to {
+                        shortcut += 1;
+                    }
+                }
+            }
+        }
+        assert!(shortcut > 10_000, "{shortcut} evaluations below the bound");
     }
 }

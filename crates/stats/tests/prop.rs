@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate: distribution
 //! identities, special-function complements, and GLM invariants.
 
-use ghosts_stats::glm::{fit, CountFamily, GlmOptions};
+use ghosts_stats::glm::{fit, CountFamily, GlmError, GlmFit, GlmOptions, Response};
 use ghosts_stats::linalg::LogLinearDesign;
 use ghosts_stats::rng::rng_from_seed;
 use ghosts_stats::special::{reg_beta, reg_gamma_p, reg_gamma_q};
@@ -95,7 +95,7 @@ proptest! {
         } else {
             CountFamily::Poisson
         };
-        if let Ok(fit) = fit(&design, &y, &family, GlmOptions::default()) {
+        if let Ok(fit) = fit_counts(&design, &y, &family, GlmOptions::default()) {
             for (i, (&m, &l)) in fit.fitted.iter().zip(&fit.lambda).enumerate() {
                 prop_assert!(m.is_finite(), "cell {i}: fitted mean {m}");
                 prop_assert!(m >= 0.0, "cell {i}: fitted mean {m} negative");
@@ -122,8 +122,8 @@ proptest! {
         let design = random_design(t, ghost, 0.5, seed);
         let n = design.rows();
         let y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
-        let plain = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default());
-        let trunc = fit(
+        let plain = fit_counts(&design, &y, &CountFamily::Poisson, GlmOptions::default());
+        let trunc = fit_counts(
             &design,
             &y,
             &CountFamily::TruncatedPoisson(vec![u64::MAX / 2; n]),
@@ -166,7 +166,7 @@ proptest! {
         } else {
             CountFamily::Poisson
         };
-        if let Ok(fit) = fit(&design, &y, &family, GlmOptions::default()) {
+        if let Ok(fit) = fit_counts(&design, &y, &family, GlmOptions::default()) {
             for (i, &c) in fit.coef.iter().enumerate() {
                 prop_assert!(c.is_finite(), "coef {i} = {c} not finite");
             }
@@ -192,7 +192,7 @@ proptest! {
         let n = design.rows();
         let mut y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
         y[n / 2] = poison;
-        prop_assert!(fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).is_err());
+        prop_assert!(fit_counts(&design, &y, &CountFamily::Poisson, GlmOptions::default()).is_err());
     }
 
     /// Poisson GLM invariant: with an intercept column, the fitted means
@@ -209,11 +209,21 @@ proptest! {
         let y: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
         let total: f64 = y.iter().sum();
         prop_assume!(total > 0.0);
-        let fit = fit(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
+        let fit = fit_counts(&design, &y, &CountFamily::Poisson, GlmOptions::default()).unwrap();
         let fitted_total: f64 = fit.fitted.iter().sum();
         prop_assert!((fitted_total - total).abs() < 1e-3 * (1.0 + total),
             "fitted {} vs observed {}", fitted_total, total);
     }
+}
+
+/// [`fit`] on counts prepared for this one fit.
+fn fit_counts(
+    design: &LogLinearDesign,
+    y: &[f64],
+    family: &CountFamily,
+    opts: GlmOptions,
+) -> Result<GlmFit, GlmError> {
+    fit(design, &Response::new(y, family)?, opts)
 }
 
 /// Random hierarchical term masks over `t` sources: the intercept, then in
