@@ -10,7 +10,7 @@
 use ghosts_net::freeblocks::BlockCounts;
 
 /// FIB capacity of a 2007-era high-end router (Juniper M120/MX960,
-/// [30] in the paper).
+/// \[30\] in the paper).
 pub const FIB_CAPACITY_2007: u64 = 2_000_000;
 
 /// FIB capacity the paper's reference deems feasible "within a few

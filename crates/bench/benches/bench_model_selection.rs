@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ghosts_core::{
     select_model, CellModel, ContingencyTable, DivisorRule, IcKind, Parallelism, SelectionOptions,
 };
+use ghosts_obs::Scope;
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
 
@@ -56,6 +57,7 @@ fn bench(c: &mut Criterion) {
                         max_order,
                         ..SelectionOptions::default()
                     },
+                    &Scope::disabled(),
                 )
                 .unwrap()
                 .model
@@ -65,10 +67,15 @@ fn bench(c: &mut Criterion) {
     }
     g.bench_function("nine_sources_adaptive_pairs", |b| {
         b.iter(|| {
-            select_model(&table9, CellModel::Poisson, &SelectionOptions::default())
-                .unwrap()
-                .model
-                .num_params()
+            select_model(
+                &table9,
+                CellModel::Poisson,
+                &SelectionOptions::default(),
+                &Scope::disabled(),
+            )
+            .unwrap()
+            .model
+            .num_params()
         })
     });
     // Sequential vs parallel candidate evaluation on the widest search
@@ -88,6 +95,7 @@ fn bench(c: &mut Criterion) {
                         parallelism,
                         ..SelectionOptions::default()
                     },
+                    &Scope::disabled(),
                 )
                 .unwrap()
                 .model

@@ -2,7 +2,8 @@
 //! interval is ~100 constrained GLM refits.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ghosts_core::{profile_interval, CellModel, ContingencyTable, LogLinearModel};
+use ghosts_core::{profile_interval, CellModel, ContingencyTable, GlmOptions, LogLinearModel};
+use ghosts_obs::Scope;
 
 fn bench(c: &mut Criterion) {
     let table = ContingencyTable::from_histories(
@@ -21,16 +22,30 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("poisson_alpha_1e7", |b| {
         b.iter(|| {
-            profile_interval(&table, &model, CellModel::Poisson, 1e-7)
-                .unwrap()
-                .upper
+            profile_interval(
+                &table,
+                &model,
+                CellModel::Poisson,
+                1e-7,
+                GlmOptions::default(),
+                &Scope::disabled(),
+            )
+            .unwrap()
+            .upper
         })
     });
     g.bench_function("truncated_alpha_1e7", |b| {
         b.iter(|| {
-            profile_interval(&table, &model, CellModel::Truncated { limit: 40_000 }, 1e-7)
-                .unwrap()
-                .upper
+            profile_interval(
+                &table,
+                &model,
+                CellModel::Truncated { limit: 40_000 },
+                1e-7,
+                GlmOptions::default(),
+                &Scope::disabled(),
+            )
+            .unwrap()
+            .upper
         })
     });
     g.finish();

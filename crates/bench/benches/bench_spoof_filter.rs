@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ghosts_net::AddrSet;
+use ghosts_obs::Scope;
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
@@ -45,7 +46,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut rng = component_rng(2, "bench-filter");
-                filter_spoofed(&target, &clean, &cfg, &mut rng)
+                filter_spoofed(&target, &clean, &cfg, &mut rng, &Scope::disabled())
                     .filtered
                     .len()
             })

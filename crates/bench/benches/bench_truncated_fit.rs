@@ -3,7 +3,8 @@
 //! evaluations per Newton step, most when the limit binds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ghosts_core::{fit_llm, CellModel, ContingencyTable, LogLinearModel};
+use ghosts_core::{fit_llm, CellModel, ContingencyTable, GlmOptions, LogLinearModel};
+use ghosts_obs::Scope;
 
 fn table(t: usize) -> ContingencyTable {
     // Deterministic cell counts resembling a mid-size stratum.
@@ -24,7 +25,17 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("llm_fit");
     g.bench_function("poisson", |b| {
-        b.iter(|| fit_llm(&t5, &model, CellModel::Poisson).unwrap().z0)
+        b.iter(|| {
+            fit_llm(
+                &t5,
+                &model,
+                CellModel::Poisson,
+                GlmOptions::default(),
+                &Scope::disabled(),
+            )
+            .unwrap()
+            .z0
+        })
     });
     g.bench_function("truncated_far_limit", |b| {
         b.iter(|| {
@@ -34,6 +45,8 @@ fn bench(c: &mut Criterion) {
                 CellModel::Truncated {
                     limit: observed * 100,
                 },
+                GlmOptions::default(),
+                &Scope::disabled(),
             )
             .unwrap()
             .z0
@@ -47,6 +60,8 @@ fn bench(c: &mut Criterion) {
                 CellModel::Truncated {
                     limit: observed + observed / 10,
                 },
+                GlmOptions::default(),
+                &Scope::disabled(),
             )
             .unwrap()
             .z0

@@ -13,7 +13,7 @@ use ghosts_core::{
 use ghosts_net::SubnetSet;
 use ghosts_obs::{Recorder, Scope, StageProfiler};
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
-use ghosts_pipeline::spoof_filter::{filter_spoofed_traced, SpoofFilterConfig};
+use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::{paper_windows, TimeWindow};
 use ghosts_sim::{Scenario, SimConfig};
 use ghosts_stats::rng::component_rng;
@@ -195,7 +195,7 @@ impl ReproContext {
                         );
                         let report = {
                             let _stage = profile.enter("spoof_filter");
-                            filter_spoofed_traced(
+                            filter_spoofed(
                                 &d.addrs,
                                 &spoof_free,
                                 &fcfg,

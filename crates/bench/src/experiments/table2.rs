@@ -4,6 +4,7 @@
 use crate::context::ReproContext;
 use ghosts_analysis::report::TextTable;
 use ghosts_net::AddrSet;
+use ghosts_obs::Scope;
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::Quarter;
 use ghosts_sim::spoof::spoofed_set;
@@ -43,7 +44,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
         if name == "SWIN" || name == "CALT" {
             let clean = clean_per_year.get(year).cloned().unwrap_or_default();
             let mut rng = component_rng(ctx.scenario.gt.cfg.seed, &format!("table2-{name}-{year}"));
-            let report = filter_spoofed(set, &clean, &fcfg, &mut rng);
+            let report = filter_spoofed(set, &clean, &fcfg, &mut rng, &Scope::disabled());
             *set = report.filtered;
         }
     }

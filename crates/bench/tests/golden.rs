@@ -17,6 +17,7 @@ use ghosts_core::{
     estimate_table_with_range, select_model, CellModel, ContingencyTable, Parallelism,
 };
 use ghosts_net::SubnetSet;
+use ghosts_obs::Scope;
 
 const DENOM: u64 = 16_384;
 const SEED: u64 = 7;
@@ -68,10 +69,10 @@ fn window10_estimate_ci_and_model_are_pinned() {
     let cell = CellModel::Truncated { limit };
     let mut seq_opts = cfg.selection.clone();
     seq_opts.parallelism = Parallelism::SEQUENTIAL;
-    let sel_seq = select_model(&table, cell, &seq_opts).unwrap();
+    let sel_seq = select_model(&table, cell, &seq_opts, &Scope::disabled()).unwrap();
     let mut par_opts = cfg.selection;
     par_opts.parallelism = Parallelism::Fixed(4);
-    let sel_par = select_model(&table, cell, &par_opts).unwrap();
+    let sel_par = select_model(&table, cell, &par_opts, &Scope::disabled()).unwrap();
     assert_eq!(sel_seq.model.describe(), est.model);
     assert_eq!(sel_seq.model.describe(), sel_par.model.describe());
     assert_eq!(sel_seq.ic.to_bits(), sel_par.ic.to_bits());
@@ -131,8 +132,13 @@ fn every_candidate_ic_is_pinned() {
         for threads in [1, 4] {
             let mut opts = ctx.cr_config().selection;
             opts.parallelism = Parallelism::Fixed(threads);
-            let sel = select_model(table, CellModel::Truncated { limit: *limit }, &opts)
-                .expect("window 10 selects a model");
+            let sel = select_model(
+                table,
+                CellModel::Truncated { limit: *limit },
+                &opts,
+                &Scope::disabled(),
+            )
+            .expect("window 10 selects a model");
             let digest = fnv1a_bytes(
                 sel.evaluated
                     .iter()
@@ -278,7 +284,7 @@ fn spoof_filter_outputs_are_pinned() {
             }
             let seed = ctx.scenario.gt.cfg.seed;
             let mut rng = component_rng(seed, &format!("repro-filter-{}-{}", d.name, i));
-            let r = filter_spoofed(&d.addrs, &spoof_free, &fcfg, &mut rng);
+            let r = filter_spoofed(&d.addrs, &spoof_free, &fcfg, &mut rng, &Scope::disabled());
             let digest = fnv1a_addrs(r.filtered.iter());
             assert_eq!(
                 digest,

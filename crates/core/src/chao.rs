@@ -2,7 +2,7 @@
 //!
 //! A moment-based lower bound for the population size under heterogeneous
 //! capture probabilities (Chao 1987, surveyed in the paper's reference
-//! [9]). For `t` capture occasions,
+//! \[9\]). For `t` capture occasions,
 //! `N̂ ≥ M + ((t−1)/t) · f₁² / (2 f₂)`, where `f₁` and `f₂` are the numbers
 //! of individuals captured by exactly one and exactly two sources (the
 //! `(t−1)/t` factor makes the bound exact for homogeneous capture). Serves

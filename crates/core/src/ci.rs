@@ -11,11 +11,11 @@
 //! sensitivity heuristic, with the very small `α = 10⁻⁷` used to obtain
 //! deliberately wide ranges.
 
-use crate::fit::{fit_llm_opts, CellModel, FitOptions};
+use crate::fit::{fit_llm, CellModel};
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
 use ghosts_obs::{FieldValue, Scope};
-use ghosts_stats::glm::{self, GlmError};
+use ghosts_stats::glm::{self, GlmError, GlmOptions};
 use ghosts_stats::optimize::{bisect, expand_until_sign_change, golden_min};
 use ghosts_stats::ChiSquared;
 use std::cell::Cell;
@@ -63,52 +63,22 @@ impl From<GlmError> for CiError {
     }
 }
 
-/// Computes the profile-likelihood range for `N̂` under `model`.
+/// Computes the profile-likelihood range for `N̂` under `model`, with every
+/// profile refit run under the Newton options `opts`, and records the
+/// profile-evaluation budget, each bisection's step count and the resulting
+/// range into `obs`.
 ///
 /// # Errors
 ///
 /// [`CiError::Fit`] if the model cannot be fitted; [`CiError::Unbounded`]
-/// if the profile never drops below the threshold on the upper side.
+/// if the profile never drops below the threshold on the upper side. Error
+/// events are recorded before returning.
 pub fn profile_interval(
     table: &ContingencyTable,
     model: &LogLinearModel,
     cell_model: CellModel,
     alpha: f64,
-) -> Result<EstimateRange, CiError> {
-    profile_interval_traced(table, model, cell_model, alpha, &Scope::disabled())
-}
-
-/// [`profile_interval`] with tracing: records the profile-evaluation
-/// budget, each bisection's step count, and the resulting range into
-/// `obs`.
-///
-/// # Errors
-///
-/// Same as [`profile_interval`] (error events are recorded before
-/// returning).
-pub fn profile_interval_traced(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    alpha: f64,
-    obs: &Scope,
-) -> Result<EstimateRange, CiError> {
-    profile_interval_opts(table, model, cell_model, alpha, &FitOptions::default(), obs)
-}
-
-/// [`profile_interval_traced`] with explicit [`FitOptions`] for every
-/// profile refit.
-///
-/// # Errors
-///
-/// Same as [`profile_interval`] (error events are recorded before
-/// returning).
-pub fn profile_interval_opts(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    alpha: f64,
-    fit_opts: &FitOptions,
+    opts: GlmOptions,
     obs: &Scope,
 ) -> Result<EstimateRange, CiError> {
     let observed = table.observed_total() as f64;
@@ -132,7 +102,7 @@ pub fn profile_interval_opts(
         }
         None => {}
     }
-    let point_fit = fit_llm_opts(table, model, cell_model, fit_opts, obs)?;
+    let point_fit = fit_llm(table, model, cell_model, opts, obs)?;
     let z0_hat = point_fit.z0;
     // The profile log-likelihood at ghost count `n0` (≥ 0). The design
     // with the ghost row, the observed cells and the cell family are built
@@ -145,7 +115,7 @@ pub fn profile_interval_opts(
         y.push(n0.max(0.0));
         y.extend(&observed_cells);
         let response = glm::Response::new(&y, &family)?;
-        Ok(glm::fit(&design, &response, fit_opts.glm_options())?.log_likelihood)
+        Ok(glm::fit(&design, &response, opts)?.log_likelihood)
     };
     // The profile search is sequential, so a plain Cell counts evaluations.
     let evals = Cell::new(0u64);
@@ -242,7 +212,15 @@ mod tests {
     fn interval_brackets_point_estimate() {
         let table = lp_table(600, 200, 300);
         let model = LogLinearModel::independence(2);
-        let r = profile_interval(&table, &model, CellModel::Poisson, 0.05).unwrap();
+        let r = profile_interval(
+            &table,
+            &model,
+            CellModel::Poisson,
+            0.05,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         assert!(r.lower <= r.point && r.point <= r.upper, "{r:?}");
         // Point = M + 600·200/300 = 1100 + 400.
         assert!((r.point - 1500.0).abs() < 1.0, "{r:?}");
@@ -257,8 +235,24 @@ mod tests {
     fn smaller_alpha_widens_interval() {
         let table = lp_table(600, 200, 300);
         let model = LogLinearModel::independence(2);
-        let narrow = profile_interval(&table, &model, CellModel::Poisson, 0.05).unwrap();
-        let wide = profile_interval(&table, &model, CellModel::Poisson, PAPER_ALPHA).unwrap();
+        let narrow = profile_interval(
+            &table,
+            &model,
+            CellModel::Poisson,
+            0.05,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
+        let wide = profile_interval(
+            &table,
+            &model,
+            CellModel::Poisson,
+            PAPER_ALPHA,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         assert!(wide.upper > narrow.upper);
         assert!(wide.lower < narrow.lower + 1e-6);
     }
@@ -271,6 +265,8 @@ mod tests {
             &LogLinearModel::independence(2),
             CellModel::Poisson,
             0.05,
+            GlmOptions::default(),
+            &Scope::disabled(),
         )
         .unwrap();
         let tight = profile_interval(
@@ -278,6 +274,8 @@ mod tests {
             &LogLinearModel::independence(2),
             CellModel::Poisson,
             0.05,
+            GlmOptions::default(),
+            &Scope::disabled(),
         )
         .unwrap();
         let rel = |r: &EstimateRange| (r.upper - r.lower) / r.point;
@@ -289,7 +287,15 @@ mod tests {
         let table = lp_table(60, 20, 3);
         let model = LogLinearModel::independence(2);
         let limit = 150u64;
-        let r = profile_interval(&table, &model, CellModel::Truncated { limit }, 0.05).unwrap();
+        let r = profile_interval(
+            &table,
+            &model,
+            CellModel::Truncated { limit },
+            0.05,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         assert!(r.point <= limit as f64 + 1e-6, "{r:?}");
     }
 }

@@ -13,7 +13,8 @@
 //!    has the fewest parameters and the best-conditioned design matrix.
 //! 3. **Chao lower bound**: a closed-form moment estimator
 //!    ([`chao_lower_bound`]) that is a *total function* of the table — it
-//!    cannot fail, making it the guaranteed terminal rung.
+//!    cannot fail, making it the guaranteed terminal rung. Under truncated
+//!    cells its ghosts are capped at the remaining space `l − M`.
 //!
 //! Every ladder transition is recorded as a structured `degradation`
 //! trace event (the `ghosts-events/2` kind), and the winning rung is
@@ -24,9 +25,9 @@
 //! run is exactly as reproducible as a clean one.
 
 use crate::chao::chao_lower_bound;
-use crate::ci::{profile_interval_opts, EstimateRange};
+use crate::ci::{profile_interval, EstimateRange};
 use crate::estimator::{CrConfig, CrEstimate};
-use crate::fit::{fit_llm_opts, CellModel};
+use crate::fit::{fit_llm, CellModel};
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
 use crate::select::SelectionResult;
@@ -88,7 +89,7 @@ pub(crate) struct LadderRequest<'a> {
     pub from: String,
     /// `Some(alpha)` when the caller also needs a profile range; the
     /// ladder then requires each rung to produce one, and the Chao rung
-    /// reports the one-sided range `[n̂, ∞)`.
+    /// reports the one-sided range `[n̂, ∞)` (`[n̂, l]` under truncation).
     pub alpha: Option<f64>,
 }
 
@@ -151,12 +152,20 @@ pub(crate) fn run_ladder(
         }
     }
 
-    // Rung 3: Chao's lower bound — closed-form, cannot fail.
+    // Rung 3: Chao's lower bound — closed-form, cannot fail. Under
+    // truncation the ghosts are capped at the remaining space `l − M`, the
+    // cap `fit_llm` applies to its ghost cell, so the estimate never
+    // exceeds the routed space (§6.2).
     let chao = chao_lower_bound(req.table);
+    let ceiling = match req.cell_model {
+        CellModel::Poisson => f64::INFINITY,
+        CellModel::Truncated { limit } => limit.max(chao.observed) as f64,
+    };
+    let total = chao.n_hat.min(ceiling);
     let est = CrEstimate {
         observed: chao.observed,
-        unseen: chao.n_hat - chao.observed as f64,
-        total: chao.n_hat,
+        unseen: total - chao.observed as f64,
+        total,
         model: String::from("(chao)"),
         ic: f64::NAN,
         divisor: 1,
@@ -170,11 +179,12 @@ pub(crate) fn run_ladder(
     };
     record_step(&span, req, LadderRung::ChaoLowerBound, "(chao)", "ok", None);
     // The lower bound pins the bottom of the range; the ladder has no
-    // model left to bound the top, so the range is one-sided.
+    // model left to bound the top, so the range is one-sided: `[N̂, ∞)`,
+    // or `[N̂, l]` under truncation, where the routed space is the top.
     let range = req.alpha.map(|alpha| EstimateRange {
-        lower: chao.n_hat,
-        point: chao.n_hat,
-        upper: f64::INFINITY,
+        lower: total,
+        point: total,
+        upper: ceiling,
         alpha,
     });
     (est, range)
@@ -193,7 +203,7 @@ fn attempt(
     divisor: u64,
 ) -> Option<(CrEstimate, Option<EstimateRange>)> {
     let desc = model.describe();
-    let fit = match fit_llm_opts(req.table, model, req.cell_model, &cfg.fit, span) {
+    let fit = match fit_llm(req.table, model, req.cell_model, cfg.selection.fit, span) {
         Ok(fit) => fit,
         Err(e) => {
             record_step(span, req, rung, &desc, "failed", Some(&e.to_string()));
@@ -202,7 +212,14 @@ fn attempt(
     };
     let range = match req.alpha {
         Some(alpha) => {
-            match profile_interval_opts(req.table, model, req.cell_model, alpha, &cfg.fit, span) {
+            match profile_interval(
+                req.table,
+                model,
+                req.cell_model,
+                alpha,
+                cfg.selection.fit,
+                span,
+            ) {
                 Ok(range) => Some(range),
                 Err(e) => {
                     record_step(span, req, rung, &desc, "failed", Some(&e.to_string()));
@@ -283,7 +300,7 @@ mod tests {
             within: 1e9, // keep every candidate in the margin
             ..Default::default()
         };
-        let sel = select_model(&table, CellModel::Poisson, &opts).unwrap();
+        let sel = select_model(&table, CellModel::Poisson, &opts, &Scope::disabled()).unwrap();
         let cfg = CrConfig {
             truncated: false,
             selection: opts,

@@ -2,9 +2,9 @@
 //! (optionally) stratified totals with the paper's sampling-zeros
 //! exclusion rule (§3.3.4, §3.4).
 
-use crate::ci::{profile_interval_opts, CiError, EstimateRange, PAPER_ALPHA};
+use crate::ci::{profile_interval, CiError, EstimateRange, PAPER_ALPHA};
 use crate::degrade::{run_ladder, Degradation, LadderRequest};
-use crate::fit::{fit_llm_opts, CellModel, FitOptions};
+use crate::fit::{fit_llm, CellModel};
 use crate::history::ContingencyTable;
 use crate::invariant;
 use crate::parallel::{try_par_map, Parallelism};
@@ -19,12 +19,10 @@ pub struct CrConfig {
     /// space (the limit itself is passed per table, since it differs per
     /// stratum).
     pub truncated: bool,
-    /// Model-selection options (IC, divisor rule, interaction order).
+    /// Model-selection options (IC, divisor rule, interaction order), and
+    /// in [`SelectionOptions::fit`] the Newton options of every GLM fit of
+    /// an estimate: search candidates, final fit, profile and ladder refits.
     pub selection: SelectionOptions,
-    /// Newton-fit knobs (iteration budget included) applied to the final
-    /// fit and the profile refits. [`selection_with_obs`] copies them onto
-    /// the search so one policy governs every GLM fit of a run.
-    pub fit: FitOptions,
     /// Whether fit/selection/range failures walk the graceful-degradation
     /// ladder ([`crate::degrade`]) instead of aborting the estimate. On by
     /// default; [`EstimateError::NotEnoughSources`] is never degradable.
@@ -39,7 +37,8 @@ pub struct CrConfig {
     /// summed in stratum order, so every setting yields bit-identical
     /// results; `Fixed(1)` is the sequential path.
     pub parallelism: Parallelism,
-    /// Observability scope estimation traces into (disabled by default).
+    /// Observability scope estimation traces into (disabled by default):
+    /// the search, the fits, the range and the ladder all record here.
     /// [`estimate_stratified`] derives an indexed child span per stratum,
     /// so parallel strata never share a span.
     pub obs: Scope,
@@ -57,7 +56,6 @@ impl Default for CrConfig {
         Self {
             truncated: true,
             selection: SelectionOptions::default(),
-            fit: FitOptions::default(),
             degrade: true,
             min_stratum_observed: 1000,
             excluded_policy: ExcludedPolicy::ObservedOnly,
@@ -255,7 +253,7 @@ fn estimate_cell(
     };
     let selected = {
         let _stage = cfg.profile.enter("select");
-        select_model(table, cell_model, &selection_with_obs(cfg))
+        select_model(table, cell_model, &cfg.selection, &cfg.obs)
     };
     let sel = match selected {
         Ok(sel) => sel,
@@ -271,7 +269,7 @@ fn estimate_cell(
     };
     let fitted = {
         let _stage = cfg.profile.enter("fit");
-        fit_llm_opts(table, &sel.model, cell_model, &cfg.fit, &cfg.obs)
+        fit_llm(table, &sel.model, cell_model, cfg.selection.fit, &cfg.obs)
     };
     let fit = match fitted {
         Ok(fit) => fit,
@@ -289,7 +287,14 @@ fn estimate_cell(
         Some(alpha_v) => {
             let interval = {
                 let _stage = cfg.profile.enter("ci");
-                profile_interval_opts(table, &sel.model, cell_model, alpha_v, &cfg.fit, &cfg.obs)
+                profile_interval(
+                    table,
+                    &sel.model,
+                    cell_model,
+                    alpha_v,
+                    cfg.selection.fit,
+                    &cfg.obs,
+                )
             };
             match interval {
                 Ok(range) => Some(range),
@@ -318,16 +323,6 @@ fn estimate_cell(
     Ok((est, range))
 }
 
-/// The selection options to actually run with: if the caller did not give
-/// the selection its own scope, the search inherits the estimator's.
-fn selection_with_obs(cfg: &CrConfig) -> SelectionOptions {
-    let mut sel = cfg.selection.clone();
-    if !sel.obs.is_enabled() {
-        sel.obs = cfg.obs.clone();
-    }
-    sel
-}
-
 /// Records the summary event for one table's estimate. Degraded estimates
 /// carry an extra `degraded` field naming the ladder rung; clean runs emit
 /// exactly the same bytes as before the ladder existed.
@@ -350,8 +345,8 @@ fn record_estimate(obs: &Scope, est: &CrEstimate) {
 /// Like [`estimate_table`] but also computes the profile-likelihood range
 /// at the paper's `α = 10⁻⁷`. Under the degradation ladder the estimate
 /// and the range always come from the *same* rung; the terminal Chao rung
-/// reports the one-sided range `[n̂, ∞)`, and so does an empty table
-/// (`[0, ∞)`), which no model bounds either.
+/// reports the one-sided range `[n̂, ∞)` (`[n̂, l]` under truncation), and
+/// so does an empty table (`[0, ∞)`), which no model bounds either.
 pub fn estimate_table_with_range(
     table: &ContingencyTable,
     limit: Option<u64>,
@@ -407,8 +402,8 @@ pub fn estimate_table_with_fit(
             expected_cells: table.observed_cells(),
         });
     };
-    let sel = select_model(table, cell_model, &selection_with_obs(cfg))?;
-    let fit = fit_llm_opts(table, &sel.model, cell_model, &cfg.fit, &cfg.obs)?;
+    let sel = select_model(table, cell_model, &cfg.selection, &cfg.obs)?;
+    let fit = fit_llm(table, &sel.model, cell_model, cfg.selection.fit, &cfg.obs)?;
     let estimate = CrEstimate {
         observed: fit.observed,
         unseen: fit.z0,
@@ -771,6 +766,34 @@ mod tests {
         };
         let est = estimate_table(&table, None, &cfg).unwrap();
         assert!(est.degraded.is_none());
+    }
+
+    /// One Newton budget, set once on `SelectionOptions::fit`, governs every
+    /// fit of an estimate, the search's included: a one-iteration budget
+    /// fails the search's baseline, so the ladder starts at stage `select`.
+    #[test]
+    fn one_budget_reaches_the_search() {
+        let table = simulate(3, 5_000, 4);
+        let rec =
+            ghosts_obs::Recorder::enabled(std::sync::Arc::new(ghosts_obs::LogicalClock::new()));
+        let mut cfg = CrConfig {
+            truncated: false,
+            obs: rec.root("estimate"),
+            ..CrConfig::paper()
+        };
+        cfg.selection.fit.iteration_budget = Some(1);
+        let est = estimate_table(&table, None, &cfg).unwrap();
+        assert_eq!(est.degraded.expect("degraded").stage, "select");
+        let log = rec.flush();
+        let stages: Vec<&FieldValue> = log
+            .events_named("ladder_step")
+            .flat_map(|(_, e)| e.fields.iter().filter(|(k, _)| k == "stage"))
+            .map(|(_, v)| v)
+            .collect();
+        assert!(!stages.is_empty());
+        for stage in stages {
+            assert_eq!(stage, &FieldValue::Str("select".to_string()));
+        }
     }
 
     #[test]

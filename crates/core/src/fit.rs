@@ -35,46 +35,6 @@ impl CellModel {
     }
 }
 
-/// Knobs for the Newton fits run by the estimation layer, carried on
-/// [`CrConfig`](crate::estimator::CrConfig) and
-/// [`SelectionOptions`](crate::select::SelectionOptions) so every GLM fit
-/// of a run — selection candidates, the final fit, profile refits — obeys
-/// one policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FitOptions {
-    /// Maximum Newton iterations; reaching it returns a non-converged fit.
-    pub max_iter: usize,
-    /// Convergence tolerance on the relative log-likelihood change.
-    pub tol: f64,
-    /// Hard iteration budget: exhausting it is a structured error
-    /// ([`GlmError::BudgetExhausted`]) rather than a silently
-    /// non-converged fit, so the degradation ladder can catch it.
-    /// `None` disables the budget.
-    pub iteration_budget: Option<usize>,
-}
-
-impl Default for FitOptions {
-    fn default() -> Self {
-        let glm = GlmOptions::default();
-        Self {
-            max_iter: glm.max_iter,
-            tol: glm.tol,
-            iteration_budget: glm.iteration_budget,
-        }
-    }
-}
-
-impl FitOptions {
-    /// The equivalent low-level GLM options.
-    pub(crate) fn glm_options(&self) -> GlmOptions {
-        GlmOptions {
-            max_iter: self.max_iter,
-            tol: self.tol,
-            iteration_budget: self.iteration_budget,
-        }
-    }
-}
-
 /// A fitted log-linear capture–recapture model.
 #[derive(Debug, Clone)]
 pub struct FittedLlm {
@@ -90,7 +50,9 @@ pub struct FittedLlm {
     pub observed: u64,
 }
 
-/// Fits `model` to `table` under `cell_model`.
+/// Fits `model` to `table` under `cell_model` with the Newton options
+/// `opts`, and records the fit event (log-likelihood, Newton iterations,
+/// convergence, ghost estimate) and truncation-bound counters into `obs`.
 ///
 /// The ghost estimate is `exp(u)` for Poisson cells; under truncation the
 /// ghost cell is itself bounded by the *remaining* space `l − M`, so the
@@ -100,45 +62,14 @@ pub struct FittedLlm {
 ///
 /// # Errors
 ///
-/// Propagates [`GlmError`] from the Newton fitter.
+/// Propagates [`GlmError`] from the Newton fitter (after recording an
+/// error event), including [`GlmError::BudgetExhausted`] when `opts` sets a
+/// budget and the fit exhausts it.
 pub fn fit_llm(
     table: &ContingencyTable,
     model: &LogLinearModel,
     cell_model: CellModel,
-) -> Result<FittedLlm, GlmError> {
-    fit_llm_traced(table, model, cell_model, &Scope::disabled())
-}
-
-/// [`fit_llm`] with tracing: records the fit event (log-likelihood,
-/// Newton iterations, convergence, ghost estimate) and truncation-bound
-/// counters into `obs`.
-///
-/// # Errors
-///
-/// Propagates [`GlmError`] from the Newton fitter (after recording an
-/// error event).
-pub fn fit_llm_traced(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    obs: &Scope,
-) -> Result<FittedLlm, GlmError> {
-    fit_llm_opts(table, model, cell_model, &FitOptions::default(), obs)
-}
-
-/// [`fit_llm_traced`] with explicit [`FitOptions`] — the entry point the
-/// estimator uses so the configured Newton budget reaches every fit.
-///
-/// # Errors
-///
-/// Propagates [`GlmError`] from the Newton fitter (after recording an
-/// error event), including [`GlmError::BudgetExhausted`] when a budget is
-/// configured and exhausted.
-pub fn fit_llm_opts(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    fit_opts: &FitOptions,
+    opts: GlmOptions,
     obs: &Scope,
 ) -> Result<FittedLlm, GlmError> {
     assert_eq!(
@@ -151,7 +82,7 @@ pub fn fit_llm_opts(
     let y = table.observed_cells();
     let family = cell_model.family(y.len(), 1);
     let glm = glm::Response::new(&y, &family)
-        .and_then(|response| glm::fit(&design, &response, fit_opts.glm_options()))
+        .and_then(|response| glm::fit(&design, &response, opts))
         .inspect_err(|e| {
             obs.error(
                 "fit_failed",
@@ -173,7 +104,11 @@ pub fn fit_llm_opts(
                 obs.recorder().add("fit.truncation_exhausted", 1);
                 0.0
             } else {
-                let mean = TruncatedPoisson::new(lambda0.max(1e-300), remaining).mean();
+                // Far above the limit, `λ·F(l−1)/F(l)` loses its last
+                // digits to cancellation and can land a hair past `l`.
+                let mean = TruncatedPoisson::new(lambda0.max(1e-300), remaining)
+                    .mean()
+                    .min(remaining as f64);
                 // The bound "bites" when the truncated mean is pressed
                 // against the remaining space — the estimate would exceed
                 // the routed space if unbounded (§6.2's plausibility
@@ -236,7 +171,14 @@ mod tests {
                 .chain(std::iter::repeat_n(0b11, 30)),
         );
         let model = LogLinearModel::independence(2);
-        let fit = fit_llm(&table, &model, CellModel::Poisson).unwrap();
+        let fit = fit_llm(
+            &table,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         close(fit.z0, 60.0 * 20.0 / 30.0, 1e-5);
         close(fit.n_hat, 110.0 + 40.0, 1e-5);
     }
@@ -260,7 +202,14 @@ mod tests {
             }
         }
         let model = LogLinearModel::independence(3);
-        let fit = fit_llm(&table, &model, CellModel::Poisson).unwrap();
+        let fit = fit_llm(
+            &table,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         // Expected ghosts: N·(0.7·0.6·0.5) = 2100.
         close(fit.z0, 2_100.0, 0.01);
         close(fit.n_hat, 10_000.0, 0.01);
@@ -301,11 +250,20 @@ mod tests {
                 }
             }
         }
-        let indep = fit_llm(&table, &LogLinearModel::independence(3), CellModel::Poisson).unwrap();
+        let indep = fit_llm(
+            &table,
+            &LogLinearModel::independence(3),
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         let with_12 = fit_llm(
             &table,
             &LogLinearModel::with_interactions(3, &[0b011]),
             CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
         )
         .unwrap();
         // The 1-2 interaction model recovers the truth; independence is
@@ -329,7 +287,14 @@ mod tests {
                 .chain(std::iter::repeat_n(0b11, 3)),
         );
         // Poisson ghost estimate would be 60·20/3 = 400.
-        let plain = fit_llm(&table, &LogLinearModel::independence(2), CellModel::Poisson).unwrap();
+        let plain = fit_llm(
+            &table,
+            &LogLinearModel::independence(2),
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         close(plain.z0, 400.0, 1e-4);
         // Truncated with limit 150 (observed 83, remaining 67): the ghost
         // estimate must stay below 67.
@@ -337,12 +302,34 @@ mod tests {
             &table,
             &LogLinearModel::independence(2),
             CellModel::Truncated { limit: 150 },
+            GlmOptions::default(),
+            &Scope::disabled(),
         )
         .unwrap();
         assert!(trunc.z0 <= 67.0 + 1e-9, "z0 = {}", trunc.z0);
         assert!(trunc.n_hat <= 150.0 + 1e-9);
         // And it is still a sizeable estimate, not collapsed to zero.
         assert!(trunc.z0 > 40.0, "z0 = {}", trunc.z0);
+    }
+
+    /// Two singletons and no recapture: the ghost rate runs far past the
+    /// limit, where the truncated mean `λ·F(l−1)/F(l)` loses digits to
+    /// cancellation (it read `l − M + 3.7e-5` here). The ghosts still stay
+    /// within the remaining space.
+    #[test]
+    fn truncated_ghosts_never_exceed_the_remaining_space() {
+        let table = ContingencyTable::from_histories(2, [0b01u16, 0b10]);
+        let fit = fit_llm(
+            &table,
+            &LogLinearModel::independence(2),
+            CellModel::Truncated { limit: 4_203 },
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
+        assert!(fit.z0 <= 4_201.0, "z0 = {}", fit.z0);
+        assert!(fit.n_hat <= 4_203.0, "n_hat = {}", fit.n_hat);
+        assert!(fit.z0 > 4_200.0, "z0 = {}", fit.z0);
     }
 
     #[test]
@@ -354,8 +341,22 @@ mod tests {
                 .chain(std::iter::repeat_n(0b11, 25)),
         );
         let model = LogLinearModel::independence(2);
-        let a = fit_llm(&table, &model, CellModel::Poisson).unwrap();
-        let b = fit_llm(&table, &model, CellModel::Truncated { limit: 1 << 30 }).unwrap();
+        let a = fit_llm(
+            &table,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
+        let b = fit_llm(
+            &table,
+            &model,
+            CellModel::Truncated { limit: 1 << 30 },
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         close(a.z0, b.z0, 1e-6);
     }
 
@@ -366,6 +367,8 @@ mod tests {
             &table,
             &LogLinearModel::independence(2),
             CellModel::Truncated { limit: 3 },
+            GlmOptions::default(),
+            &Scope::disabled(),
         )
         .unwrap();
         assert_eq!(fit.z0, 0.0);
@@ -377,6 +380,12 @@ mod tests {
     fn source_count_mismatch_panics() {
         let table = ContingencyTable::new(3);
         let model = LogLinearModel::independence(2);
-        let _ = fit_llm(&table, &model, CellModel::Poisson);
+        let _ = fit_llm(
+            &table,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! rule "start at 1000 and halve until `d` is smaller than the smallest
 //! cell count" (§3.3.2, §5.1).
 
-use crate::fit::{CellModel, FitOptions};
+use crate::fit::CellModel;
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
 use ghosts_stats::glm::{self, GlmError, GlmOptions};
@@ -124,7 +124,7 @@ pub struct IcEvaluator {
 impl IcEvaluator {
     /// Prepares criterion `kind` on `table` under `cell_model`, with the
     /// counts scaled by the divisor `rule` resolves to and every fit run
-    /// under `fit_opts`.
+    /// under `glm_opts`.
     ///
     /// # Errors
     ///
@@ -134,7 +134,7 @@ impl IcEvaluator {
         cell_model: CellModel,
         kind: IcKind,
         rule: DivisorRule,
-        fit_opts: &FitOptions,
+        glm_opts: GlmOptions,
     ) -> Result<Self, GlmError> {
         let divisor = rule.divisor_for(table);
         let y = scaled_counts(table, divisor);
@@ -145,7 +145,7 @@ impl IcEvaluator {
             divisor,
             response: glm::Response::new(&y, &family)?,
             ln_m_scaled: m_scaled.ln(),
-            glm_opts: fit_opts.glm_options(),
+            glm_opts,
         })
     }
 
@@ -189,14 +189,8 @@ mod tests {
         kind: IcKind,
         rule: DivisorRule,
     ) -> Result<IcResult, GlmError> {
-        IcEvaluator::new(
-            table,
-            CellModel::Poisson,
-            kind,
-            rule,
-            &FitOptions::default(),
-        )?
-        .evaluate(model)
+        IcEvaluator::new(table, CellModel::Poisson, kind, rule, GlmOptions::default())?
+            .evaluate(model)
     }
 
     fn toy_table() -> ContingencyTable {

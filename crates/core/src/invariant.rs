@@ -271,6 +271,8 @@ mod tests {
     use super::*;
     use crate::fit::{fit_llm, CellModel};
     use crate::model::LogLinearModel;
+    use ghosts_obs::Scope;
+    use ghosts_stats::glm::GlmOptions;
 
     fn table() -> ContingencyTable {
         ContingencyTable::from_histories(
@@ -286,7 +288,14 @@ mod tests {
         let t = table();
         validate_table(&t).unwrap();
         let model = LogLinearModel::independence(2);
-        let fit = fit_llm(&t, &model, CellModel::Poisson).unwrap();
+        let fit = fit_llm(
+            &t,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         validate_glm(&fit.glm, &t.observed_cells(), &CountFamily::Poisson).unwrap();
         validate_estimate(&fit, None).unwrap();
         validate_estimate(&fit, Some(1 << 20)).unwrap();
@@ -297,7 +306,14 @@ mod tests {
         let t = table();
         let model = LogLinearModel::independence(2);
         let y = t.observed_cells();
-        let good = fit_llm(&t, &model, CellModel::Poisson).unwrap();
+        let good = fit_llm(
+            &t,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
 
         let mut bad_coef = good.glm.clone();
         bad_coef.coef[0] = f64::INFINITY;
@@ -334,7 +350,14 @@ mod tests {
         let t = table();
         let model = LogLinearModel::independence(2);
         let y = t.observed_cells();
-        let fit = fit_llm(&t, &model, CellModel::Truncated { limit: 1 << 16 }).unwrap();
+        let fit = fit_llm(
+            &t,
+            &model,
+            CellModel::Truncated { limit: 1 << 16 },
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         let family = CountFamily::TruncatedPoisson(vec![1 << 16; y.len()]);
         validate_glm(&fit.glm, &y, &family).unwrap();
         // The same fit against a tiny claimed limit violates the bound.
@@ -349,7 +372,14 @@ mod tests {
     fn estimate_above_universe_is_rejected() {
         let t = table();
         let model = LogLinearModel::independence(2);
-        let fit = fit_llm(&t, &model, CellModel::Poisson).unwrap();
+        let fit = fit_llm(
+            &t,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         // Poisson fit (z0 = 40): claiming a universe of 120 < n_hat = 150
         // must trip the plausibility bound.
         assert!(matches!(
@@ -370,7 +400,14 @@ mod tests {
         // deviance must be ~0 (and in particular not negative).
         let t = table();
         let model = LogLinearModel::saturated(2);
-        let fit = fit_llm(&t, &model, CellModel::Poisson).unwrap();
+        let fit = fit_llm(
+            &t,
+            &model,
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         let y = t.observed_cells();
         let deviance = 2.0 * (poisson_saturated_loglik(&y) - fit.glm.log_likelihood);
         assert!(deviance.abs() < 1e-5, "deviance {deviance}");

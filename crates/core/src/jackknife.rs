@@ -1,6 +1,6 @@
 //! Burnham–Overton jackknife estimators for model Mh.
 //!
-//! The paper's reference [9] (Chao's overview of closed capture–recapture
+//! The paper's reference \[9\] (Chao's overview of closed capture–recapture
 //! models) catalogues the classical estimators for heterogeneous capture
 //! probabilities (model *Mh*). Alongside Chao's moment bound ([`crate::chao`])
 //! the standard tool is the **jackknife** family (Burnham & Overton 1978),

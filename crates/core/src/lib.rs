@@ -8,17 +8,23 @@
 //!
 //! ## Pipeline
 //!
-//! 1. Build a [`ContingencyTable`](history::ContingencyTable) of capture
-//!    histories from per-source observation sets (§3.3.1).
-//! 2. Search hierarchical [`LogLinearModel`](model::LogLinearModel)s with
-//!    [`select::select_model`] — AIC/BIC with the divisor heuristic and the
-//!    within-7 rule (§3.3.2).
+//! 1. Build a [`ContingencyTable`] of capture histories from per-source
+//!    observation sets (§3.3.1).
+//! 2. Search hierarchical [`LogLinearModel`]s with [`select::select_model`]
+//!    — AIC/BIC with the divisor heuristic and the within-7 rule (§3.3.2).
 //! 3. Fit with [`fit::fit_llm`] under Poisson or **right-truncated
 //!    Poisson** cells bounded by the routed space (§3.3.1) and read off the
 //!    ghost estimate `Ẑ₀₀…₀ = exp(u)`.
 //! 4. Optionally compute a profile-likelihood range with
 //!    [`ci::profile_interval`] (§3.3.3) and stratified totals with
 //!    [`estimator::estimate_stratified`] (§3.4).
+//!
+//! Each of these operations has one public function. It traces into the
+//! `&Scope` it is given (pass `Scope::disabled()` for an untraced call),
+//! and the fits take their [`GlmOptions`]. The estimator entry points
+//! ([`estimate_table`] and its siblings) pass `CrConfig::obs` to every
+//! step and [`SelectionOptions::fit`] to every fit of an estimate: search
+//! candidates, final fit, profile refits and ladder refits.
 //!
 //! The classical baselines — [`lp`] (Lincoln–Petersen/Chapman) and
 //! [`chao`] (Chao's lower bound) — are included for comparison, as are all
@@ -67,15 +73,14 @@ pub mod parallel;
 pub mod select;
 
 pub use chao::{chao_lower_bound, ChaoEstimate};
-pub use ci::{
-    profile_interval, profile_interval_opts, profile_interval_traced, EstimateRange, PAPER_ALPHA,
-};
+pub use ci::{profile_interval, EstimateRange, PAPER_ALPHA};
 pub use degrade::{Degradation, LadderRung};
 pub use estimator::{
     estimate_stratified, estimate_table, estimate_table_with_fit, estimate_table_with_range,
     CrConfig, CrEstimate, CrFit, EstimateError, ExcludedPolicy, StratifiedEstimate,
 };
-pub use fit::{fit_llm, fit_llm_opts, fit_llm_traced, CellModel, FitOptions, FittedLlm};
+pub use fit::{fit_llm, CellModel, FittedLlm};
+pub use ghosts_stats::glm::GlmOptions;
 pub use history::ContingencyTable;
 pub use ic::{DivisorRule, IcKind};
 pub use jackknife::{jackknife, jackknife_select, JackknifeEstimate};

@@ -1,5 +1,5 @@
 //! Multi-party capture–recapture from sketches — the paper's stated
-//! future work (§8: "We plan to explore an enhanced method [33] for
+//! future work (§8: "We plan to explore an enhanced method \[33\] for
 //! securely applying CR to multi-source measurement data without
 //! revealing which IPv4 addresses each source contains").
 //!
@@ -13,7 +13,7 @@
 //!
 //! What leaks: per party, the membership of k salted hashes (≪ the full
 //! set), plus its approximate cardinality. The production design in the
-//! paper's reference [33] replaces the salted hash with proper
+//! paper's reference \[33\] replaces the salted hash with proper
 //! cryptographic primitives; this module reproduces the *estimation*
 //! mechanics and quantifies the accuracy cost of sketching.
 
@@ -44,7 +44,7 @@ fn salted_hash(salt: u64, addr: u32) -> u64 {
 
 impl MinHashSketch {
     /// Sketches a party's address set. All parties must share `salt`
-    /// (in [33] this is replaced by an oblivious keyed primitive).
+    /// (in \[33\] this is replaced by an oblivious keyed primitive).
     pub fn build(addrs: &AddrSet, k: usize, salt: u64) -> Self {
         assert!(k > 0, "sketch size must be positive");
         // Keep the k smallest hashes via a bounded max-heap.

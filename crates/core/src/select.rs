@@ -10,14 +10,14 @@
 //! evaluated along the way is remembered so the within-7 rule can pick a
 //! simpler model than the IC minimiser.
 
-use crate::fit::{CellModel, FitOptions};
+use crate::fit::CellModel;
 use crate::history::ContingencyTable;
 use crate::ic::{DivisorRule, IcEvaluator, IcKind};
 use crate::invariant;
 use crate::model::LogLinearModel;
 use crate::parallel::{par_map, Parallelism};
 use ghosts_obs::{FieldValue, Scope};
-use ghosts_stats::glm::GlmError;
+use ghosts_stats::glm::{GlmError, GlmOptions};
 
 /// Options controlling the stepwise search.
 #[derive(Debug, Clone)]
@@ -37,17 +37,16 @@ pub struct SelectionOptions {
     /// The final-rule margin: choose the simplest model whose IC is within
     /// this many units of the best (the paper uses 7, citing MARK).
     pub within: f64,
-    /// Newton-fit knobs applied to every candidate fit (iteration budget
-    /// included, so a runaway candidate fails structurally and is skipped
-    /// instead of stalling the search).
-    pub fit: FitOptions,
+    /// Newton options of every candidate fit. An iteration budget makes a
+    /// runaway candidate fail structurally (it is skipped) instead of
+    /// stalling the search. The estimator entry points also run the final
+    /// fit, the profile refits and the ladder's refits under these options,
+    /// so one policy governs every fit of an estimate.
+    pub fit: GlmOptions,
     /// Worker threads for evaluating a round's candidate terms. Candidate
     /// fits are independent and merged in term order, so every setting
     /// yields bit-identical results; `Fixed(1)` is the sequential path.
     pub parallelism: Parallelism,
-    /// Observability scope the search traces into (disabled by default —
-    /// then every recording call is a no-op branch).
-    pub obs: Scope,
 }
 
 impl Default for SelectionOptions {
@@ -58,9 +57,8 @@ impl Default for SelectionOptions {
             max_order: 2,
             max_added_terms: 24,
             within: 7.0,
-            fit: FitOptions::default(),
+            fit: GlmOptions::default(),
             parallelism: Parallelism::Auto,
-            obs: Scope::disabled(),
         }
     }
 }
@@ -100,7 +98,8 @@ pub struct SelectionResult {
     pub divisor: u64,
 }
 
-/// Runs greedy forward selection and applies the within-margin rule.
+/// Runs greedy forward selection and applies the within-margin rule,
+/// tracing the search into a `select` child span of `obs`.
 ///
 /// # Errors
 ///
@@ -110,9 +109,10 @@ pub fn select_model(
     table: &ContingencyTable,
     cell_model: CellModel,
     opts: &SelectionOptions,
+    obs: &Scope,
 ) -> Result<SelectionResult, GlmError> {
     invariant::check_table(table);
-    let span = opts.obs.child("select");
+    let span = obs.child("select");
     let rec = span.recorder();
     let baseline_failed = |e: &GlmError| {
         span.error(
@@ -121,7 +121,7 @@ pub fn select_model(
         );
     };
     // One prepared criterion serves the baseline and every candidate.
-    let criterion = IcEvaluator::new(table, cell_model, opts.ic, opts.divisor, &opts.fit)
+    let criterion = IcEvaluator::new(table, cell_model, opts.ic, opts.divisor, opts.fit)
         .inspect_err(baseline_failed)?;
     let divisor = criterion.divisor();
     span.event(
@@ -336,6 +336,7 @@ mod tests {
                 divisor: DivisorRule::Fixed(1),
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         assert!(
@@ -355,6 +356,7 @@ mod tests {
                 divisor: DivisorRule::Fixed(1),
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         assert!(
@@ -379,6 +381,7 @@ mod tests {
                 divisor: DivisorRule::Fixed(1),
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         let scaled = select_model(
@@ -388,6 +391,7 @@ mod tests {
                 divisor: DivisorRule::Fixed(100),
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         assert!(scaled.model.num_params() <= unscaled.model.num_params());
@@ -404,6 +408,7 @@ mod tests {
                 within: 1e9, // everything qualifies → simplest wins outright
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         assert_eq!(res.model.num_params(), 4); // independence
@@ -412,7 +417,13 @@ mod tests {
     #[test]
     fn search_trace_contains_every_model() {
         let table = independent_table(5_000.0);
-        let res = select_model(&table, CellModel::Poisson, &SelectionOptions::default()).unwrap();
+        let res = select_model(
+            &table,
+            CellModel::Poisson,
+            &SelectionOptions::default(),
+            &Scope::disabled(),
+        )
+        .unwrap();
         // Independence + the three pairwise candidates of round one.
         assert!(res.evaluated.len() >= 4);
         assert!(res.best_ic <= res.ic);
@@ -432,6 +443,7 @@ mod tests {
                 divisor: DivisorRule::Fixed(1),
                 ..Default::default()
             },
+            &Scope::disabled(),
         )
         .unwrap();
         assert!(res.model.num_params() >= 4);

@@ -8,6 +8,7 @@ use ghosts_core::{
     estimate_stratified, select_model, CellModel, ContingencyTable, CrConfig, Parallelism,
     SelectionOptions, SelectionResult,
 };
+use ghosts_obs::Scope;
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
 
@@ -74,6 +75,7 @@ fn select_model_is_thread_count_invariant() {
                 parallelism,
                 ..SelectionOptions::default()
             },
+            &Scope::disabled(),
         )
         .expect("selection succeeds")
     };
@@ -98,6 +100,7 @@ fn select_model_is_invariant_under_truncation_too() {
                 parallelism,
                 ..SelectionOptions::default()
             },
+            &Scope::disabled(),
         )
         .expect("selection succeeds")
     };

@@ -10,8 +10,8 @@
 #![allow(clippy::float_cmp)] // determinism asserts compare exact values on purpose
 
 use ghosts_core::{
-    estimate_stratified, estimate_table, estimate_table_with_range, ContingencyTable, CrConfig,
-    DivisorRule, LadderRung, Parallelism, SelectionOptions,
+    chao_lower_bound, estimate_stratified, estimate_table, estimate_table_with_range,
+    ContingencyTable, CrConfig, DivisorRule, LadderRung, Parallelism, SelectionOptions,
 };
 use ghosts_faultinject::{clear, drain_fires, install, Fault, FaultPlan, FaultRule};
 use ghosts_obs::{validate_jsonl, LogicalClock, Recorder};
@@ -103,16 +103,21 @@ fn failed_selection_degrades_to_independence() {
     clear();
 }
 
+/// A plan that fails the search and every GLM fit of an estimate.
+fn every_fit_fails() -> FaultPlan {
+    let mut rules = vec![rule("select.baseline", None, 0, Fault::NonFiniteFit)];
+    for hit in 0..200 {
+        rules.push(rule("glm.fit", None, hit, Fault::NonFiniteFit));
+    }
+    FaultPlan { rules }
+}
+
 /// When every GLM fit is poisoned the ladder must bottom out on the Chao
 /// lower bound — a total function — and report the one-sided range.
 #[test]
 fn total_fit_failure_degrades_to_chao_with_one_sided_range() {
     let _g = lock();
-    let mut rules = vec![rule("select.baseline", None, 0, Fault::NonFiniteFit)];
-    for hit in 0..200 {
-        rules.push(rule("glm.fit", None, hit, Fault::NonFiniteFit));
-    }
-    install(FaultPlan { rules }).expect("feature is armed in tests");
+    install(every_fit_fails()).expect("feature is armed in tests");
     let table = fixture_table(1);
     let (est, range) =
         estimate_table_with_range(&table, None, &wide_margin_cfg()).expect("chao cannot fail");
@@ -123,6 +128,46 @@ fn total_fit_failure_degrades_to_chao_with_one_sided_range() {
     assert_eq!(range.lower, est.total);
     assert_eq!(range.point, est.total);
     assert!(range.upper.is_infinite());
+    clear();
+}
+
+/// Under truncated cells the Chao rung caps its ghosts at the remaining
+/// space `l − M`, as `fit_llm` caps its ghost cell, so neither the
+/// estimate nor its range leaves `[M, l]`. Uncapped, this table's bound is
+/// 1,461.9 against a limit of 1,000 (M = 800).
+#[test]
+fn chao_rung_respects_the_truncation_limit() {
+    let _g = lock();
+    install(every_fit_fails()).expect("feature is armed in tests");
+    let table = fixture_table(1);
+    let cfg = CrConfig {
+        truncated: true,
+        ..wide_margin_cfg()
+    };
+    let limit = 1_000u64;
+    let est = estimate_table(&table, Some(limit), &cfg).expect("chao cannot fail");
+    let (ranged, range) =
+        estimate_table_with_range(&table, Some(limit), &cfg).expect("chao cannot fail");
+    for e in [&est, &ranged] {
+        let deg = e.degraded.as_ref().expect("degraded");
+        assert_eq!(deg.rung, LadderRung::ChaoLowerBound);
+        assert_eq!(e.observed, 800);
+        assert_eq!(e.unseen, 200.0);
+        assert_eq!(e.total, 1_000.0);
+    }
+    assert_eq!(
+        (range.lower, range.point, range.upper),
+        (1_000.0, 1_000.0, 1_000.0)
+    );
+
+    // Below a roomy limit the bound itself is the estimate, and the
+    // routed space tops the range.
+    let roomy = 10_000u64;
+    let (est, range) =
+        estimate_table_with_range(&table, Some(roomy), &cfg).expect("chao cannot fail");
+    assert_eq!(est.total, chao_lower_bound(&table).n_hat);
+    assert_eq!((range.lower, range.point), (est.total, est.total));
+    assert_eq!(range.upper, roomy as f64);
     clear();
 }
 

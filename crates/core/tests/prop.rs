@@ -3,10 +3,12 @@
 //! random tables.
 
 use ghosts_core::{
-    chao_lower_bound, estimate_table, fit_llm, lincoln_petersen, CellModel, ContingencyTable,
-    CrConfig, LogLinearModel,
+    chao_lower_bound, estimate_table, estimate_table_with_fit, estimate_table_with_range, fit_llm,
+    lincoln_petersen, CellModel, ContingencyTable, CrConfig, CrEstimate, GlmOptions,
+    LogLinearModel,
 };
 use ghosts_net::{AddrSet, SubnetSet};
+use ghosts_obs::Scope;
 use proptest::prelude::*;
 
 fn masks(t: usize) -> impl Strategy<Value = Vec<u16>> {
@@ -114,27 +116,76 @@ proptest! {
                 .chain(std::iter::repeat_n(0b11, r as usize)),
         );
         let lp = lincoln_petersen(only1 + r, only2 + r, r).unwrap();
-        let llm = fit_llm(&table, &LogLinearModel::independence(2), CellModel::Poisson).unwrap();
+        let llm = fit_llm(
+            &table,
+            &LogLinearModel::independence(2),
+            CellModel::Poisson,
+            GlmOptions::default(),
+            &Scope::disabled(),
+        ).unwrap();
         prop_assert!((llm.n_hat - lp.n_hat).abs() < 1e-3 * (1.0 + lp.n_hat),
             "LLM {} vs L-P {}", llm.n_hat, lp.n_hat);
     }
 
-    /// Estimates are always at least the observed count, never NaN, and
-    /// truncation caps them by the declared universe.
+    /// The whole estimation entry API on random tables over two to four
+    /// sources, with and without truncation. Every call returns a typed
+    /// error or a finite N̂ with M ≤ N̂ ≤ limit; with the ladder on, the
+    /// point and range entry points always return an estimate. A range
+    /// brackets N̂ and its point is N̂ bit for bit, and a fit has one
+    /// finite, non-negative expected count per observable cell.
     #[test]
-    fn estimates_are_sane(hist in masks(3), extra in 0u64..10_000) {
-        let table = ContingencyTable::from_histories(3, hist.iter().copied());
-        prop_assume!(table.observed_total() > 0);
-        let cfg = CrConfig { truncated: false, min_stratum_observed: 0, ..CrConfig::paper() };
-        if let Ok(est) = estimate_table(&table, None, &cfg) {
-            prop_assert!(est.total.is_finite());
-            prop_assert!(est.total >= est.observed as f64 - 1e-6);
-            // With truncation the estimate respects the limit.
-            let limit = table.observed_total() + extra;
-            let cfg_t = CrConfig { min_stratum_observed: 0, ..CrConfig::paper() };
-            if let Ok(est_t) = estimate_table(&table, Some(limit), &cfg_t) {
-                prop_assert!(est_t.total <= limit as f64 + 1e-6,
-                    "estimate {} above limit {}", est_t.total, limit);
+    fn estimates_are_sane(
+        t in 2usize..5,
+        hist in masks(4),
+        truncated in any::<bool>(),
+        slack in 0u64..10_000,
+    ) {
+        // Histories over four sources, cut down to the first `t` (an
+        // all-zero history is unobservable and dropped).
+        let low = (1u16 << t) - 1;
+        let table = ContingencyTable::from_histories(
+            t,
+            hist.iter().map(|&m| m & low).filter(|&m| m != 0),
+        );
+        let observed = table.observed_total();
+        let limit = truncated.then_some(observed + slack);
+        let cfg = CrConfig { truncated, min_stratum_observed: 0, ..CrConfig::paper() };
+        // The tolerance `truncated_fit_respects_bound` uses: the Newton
+        // solver may sit a hair above the bound when it converges onto it.
+        let sane = |est: &CrEstimate| -> proptest::TestCaseResult {
+            prop_assert_eq!(est.observed, observed);
+            prop_assert!(est.total.is_finite(), "N̂ = {}", est.total);
+            prop_assert!(est.total >= observed as f64 - 1e-6,
+                "N̂ = {} below M = {observed}", est.total);
+            if let Some(l) = limit {
+                prop_assert!(est.total <= l as f64 * (1.0 + 1e-5) + 1e-6,
+                    "N̂ = {} above limit {l}", est.total);
+            }
+            Ok(())
+        };
+
+        match estimate_table(&table, limit, &cfg) {
+            Ok(est) => sane(&est)?,
+            Err(e) => prop_assert!(false, "estimate_table: {e}"),
+        }
+
+        match estimate_table_with_range(&table, limit, &cfg) {
+            Ok((est, range)) => {
+                sane(&est)?;
+                prop_assert_eq!(range.point.to_bits(), est.total.to_bits(),
+                    "range point {} is not N̂ = {}", range.point, est.total);
+                prop_assert!(range.lower <= est.total && est.total <= range.upper,
+                    "range [{}, {}] misses N̂ = {} ({:?})",
+                    range.lower, range.upper, est.total, est.degraded);
+            }
+            Err(e) => prop_assert!(false, "estimate_table_with_range: {e}"),
+        }
+
+        if let Ok(fit) = estimate_table_with_fit(&table, limit, &cfg) {
+            sane(&fit.estimate)?;
+            prop_assert_eq!(fit.expected_cells.len(), (1usize << t) - 1);
+            for (i, &mu) in fit.expected_cells.iter().enumerate() {
+                prop_assert!(mu.is_finite() && mu >= 0.0, "cell {}: mean {mu}", i + 1);
             }
         }
     }
@@ -148,7 +199,8 @@ proptest! {
         prop_assume!(table.observed_total() > 0);
         let limit = table.observed_total() + slack;
         let model = LogLinearModel::independence(3);
-        if let Ok(f) = fit_llm(&table, &model, CellModel::Truncated { limit }) {
+        let (cell_model, opts) = (CellModel::Truncated { limit }, GlmOptions::default());
+        if let Ok(f) = fit_llm(&table, &model, cell_model, opts, &Scope::disabled()) {
             prop_assert!(f.z0.is_finite() && f.z0 >= -1e-9, "ghosts {}", f.z0);
             prop_assert!(f.n_hat >= f.observed as f64 - 1e-6);
             // Relative tolerance: the Newton solver may sit a hair above
@@ -179,6 +231,8 @@ proptest! {
             &table,
             &LogLinearModel::independence(2),
             CellModel::Truncated { limit },
+            GlmOptions::default(),
+            &Scope::disabled(),
         ).unwrap();
         prop_assert!((f.n_hat - lp.n_hat).abs() < 1e-2 * (1.0 + lp.n_hat),
             "truncated LLM {} vs L-P {}", f.n_hat, lp.n_hat);

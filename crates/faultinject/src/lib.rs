@@ -3,7 +3,7 @@
 //! The estimation pipeline runs hundreds of independent fits per `repro`
 //! invocation. To prove that the graceful-degradation ladder (DESIGN.md §11)
 //! actually catches every failure class, this crate plants *fault points* in
-//! the library code (`glm::fit`, `select_model`, `profile_interval_traced`,
+//! the library code (`glm::fit`, `select_model`, `profile_interval`,
 //! the pipeline loaders, `par_map`) that a [`FaultPlan`] can trigger on
 //! demand — forcing a non-finite fit, exhausting the Newton budget,
 //! poisoning a cell with NaN, dropping a source from a window, or panicking

@@ -63,10 +63,11 @@ pub mod prelude {
     };
     pub use ghosts_core::{
         chao_lower_bound, estimate_stratified, estimate_table, estimate_table_with_range, fit_llm,
-        lincoln_petersen, CellModel, ContingencyTable, CrConfig, DivisorRule, IcKind,
+        lincoln_petersen, CellModel, ContingencyTable, CrConfig, DivisorRule, GlmOptions, IcKind,
         LogLinearModel, Parallelism, SelectionOptions,
     };
     pub use ghosts_net::{addr_from_str, addr_to_string, AddrSet, Prefix, RoutedTable, SubnetSet};
+    pub use ghosts_obs::Scope;
     pub use ghosts_pipeline::{
         filter_spoofed, filter_to_routed, paper_windows, Quarter, SpoofFilterConfig, TimeWindow,
         WindowData,

@@ -3,7 +3,7 @@
 //!
 //! A manifest is assembled by the binary after the run: it echoes the
 //! effective configuration, ingests summary events from the flushed
-//! [`EventLog`](crate::EventLog) (model choices, IC candidate tables,
+//! [`EventLog`] (model choices, IC candidate tables,
 //! errors), and carries the final counters, histograms and the volatile
 //! lane (wall durations, worker stats). Unlike the JSONL trace it is *not*
 //! required to be identical across thread counts — that is the whole point

@@ -50,15 +50,10 @@ pub struct WindowObserved {
     pub subnets: u64,
 }
 
-/// Computes the union counts for a window.
-pub fn window_observed(data: &WindowData) -> WindowObserved {
-    window_observed_traced(data, &Scope::disabled())
-}
-
-/// [`window_observed`] with tracing: records a `window_observed` event
-/// (per-window union sizes plus per-source sizes) and bumps the
-/// `aggregate.*` counters in `obs`.
-pub fn window_observed_traced(data: &WindowData, obs: &Scope) -> WindowObserved {
+/// Computes the union counts for a window, and records a `window_observed`
+/// event (per-window union sizes plus per-source sizes) and the
+/// `aggregate.*` counters into `obs`.
+pub fn window_observed(data: &WindowData, obs: &Scope) -> WindowObserved {
     let u = data.observed_union();
     let observed = WindowObserved {
         ips: u.len(),
@@ -137,7 +132,7 @@ mod tests {
                 SourceDataset::new("B", [0x01000002u32, 0x02000001].into_iter().collect(), true),
             ],
         };
-        let obs = window_observed(&wd);
+        let obs = window_observed(&wd, &Scope::disabled());
         assert_eq!(obs.ips, 3);
         assert_eq!(obs.subnets, 2);
         let sizes = per_source_sizes(&wd);

@@ -18,14 +18,9 @@ pub struct FilterStats {
 }
 
 /// Returns the subset of `set` that is publicly routed and not reserved,
-/// with counts of what was dropped.
-pub fn filter_to_routed(set: &AddrSet, routed: &RoutedTable) -> (AddrSet, FilterStats) {
-    filter_to_routed_traced(set, routed, &Scope::disabled())
-}
-
-/// [`filter_to_routed`] with tracing: records a `filter` event with the
-/// drop/keep breakdown and bumps the `filter.*` pipeline counters in `obs`.
-pub fn filter_to_routed_traced(
+/// with counts of what was dropped, and records a `filter` event with the
+/// drop/keep breakdown and the `filter.*` pipeline counters into `obs`.
+pub fn filter_to_routed(
     set: &AddrSet,
     routed: &RoutedTable,
     obs: &Scope,
@@ -79,7 +74,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let (kept, stats) = filter_to_routed(&set, &routed);
+        let (kept, stats) = filter_to_routed(&set, &routed, &Scope::disabled());
         assert_eq!(kept.len(), 2);
         assert!(kept.contains(a("8.8.8.8")));
         assert_eq!(stats.dropped_reserved, 2);
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn empty_set_passes_through() {
         let routed = RoutedTable::new();
-        let (kept, stats) = filter_to_routed(&AddrSet::new(), &routed);
+        let (kept, stats) = filter_to_routed(&AddrSet::new(), &routed, &Scope::disabled());
         assert!(kept.is_empty());
         assert_eq!(stats, FilterStats::default());
     }
@@ -101,7 +96,7 @@ mod tests {
         // resurrect reserved addresses.
         let routed = RoutedTable::from_prefixes(["10.0.0.0/8".parse().unwrap()]);
         let set: AddrSet = [a("10.1.2.3")].into_iter().collect();
-        let (kept, stats) = filter_to_routed(&set, &routed);
+        let (kept, stats) = filter_to_routed(&set, &routed, &Scope::disabled());
         assert!(kept.is_empty());
         assert_eq!(stats.dropped_reserved, 1);
     }

@@ -22,8 +22,6 @@ pub mod spoof_filter;
 pub mod time;
 
 pub use dataset::{SourceDataset, WindowData};
-pub use filter::{filter_to_routed, filter_to_routed_traced};
-pub use spoof_filter::{
-    filter_spoofed, filter_spoofed_traced, SpoofFilterConfig, SpoofFilterReport,
-};
+pub use filter::filter_to_routed;
+pub use spoof_filter::{filter_spoofed, SpoofFilterConfig, SpoofFilterReport};
 pub use time::{paper_windows, Quarter, TimeWindow};

@@ -177,35 +177,15 @@ pub fn detect_empty_eights(
 
 /// Runs the full two-stage filter on `target` (a SWIN/CALT window set),
 /// using `spoof_free` (the union of the spoof-free datasets) as the
-/// reference. `rng` drives the probabilistic stage-2 removals.
+/// reference, and records the resulting [`SpoofFilterReport`] into `obs`
+/// (see [`SpoofFilterReport::record`]). `rng` drives the probabilistic
+/// stage-2 removals.
 pub fn filter_spoofed<R: Rng + ?Sized>(
     target: &AddrSet,
     spoof_free: &AddrSet,
     cfg: &SpoofFilterConfig,
     rng: &mut R,
-) -> SpoofFilterReport {
-    filter_spoofed_traced(target, spoof_free, cfg, rng, &Scope::disabled())
-}
-
-/// [`filter_spoofed`] with tracing: records the resulting
-/// [`SpoofFilterReport`] into `obs` (see [`SpoofFilterReport::record`]).
-pub fn filter_spoofed_traced<R: Rng + ?Sized>(
-    target: &AddrSet,
-    spoof_free: &AddrSet,
-    cfg: &SpoofFilterConfig,
-    rng: &mut R,
     obs: &Scope,
-) -> SpoofFilterReport {
-    let report = filter_spoofed_inner(target, spoof_free, cfg, rng);
-    report.record(obs);
-    report
-}
-
-fn filter_spoofed_inner<R: Rng + ?Sized>(
-    target: &AddrSet,
-    spoof_free: &AddrSet,
-    cfg: &SpoofFilterConfig,
-    rng: &mut R,
 ) -> SpoofFilterReport {
     let empty_eights = detect_empty_eights(spoof_free, target, cfg);
 
@@ -231,7 +211,7 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
 
     if ghosts_stats::approx::is_exact_zero(rate) {
         // Nothing to filter.
-        return SpoofFilterReport {
+        let report = SpoofFilterReport {
             filtered: target.clone(),
             s_estimate,
             rate,
@@ -241,6 +221,8 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
             removed_stage1: 0,
             removed_stage2: 0,
         };
+        report.record(obs);
+        return report;
     }
 
     let m = Binomial::new(256, rate).upper_tail_threshold(cfg.alpha);
@@ -342,7 +324,7 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
         filtered.remove(addr);
     }
 
-    SpoofFilterReport {
+    let report = SpoofFilterReport {
         filtered: AddrSet::from_plane(filtered),
         s_estimate,
         rate,
@@ -351,7 +333,9 @@ fn filter_spoofed_inner<R: Rng + ?Sized>(
         removed_subnets,
         removed_stage1,
         removed_stage2,
-    }
+    };
+    report.record(obs);
+    report
 }
 
 #[cfg(test)]
@@ -409,7 +393,7 @@ mod tests {
 
         let cfg = SpoofFilterConfig::default();
         let mut rng = component_rng(9, "filter");
-        let report = filter_spoofed(&target, &clean, &cfg, &mut rng);
+        let report = filter_spoofed(&target, &clean, &cfg, &mut rng, &Scope::disabled());
 
         // The spoof-rate estimate should be near 30_000/222-ish usable /8s
         // ≈ 135 per /8 (uniform).
@@ -458,7 +442,7 @@ mod tests {
         let clean = real_usage(40, 30);
         let cfg = SpoofFilterConfig::default();
         let mut rng = component_rng(3, "filter");
-        let report = filter_spoofed(&clean.clone(), &clean, &cfg, &mut rng);
+        let report = filter_spoofed(&clean.clone(), &clean, &cfg, &mut rng, &Scope::disabled());
         assert_eq!(report.s_estimate, 0.0);
         assert_eq!(report.filtered.len(), clean.len());
         assert_eq!(report.removed_subnets, 0);
@@ -473,7 +457,7 @@ mod tests {
         target.union_with(&spoof);
         let cfg = SpoofFilterConfig::default();
         let mut rng = component_rng(5, "filter");
-        let report = filter_spoofed(&target, &clean, &cfg, &mut rng);
+        let report = filter_spoofed(&target, &clean, &cfg, &mut rng, &Scope::disabled());
         // Even with n24 < m, overlap with the clean sources protects them.
         for a in clean.iter() {
             assert!(report.filtered.contains(a), "lost confirmed addr {a}");
@@ -489,8 +473,8 @@ mod tests {
         heavy.union_with(&spoofed(200_000, 7));
         let cfg = SpoofFilterConfig::default();
         let mut rng = component_rng(8, "filter");
-        let r_light = filter_spoofed(&light, &clean, &cfg, &mut rng);
-        let r_heavy = filter_spoofed(&heavy, &clean, &cfg, &mut rng);
+        let r_light = filter_spoofed(&light, &clean, &cfg, &mut rng, &Scope::disabled());
+        let r_heavy = filter_spoofed(&heavy, &clean, &cfg, &mut rng, &Scope::disabled());
         assert!(r_heavy.s_estimate > r_light.s_estimate);
         assert!(r_heavy.m >= r_light.m);
     }

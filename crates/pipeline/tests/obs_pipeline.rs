@@ -1,17 +1,19 @@
-//! Tracing coverage for the pipeline stages: the traced variants must emit
-//! schema-valid events and counters without changing stage results.
+//! Tracing coverage for the pipeline stages: each stage called with an
+//! enabled scope must emit schema-valid events and counters, and return
+//! what the same call returns with a disabled scope.
 
 use ghosts_net::{AddrSet, RoutedTable};
-use ghosts_obs::{validate_jsonl, LogicalClock, Recorder};
+use ghosts_obs::{validate_jsonl, LogicalClock, Recorder, Scope};
+use ghosts_pipeline::aggregate::window_observed;
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
-use ghosts_pipeline::filter::{filter_to_routed, filter_to_routed_traced};
-use ghosts_pipeline::spoof_filter::{filter_spoofed, filter_spoofed_traced, SpoofFilterConfig};
+use ghosts_pipeline::filter::filter_to_routed;
+use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::{Quarter, TimeWindow};
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
 use std::sync::Arc;
 
-fn traced_root() -> (Recorder, ghosts_obs::Scope) {
+fn traced_root() -> (Recorder, Scope) {
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
     let root = rec.root("pipeline");
     (rec, root)
@@ -29,8 +31,8 @@ fn filter_trace_records_drop_breakdown() {
     .collect();
 
     let (rec, root) = traced_root();
-    let (kept_traced, stats_traced) = filter_to_routed_traced(&set, &routed, &root);
-    let (kept_plain, stats_plain) = filter_to_routed(&set, &routed);
+    let (kept_traced, stats_traced) = filter_to_routed(&set, &routed, &root);
+    let (kept_plain, stats_plain) = filter_to_routed(&set, &routed, &Scope::disabled());
     assert_eq!(kept_traced.len(), kept_plain.len());
     assert_eq!(stats_traced, stats_plain);
 
@@ -76,9 +78,9 @@ fn spoof_filter_trace_matches_untraced_result() {
 
     let (rec, root) = traced_root();
     let mut rng_a = component_rng(21, "spoof-obs");
-    let traced = filter_spoofed_traced(&target, &clean, &cfg, &mut rng_a, &root);
+    let traced = filter_spoofed(&target, &clean, &cfg, &mut rng_a, &root);
     let mut rng_b = component_rng(21, "spoof-obs");
-    let plain = filter_spoofed(&target, &clean, &cfg, &mut rng_b);
+    let plain = filter_spoofed(&target, &clean, &cfg, &mut rng_b, &Scope::disabled());
     assert_eq!(traced.filtered.len(), plain.filtered.len());
     assert_eq!(traced.removed_subnets, plain.removed_subnets);
 
@@ -108,8 +110,8 @@ fn window_aggregation_trace_records_per_source_sizes() {
         ],
     };
     let (rec, root) = traced_root();
-    let obs = ghosts_pipeline::aggregate::window_observed_traced(&wd, &root);
-    assert_eq!(obs, ghosts_pipeline::aggregate::window_observed(&wd));
+    let obs = window_observed(&wd, &root);
+    assert_eq!(obs, window_observed(&wd, &Scope::disabled()));
 
     let log = rec.flush();
     assert_eq!(log.counters.get("aggregate.windows"), Some(&1));

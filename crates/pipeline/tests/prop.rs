@@ -2,6 +2,7 @@
 //! and window algebra.
 
 use ghosts_net::AddrSet;
+use ghosts_obs::Scope;
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::{paper_windows, Quarter, TimeWindow};
 use ghosts_stats::rng::component_rng;
@@ -33,7 +34,7 @@ proptest! {
 
         let cfg = SpoofFilterConfig::default();
         let mut rng = component_rng(seed, "prop-filter");
-        let report = filter_spoofed(&target, &clean, &cfg, &mut rng);
+        let report = filter_spoofed(&target, &clean, &cfg, &mut rng, &Scope::disabled());
 
         // No fabrication.
         for a in report.filtered.iter() {
@@ -52,7 +53,7 @@ proptest! {
         // Stage-2 ablation removes no more than the full filter keeps.
         let cfg1 = SpoofFilterConfig { bayes_stage2: false, ..SpoofFilterConfig::default() };
         let mut rng1 = component_rng(seed, "prop-filter");
-        let report1 = filter_spoofed(&target, &clean, &cfg1, &mut rng1);
+        let report1 = filter_spoofed(&target, &clean, &cfg1, &mut rng1, &Scope::disabled());
         prop_assert!(report1.filtered.len() >= report.filtered.len());
         prop_assert_eq!(report1.removed_stage2, 0);
     }

@@ -375,28 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn replicate_failures_are_isolated() {
-        let table = synthetic_table(2_000, 3);
-        // A one-iteration Newton budget fails most replicate refits but
-        // must never abort the bootstrap (degrade=false keeps failures
-        // honest instead of walking the ladder).
-        let mut strict = cfg();
-        strict.degrade = false;
-        strict.fit.iteration_budget = Some(1);
-        match bootstrap_table(&table, None, &strict, &bcfg(8)) {
-            // The original fit itself may fail under the budget — also fine.
-            Err(EstimateError::Fit(_)) => {}
-            Ok(summary) => {
-                assert_eq!(
-                    summary.completed + summary.failures.len() as u64,
-                    summary.requested
-                );
-            }
-            Err(e) => panic!("unexpected error class: {e}"),
-        }
-    }
-
-    #[test]
     fn zero_replicates_yield_empty_distribution() {
         let table = synthetic_table(1_500, 4);
         let summary = bootstrap_table(&table, None, &cfg(), &bcfg(0)).expect("fits");

@@ -20,9 +20,9 @@
 use crate::bootstrap::{bootstrap_table, BootstrapConfig};
 use crate::crossval::CvErrors;
 use ghosts_core::{
-    profile_interval_opts, select_model, CellModel, ContingencyTable, CrConfig, Parallelism,
+    profile_interval, select_model, CellModel, ContingencyTable, CrConfig, Parallelism,
 };
-use ghosts_obs::FieldValue;
+use ghosts_obs::{FieldValue, Scope};
 use ghosts_stats::rng::{derive_indexed_seed, indexed_rng};
 use ghosts_stats::summary::mean;
 use rand::Rng;
@@ -210,17 +210,16 @@ fn estimate_draw(
     let alpha = 1.0 - ccfg.nominal;
     match ccfg.method {
         CiMethod::Profile => {
-            let mut sel_opts = cfg.selection.clone();
-            sel_opts.obs = ghosts_obs::Scope::disabled();
-            let sel =
-                select_model(&draw.table, cell_model, &sel_opts).map_err(|e| e.to_string())?;
-            let range = profile_interval_opts(
+            let untraced = Scope::disabled();
+            let sel = select_model(&draw.table, cell_model, &cfg.selection, &untraced)
+                .map_err(|e| e.to_string())?;
+            let range = profile_interval(
                 &draw.table,
                 &sel.model,
                 cell_model,
                 alpha,
-                &cfg.fit,
-                &sel_opts.obs,
+                cfg.selection.fit,
+                &untraced,
             )
             .map_err(|e| e.to_string())?;
             Ok((range.point, range.lower, range.upper))
@@ -236,7 +235,7 @@ fn estimate_draw(
             };
             let mut inner_cfg = cfg.clone();
             inner_cfg.truncated = false;
-            inner_cfg.obs = ghosts_obs::Scope::disabled();
+            inner_cfg.obs = Scope::disabled();
             let summary =
                 bootstrap_table(&draw.table, None, &inner_cfg, &bcfg).map_err(|e| e.to_string())?;
             let (lo, hi) = summary
@@ -272,7 +271,7 @@ pub fn coverage_curves(
         );
     }
     let mut inner = cfg.clone();
-    inner.obs = ghosts_obs::Scope::disabled();
+    inner.obs = Scope::disabled();
     inner.parallelism = Parallelism::SEQUENTIAL;
     if ccfg.parallelism.threads() > 1 {
         inner.selection.parallelism = Parallelism::SEQUENTIAL;

@@ -41,7 +41,7 @@ pub struct SimConfig {
     /// Total address budget the allocation generator aims for (the real
     /// Internet had ≈ 3.6 G allocated by 2014; the default is 1/256).
     pub allocated_budget: u64,
-    /// Fraction of allocations that are publicly routed (≈ 80%, [14]).
+    /// Fraction of allocations that are publicly routed (≈ 80%, \[14\]).
     pub routed_fraction: f64,
     /// Per-probe loss probability of the active prober (failure injection).
     pub probe_loss: f64,

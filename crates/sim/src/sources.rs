@@ -355,8 +355,8 @@ impl<'a> Detector<'a> {
 /// Stable traits (does the host answer probes? how active is it?) come
 /// from [`traits_for`]; per-quarter randomness (probe loss, session
 /// timing) is hashed on `(source, addr, q)`. The scenario's window pass
-/// runs the same two halves, [`Detector::reach`] once per address and
-/// [`Detector::sees_in`] per quarter.
+/// runs the same two halves, `Detector::reach` once per address and
+/// `Detector::sees_in` per quarter.
 pub fn detects(gt: &GroundTruth, spec: &SourceSpec, addr: u32, block: &Block, q: Quarter) -> bool {
     if !spec.active_in(q) {
         return false;

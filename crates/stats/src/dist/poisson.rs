@@ -70,7 +70,7 @@ impl Poisson {
 
     /// Natural log of the CDF, stable in the deep lower tail.
     ///
-    /// Far above the mean ([`Self::cdf_rounds_to_one`]) the CDF is exactly
+    /// Far above the mean (`Self::cdf_rounds_to_one`) the CDF is exactly
     /// 1 and its log exactly 0, which is returned without evaluating the
     /// incomplete gamma function (DESIGN.md §18). For `Pr[X <= k]` far
     /// below the mean the regularized gamma underflows; in that regime the

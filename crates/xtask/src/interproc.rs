@@ -49,8 +49,6 @@ pub const PANIC_ENTRYPOINTS: &[(&str, &str)] = &[
     ("core", "estimate_table_with_fit"),
     ("core", "estimate_stratified"),
     ("core", "fit_llm"),
-    ("core", "fit_llm_traced"),
-    ("core", "fit_llm_opts"),
     ("core", "select_model"),
     ("serve", "route"),
 ];

@@ -41,7 +41,7 @@ fn main() {
     // so the filter normalises spoof rates per routed /8 (DESIGN.md §2).
     let fcfg = SpoofFilterConfig::with_universe(scenario.routed_per_eight());
     let mut rng = component_rng(99, "spoof-example");
-    let report = filter_spoofed(swin_dirty, &spoof_free, &fcfg, &mut rng);
+    let report = filter_spoofed(swin_dirty, &spoof_free, &fcfg, &mut rng, &Scope::disabled());
 
     println!("\nfilter internals:");
     println!("  empty /8s used  : {:?}", report.empty_eights);

@@ -8,6 +8,17 @@ echo "==> cargo build --release (workspace + examples)"
 cargo build --release
 cargo build --release --examples
 
+echo "==> cargo check --all-targets (benches, examples and tests compile)"
+# Neither the release build nor `cargo test` compiles the criterion
+# benches, which call the estimator and pipeline entry points directly.
+cargo check --workspace --all-targets
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A doc link to a deleted or private item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "==> non-test Rust lines under crates/: $(scripts/loc.sh)"
+
 echo "==> cargo test -q"
 cargo test -q
 

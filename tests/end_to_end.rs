@@ -150,7 +150,13 @@ fn spoofed_netflow_inflates_and_filter_recovers() {
 
     let fcfg = SpoofFilterConfig::with_universe(s.routed_per_eight());
     let mut rng = ghosts::stats::rng::component_rng(5, "e2e-spoof");
-    let report = filter_spoofed(swin_dirty, &dirty.spoof_free_union(), &fcfg, &mut rng);
+    let report = filter_spoofed(
+        swin_dirty,
+        &dirty.spoof_free_union(),
+        &fcfg,
+        &mut rng,
+        &Scope::disabled(),
+    );
     let filtered24 = report.filtered.to_subnet24().len() as f64;
     let clean24 = swin_clean.to_subnet24().len() as f64;
     assert!(

@@ -17,7 +17,7 @@ fn routed_filter_is_identity_on_simulated_observations() {
     let w = paper_windows()[3];
     let data = s.window_data_clean(w);
     for d in &data.sources {
-        let (kept, stats) = filter_to_routed(&d.addrs, &s.gt.routed);
+        let (kept, stats) = filter_to_routed(&d.addrs, &s.gt.routed, &Scope::disabled());
         assert_eq!(kept.len(), d.addrs.len(), "{} lost addresses", d.name);
         assert_eq!(stats.dropped_reserved, 0);
         assert_eq!(stats.dropped_unrouted, 0);
@@ -42,7 +42,7 @@ fn routed_filter_drops_injected_garbage() {
         }
     }
     polluted.insert(unrouted.expect("unrouted space exists"));
-    let (kept, stats) = filter_to_routed(&polluted, &s.gt.routed);
+    let (kept, stats) = filter_to_routed(&polluted, &s.gt.routed, &Scope::disabled());
     assert_eq!(kept.len(), before);
     assert_eq!(stats.dropped_reserved, 2);
     assert_eq!(stats.dropped_unrouted, 1);
@@ -106,7 +106,7 @@ fn spoof_filter_never_removes_confirmed_addresses() {
 
     let fcfg = SpoofFilterConfig::with_universe(s.routed_per_eight());
     let mut rng = ghosts::stats::rng::component_rng(3, "pipe-spoof");
-    let report = filter_spoofed(swin, &spoof_free, &fcfg, &mut rng);
+    let report = filter_spoofed(swin, &spoof_free, &fcfg, &mut rng, &Scope::disabled());
     for addr in swin.iter() {
         if spoof_free.contains(addr) {
             assert!(
@@ -122,7 +122,7 @@ fn window_observed_counts_match_union() {
     let s = scenario();
     let w = paper_windows()[6];
     let data = s.window_data_clean(w);
-    let obs = window_observed(&data);
+    let obs = window_observed(&data, &Scope::disabled());
     let union = data.observed_union();
     assert_eq!(obs.ips, union.len());
     assert_eq!(obs.subnets, union.to_subnet24().len());
