@@ -11,9 +11,10 @@
 //! * `--denom N` — simulate 1/N of the real Internet (default 1024; 256
 //!   matches DESIGN.md's default scale but takes ~16x longer).
 //! * `--seed N` — simulation seed (default 2014).
-//! * `--threads auto|N` — worker threads for model selection and
-//!   stratified estimation (default `auto` = all cores; results are
-//!   bit-identical at every setting, `1` runs fully sequentially).
+//! * `--threads auto|N` — worker threads for the simulator's window pass,
+//!   model selection and stratified estimation (default `auto` = all
+//!   cores; results are bit-identical at every setting, `1` runs fully
+//!   sequentially).
 //! * `--trace PATH` — write the deterministic JSONL event log (DESIGN.md
 //!   §10) to PATH. Byte-identical for a given scenario and experiment
 //!   list at every `--threads` setting.
@@ -476,6 +477,8 @@ fn usage(err: &str) -> ! {
         "usage: repro [EXPERIMENT…|all] [--denom N] [--seed N] [--threads auto|N]\n\
          \x20            [--trace PATH] [--metrics-out PATH] [--fault-plan PATH]\n\
          \x20            [--profile] [--quiet]\n\
+         --threads: workers for the simulator's window pass, model selection\n\
+         \x20          and stratified estimation (output is identical at every N)\n\
          experiments: {}\n\
          extras: reliability (bootstrap + coverage + batched CV report)",
         ALL_IDS_FULL.join(" ")

@@ -86,8 +86,9 @@ pub struct ReproContext {
     /// Internet. Multiply mini-Internet counts by this for full-scale
     /// equivalents.
     pub denom: f64,
-    /// Worker-thread setting handed to every estimation run started from
-    /// this context (the `repro` binary's `--threads` flag lands here).
+    /// Worker-thread setting handed to the simulator's window pass and to
+    /// every estimation run started from this context (the `repro`
+    /// binary's `--threads` flag lands here).
     pub parallelism: Parallelism,
     /// Observability sink every estimation and filtering run traces into.
     /// Disabled by default (a no-op branch); the `repro` binary enables it
@@ -163,12 +164,13 @@ impl ReproContext {
         self.recorder.root(stage).child_idx("window", i as u64)
     }
 
-    /// Raw window data: spoofed traffic still inside SWIN/CALT. The
-    /// simulation is profiled as `sim/window`.
+    /// Raw window data: spoofed traffic still inside SWIN/CALT, simulated
+    /// on [`Self::parallelism`]'s workers. The simulation is profiled as
+    /// `sim/window`.
     pub fn raw_window(&self, i: usize) -> Arc<WindowData> {
         self.raw.get_or_insert_with(i, || {
             let _stage = self.profiler.scoped("sim").enter("window");
-            self.scenario.window_data(self.windows[i])
+            self.scenario.window_data(self.windows[i], self.parallelism)
         })
     }
 

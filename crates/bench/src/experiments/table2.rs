@@ -24,11 +24,11 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
     let mut per_year: BTreeMap<(String, u16), AddrSet> = BTreeMap::new();
     let mut clean_per_year: BTreeMap<u16, AddrSet> = BTreeMap::new();
     for q in Quarter::all() {
-        let obs = ctx.scenario.quarter_observations(q);
+        let obs = ctx.scenario.quarter_observations(q, ctx.parallelism);
         for (name, set) in obs {
             let mut set = set;
             if name == "SWIN" || name == "CALT" {
-                set.union_with(&spoofed_set(&ctx.scenario.gt, name, q, 0.05));
+                set.extend(spoofed_set(&ctx.scenario.gt, name, q, 0.05));
             } else {
                 clean_per_year.entry(q.year()).or_default().union_with(&set);
             }

@@ -355,8 +355,8 @@ fn window_data_outputs_are_pinned() {
     for i in [0usize, 10] {
         let w = ctx.windows[i];
         for (feed, data) in [
-            ("spoofed", ctx.scenario.window_data(w)),
-            ("clean", ctx.scenario.window_data_clean(w)),
+            ("spoofed", ctx.scenario.window_data(w, ctx.parallelism)),
+            ("clean", ctx.scenario.window_data_clean(w, ctx.parallelism)),
         ] {
             for d in &data.sources {
                 let digest = fnv1a_addrs(d.addrs.iter());

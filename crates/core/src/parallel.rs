@@ -1,78 +1,22 @@
-//! Deterministic self-scheduling parallelism for the two hot fan-outs of
-//! the estimation pipeline: candidate evaluation inside a model-selection
-//! round ([`crate::select::select_model`]) and per-stratum estimation
-//! ([`crate::estimator::estimate_stratified`]).
+//! The estimation pipeline's two fan-outs: candidate evaluation inside a
+//! model-selection round ([`crate::select::select_model`]) and
+//! per-stratum estimation ([`crate::estimator::estimate_stratified`]).
 //!
-//! The design constraint is **bit-identical output at every thread
-//! count**: workers claim items one at a time from a shared atomic
-//! counter (classic self-scheduling, so uneven item costs balance
-//! automatically), record each result together with its input index, and
-//! the caller merges results *in index order*. No floating-point value is
-//! ever combined in a thread-dependent order, so `threads = 1` and
-//! `threads = N` produce exactly the same bytes.
-//!
-//! Only `std` is used (`std::thread::scope` + atomics) — the workspace
-//! builds offline and adds no dependency for this.
+//! Both run on the one deterministic scheduler,
+//! [`ghosts_stats::parallel::ordered_map`] (self-scheduling workers,
+//! results in index order, bit-identical at every thread count), which
+//! this module re-exports with its [`Parallelism`] knob. On top of it,
+//! [`par_map`] and [`try_par_map`] give every item its own
+//! fault-injection task frame, probe the `parallel.worker` fault site, and
+//! trap each item's panic, so every item runs at every thread count.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+
+pub use ghosts_stats::parallel::Parallelism;
 
 /// A caught worker panic payload.
 type PanicPayload = Box<dyn Any + Send + 'static>;
-
-/// How many worker threads fan-out sections may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// One worker per available CPU core (falls back to 1 if the core
-    /// count cannot be determined).
-    #[default]
-    Auto,
-    /// Exactly this many workers; `Fixed(1)` reproduces the sequential
-    /// code path exactly (no threads are spawned at all).
-    Fixed(usize),
-}
-
-impl Parallelism {
-    /// Runs everything on the calling thread.
-    pub const SEQUENTIAL: Parallelism = Parallelism::Fixed(1);
-
-    /// The number of workers this setting resolves to (always ≥ 1).
-    pub fn threads(self) -> usize {
-        match self {
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            Parallelism::Fixed(n) => n.max(1),
-        }
-    }
-
-    /// Parses a CLI/config spelling: `auto` or a positive integer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Parallelism::Auto),
-            n => n
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(Parallelism::Fixed)
-                .ok_or_else(|| format!("expected `auto` or a positive integer, got {s:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Auto => write!(f, "auto"),
-            Parallelism::Fixed(n) => write!(f, "{n}"),
-        }
-    }
-}
 
 /// Runs one item inside its fault-injection task frame with the panic
 /// trapped. Trapping *per item* (instead of letting a panic tear down the
@@ -98,14 +42,8 @@ where
     })
 }
 
-/// Maps `f` over `items` with self-scheduling workers, collecting each
-/// item's outcome — `Ok` or the caught panic payload — in input order.
-///
-/// With one worker (or one item) this is a plain sequential loop on the
-/// calling thread. Otherwise `min(threads, items.len())` scoped workers
-/// each repeatedly claim the next unclaimed index from an atomic counter
-/// and run `f(index, &items[index])`; results are stitched back into
-/// index order afterwards, so the output is independent of scheduling.
+/// Maps `f` over `items` on the shared scheduler, collecting each item's
+/// outcome — `Ok` or the caught panic payload — in input order.
 ///
 /// Every item runs even when an earlier one panics — a worker panic is
 /// confined to its item and can no longer leak an unjoined thread or
@@ -116,65 +54,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = par.threads().min(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| run_item(i, t, f))
-            .collect();
-    }
-
-    let token = ghosts_faultinject::current_scope();
-    let next = AtomicUsize::new(0);
-    let buckets: Vec<Vec<(usize, Result<U, PanicPayload>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (token, next) = (&token, &next);
-                scope.spawn(move || {
-                    // Workers inherit the spawning thread's fault scope so
-                    // nested fan-outs address items identically at every
-                    // thread count.
-                    ghosts_faultinject::with_scope(token, || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            // lint: allow(panic-path) i < items.len() checked two lines up
-                            out.push((i, run_item(i, &items[i], f)));
-                        }
-                        out
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(bucket) => bucket,
-                // Unreachable in practice — run_item traps item panics —
-                // but a panic in the claiming loop itself must still
-                // surface rather than vanish.
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-
-    // Deterministic merge: place every result at its input index.
-    let mut slots: Vec<Option<Result<U, PanicPayload>>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    for bucket in buckets {
-        for (i, u) in bucket {
-            // lint: allow(panic-path) workers only claim i < items.len(), slots has that length
-            slots[i] = Some(u);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index is claimed exactly once")) // lint: allow(no-unwrap) see scheduler proof above
-        .collect()
+    ghosts_stats::parallel::ordered_map(par, items, |i, t| run_item(i, t, f))
 }
 
 /// Maps `f` over `items` with self-scheduling workers, returning outputs
@@ -240,30 +120,7 @@ pub fn panic_message(payload: &PanicPayload) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threads_resolution() {
-        assert!(Parallelism::Auto.threads() >= 1);
-        assert_eq!(Parallelism::Fixed(3).threads(), 3);
-        assert_eq!(Parallelism::Fixed(0).threads(), 1);
-        assert_eq!(Parallelism::SEQUENTIAL.threads(), 1);
-    }
-
-    #[test]
-    fn parse_accepts_auto_and_integers() {
-        assert_eq!(Parallelism::parse("auto"), Ok(Parallelism::Auto));
-        assert_eq!(Parallelism::parse("4"), Ok(Parallelism::Fixed(4)));
-        assert!(Parallelism::parse("0").is_err());
-        assert!(Parallelism::parse("-2").is_err());
-        assert!(Parallelism::parse("fast").is_err());
-    }
-
-    #[test]
-    fn display_round_trips() {
-        for p in [Parallelism::Auto, Parallelism::Fixed(7)] {
-            assert_eq!(Parallelism::parse(&p.to_string()), Ok(p));
-        }
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_input_order() {

@@ -28,10 +28,12 @@
 //! * **site** — a static string naming the fault point (`"glm.fit"`).
 //! * **scope** — the `/`-joined stack of work-item indices pushed by
 //!   [`task_scope`] (the stratum/window/candidate index in `par_map`).
-//!   `ghosts_core::parallel::par_map` pushes one frame per item and installs
+//!   `ghosts_core::parallel::par_map` pushes one frame per item, and the
+//!   scheduler under it (`ghosts_stats::parallel::ordered_map`) installs
 //!   the spawning thread's stack as a prefix in each worker via
 //!   [`current_scope`]/[`with_scope`], so scopes render identically at any
-//!   thread count.
+//!   thread count. The simulator's block pass runs on the same scheduler
+//!   but pushes no frame and probes no site.
 //! * **hit** — how many times this site already fired *within the current
 //!   task frame*. Each [`task_scope`] entry starts a fresh per-site counter
 //!   map, so hit indices are a pure function of the work item, not of

@@ -3,16 +3,31 @@
 
 use crate::config::SimConfig;
 use crate::host::TraitHashes;
-use crate::internet::GroundTruth;
+use crate::internet::{Block, GroundTruth};
 use crate::sources::{paper_sources, BlockScales, Detector, SourceSpec};
 use crate::spoof::spoofed_set;
 use ghosts_net::{AddrSet, SubnetSet};
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
 use ghosts_pipeline::time::{Quarter, TimeWindow};
+use ghosts_stats::parallel::{ordered_map, Parallelism};
 
 /// Fraction of spoofed traffic that is reflector-style (victim addresses,
 /// which are genuinely used).
 const REFLECTOR_FRACTION: f64 = 0.05;
+
+/// Blocks per work item of the window pass: small enough that uneven
+/// blocks balance across workers, large enough that claiming a chunk and
+/// returning its words cost little next to simulating it.
+const CHUNK_BLOCKS: usize = 64;
+
+/// One chunk's share of the window pass: the base address of each block
+/// with an active quarter, in block order, and per such block four words
+/// per source, in source order.
+#[derive(Default)]
+struct ChunkWords {
+    bases: Vec<u32>,
+    words: Vec<[u64; 4]>,
+}
 
 /// A generated measurement study.
 pub struct Scenario {
@@ -36,11 +51,16 @@ impl Scenario {
     }
 
     /// The observations of every active source over one quarter, without
-    /// spoof injection: the window pass over a one-quarter window.
-    pub fn quarter_observations(&self, q: Quarter) -> Vec<(&'static str, AddrSet)> {
+    /// spoof injection: the window pass over a one-quarter window, on
+    /// `par`'s workers.
+    pub fn quarter_observations(
+        &self,
+        q: Quarter,
+        par: Parallelism,
+    ) -> Vec<(&'static str, AddrSet)> {
         let w = TimeWindow { start: q, len: 1 };
         let active = self.active_sources(&w);
-        let sets = self.observe(&w, &active);
+        let sets = self.observe(&w, &active, par);
         active
             .iter()
             .zip(sets)
@@ -49,15 +69,16 @@ impl Scenario {
     }
 
     /// All datasets for a window, spoofed traffic included (the raw feed
-    /// the pipeline's spoof filter consumes).
-    pub fn window_data(&self, w: TimeWindow) -> WindowData {
-        self.window_data_inner(w, true)
+    /// the pipeline's spoof filter consumes), simulated on `par`'s workers.
+    pub fn window_data(&self, w: TimeWindow, par: Parallelism) -> WindowData {
+        self.window_data_inner(w, true, par)
     }
 
     /// All datasets for a window with spoof injection disabled (the
-    /// counterfactual clean feed, for ablations and tests).
-    pub fn window_data_clean(&self, w: TimeWindow) -> WindowData {
-        self.window_data_inner(w, false)
+    /// counterfactual clean feed, for ablations and tests), simulated on
+    /// `par`'s workers.
+    pub fn window_data_clean(&self, w: TimeWindow, par: Parallelism) -> WindowData {
+        self.window_data_inner(w, false, par)
     }
 
     /// The sources that collect in at least one quarter of `w`.
@@ -68,16 +89,16 @@ impl Scenario {
             .collect()
     }
 
-    fn window_data_inner(&self, w: TimeWindow, with_spoof: bool) -> WindowData {
+    fn window_data_inner(&self, w: TimeWindow, with_spoof: bool, par: Parallelism) -> WindowData {
         let active = self.active_sources(&w);
-        let mut sets = self.observe(&w, &active);
+        let mut sets = self.observe(&w, &active, par);
         if with_spoof {
             for (spec, set) in active.iter().zip(&mut sets) {
                 if spec.spoof_free() {
                     continue;
                 }
                 for q in spec.active_quarters(&w) {
-                    set.union_with(&spoofed_set(&self.gt, spec.name, q, REFLECTOR_FRACTION));
+                    set.extend(spoofed_set(&self.gt, spec.name, q, REFLECTOR_FRACTION));
                 }
             }
         }
@@ -93,25 +114,59 @@ impl Scenario {
 
     /// What each of `sources` detects over `w`, without spoof injection:
     /// the union over the window's quarters of its detections, in one pass
-    /// over the blocks (DESIGN.md §18). Per block, its active quarters,
-    /// scales and each source's geographic multiplier are found once; per
-    /// byte, the usage draw is hashed once and compared against each
-    /// active quarter's threshold; per used address, the host traits and
-    /// each source's quarter-independent [`Reach`](crate::sources::Reach)
-    /// are derived once, and then only the per-quarter hash runs, until
-    /// the first detection. Each /24 leaves as four words per source.
-    fn observe(&self, w: &TimeWindow, sources: &[&SourceSpec]) -> Vec<AddrSet> {
+    /// over the blocks (DESIGN.md §18.1). The blocks go to `par`'s workers
+    /// in chunks of [`CHUNK_BLOCKS`]; each chunk returns four words per
+    /// source per live block, and the caller ORs them into the planes in
+    /// block order, so every plane gets the same `or_word` calls in the
+    /// same order at every thread count.
+    fn observe(&self, w: &TimeWindow, sources: &[&SourceSpec], par: Parallelism) -> Vec<AddrSet> {
+        let mut sets: Vec<AddrSet> = sources.iter().map(|_| AddrSet::new()).collect();
+        if sources.is_empty() {
+            return sets;
+        }
         let gt = &self.gt;
         let trait_hashes = TraitHashes::new(gt.cfg.seed);
         let detectors: Vec<Detector> = sources.iter().map(|s| Detector::new(gt, s)).collect();
-        let mut sets: Vec<AddrSet> = sources.iter().map(|_| AddrSet::new()).collect();
+        let chunks: Vec<&[Block]> = gt.blocks().chunks(CHUNK_BLOCKS).collect();
+        let outputs = ordered_map(par, &chunks, |_, chunk| {
+            self.observe_chunk(w, chunk, &detectors, &trait_hashes)
+        });
+        let n = sources.len();
+        for out in &outputs {
+            for (&base, block_words) in out.bases.iter().zip(out.words.chunks_exact(n)) {
+                for (set, words) in sets.iter_mut().zip(block_words) {
+                    for (k, &bits) in (0u32..).zip(words) {
+                        set.plane_mut().or_word(base + 64 * k, bits);
+                    }
+                }
+            }
+        }
+        sets
+    }
+
+    /// The window pass over one chunk of blocks. Per block, its active
+    /// quarters, scales and each source's geographic multiplier are found
+    /// once; per byte, the usage draw is hashed once and compared against
+    /// each active quarter's threshold; per used address, the host traits
+    /// and each source's quarter-independent
+    /// [`Reach`](crate::sources::Reach) are derived once, and then only the
+    /// per-quarter hash runs, until the first detection.
+    fn observe_chunk(
+        &self,
+        w: &TimeWindow,
+        blocks: &[Block],
+        detectors: &[Detector],
+        trait_hashes: &TraitHashes,
+    ) -> ChunkWords {
+        let gt = &self.gt;
+        let mut out = ChunkWords::default();
         // The block's active quarters with their used-address counts, and
         // the quarters one address is used in.
         let mut live: Vec<(Quarter, u16)> = Vec::new();
         let mut used: Vec<Quarter> = Vec::new();
-        let mut geo = vec![0.0; sources.len()];
-        let mut words = vec![[0u64; 4]; sources.len()];
-        for block in gt.blocks() {
+        let mut geo = vec![0.0; detectors.len()];
+        let mut words = vec![[0u64; 4]; detectors.len()];
+        for block in blocks {
             live.clear();
             live.extend(
                 w.quarters()
@@ -122,7 +177,7 @@ impl Scenario {
                 continue;
             }
             let scales = BlockScales::of(gt, block);
-            for (g, d) in geo.iter_mut().zip(&detectors) {
+            for (g, d) in geo.iter_mut().zip(detectors) {
                 *g = d.geo(gt, block);
             }
             words.fill([0; 4]);
@@ -156,13 +211,10 @@ impl Scenario {
                     }
                 }
             }
-            for (set, block_words) in sets.iter_mut().zip(&words) {
-                for (k, &bits) in (0u32..).zip(block_words) {
-                    set.plane_mut().or_word(base + 64 * k, bits);
-                }
-            }
+            out.bases.push(base);
+            out.words.extend_from_slice(&words);
         }
-        sets
+        out
     }
 
     /// Ground-truth used addresses over the window (usage is monotone, so
@@ -193,6 +245,8 @@ mod tests {
     use super::*;
     use crate::sources::detects;
     use ghosts_pipeline::time::paper_windows;
+
+    const SEQ: Parallelism = Parallelism::SEQUENTIAL;
 
     fn scenario() -> Scenario {
         Scenario::new(SimConfig::tiny(51))
@@ -238,6 +292,14 @@ mod tests {
         Scenario::new(cfg)
     }
 
+    /// The worker settings every exactness test runs the pass at: the
+    /// sequential loop, two workers, and more workers than the tiny
+    /// scenario has chunks.
+    fn pass_settings(s: &Scenario) -> [Parallelism; 3] {
+        let chunks = s.gt.blocks().len().div_ceil(CHUNK_BLOCKS);
+        [SEQ, Parallelism::Fixed(2), Parallelism::Fixed(chunks + 3)]
+    }
+
     #[test]
     fn window_pass_equals_the_per_quarter_loop() {
         let s = truth_network_scenario();
@@ -245,27 +307,33 @@ mod tests {
             let w = paper_windows()[i];
             let active = s.active_sources(&w);
             let names = active.iter().map(|spec| spec.name);
-            let mut want = observe_per_quarter(&s, &w, &active);
-            let clean = s.window_data_clean(w);
-            assert_same_sets(
-                &format!("window {i} clean"),
-                clean.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
-                names.clone().zip(&want),
-            );
+            let clean_want = observe_per_quarter(&s, &w, &active);
             // The spoofed feed adds the same spoof sets to the same sources.
-            for (spec, set) in active.iter().zip(&mut want) {
+            let mut spoofed_want = clean_want.clone();
+            for (spec, set) in active.iter().zip(&mut spoofed_want) {
                 if !spec.spoof_free() {
                     for q in spec.active_quarters(&w) {
-                        set.union_with(&spoofed_set(&s.gt, spec.name, q, REFLECTOR_FRACTION));
+                        let spoofs: AddrSet = spoofed_set(&s.gt, spec.name, q, REFLECTOR_FRACTION)
+                            .into_iter()
+                            .collect();
+                        set.union_with(&spoofs);
                     }
                 }
             }
-            let spoofed = s.window_data(w);
-            assert_same_sets(
-                &format!("window {i} spoofed"),
-                spoofed.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
-                names.zip(&want),
-            );
+            for par in pass_settings(&s) {
+                let clean = s.window_data_clean(w, par);
+                assert_same_sets(
+                    &format!("window {i} clean at {par} workers"),
+                    clean.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
+                    names.clone().zip(&clean_want),
+                );
+                let spoofed = s.window_data(w, par);
+                assert_same_sets(
+                    &format!("window {i} spoofed at {par} workers"),
+                    spoofed.sources.iter().map(|d| (d.name.as_str(), &d.addrs)),
+                    names.clone().zip(&spoofed_want),
+                );
+            }
         }
     }
 
@@ -278,14 +346,16 @@ mod tests {
             let active: Vec<&SourceSpec> =
                 s.specs.iter().filter(|spec| spec.active_in(q)).collect();
             let want = observe_per_quarter(&s, &w, &active);
-            let got = s.quarter_observations(q);
-            assert_same_sets(
-                &format!("quarter {}", q.0),
-                got.iter().map(|(n, a)| (*n, a)),
-                active.iter().map(|spec| spec.name).zip(&want),
-            );
-            let kinds = got.iter().filter(|(n, _)| n.ends_with("PING")).count();
-            assert_eq!(kinds, censuses, "quarter {}", q.0);
+            for par in pass_settings(&s) {
+                let got = s.quarter_observations(q, par);
+                assert_same_sets(
+                    &format!("quarter {} at {par} workers", q.0),
+                    got.iter().map(|(n, a)| (*n, a)),
+                    active.iter().map(|spec| spec.name).zip(&want),
+                );
+                let kinds = got.iter().filter(|(n, _)| n.ends_with("PING")).count();
+                assert_eq!(kinds, censuses, "quarter {}", q.0);
+            }
         }
     }
 
@@ -300,13 +370,13 @@ mod tests {
                 .map(|d| d.name.clone())
                 .collect::<Vec<_>>()
         };
-        let w0 = s.window_data(ws[0]);
+        let w0 = s.window_data(ws[0], SEQ);
         assert!(!names(&w0).contains(&"SPAM".to_string()));
         assert!(!names(&w0).contains(&"CALT".to_string()));
         assert!(!names(&w0).contains(&"TPING".to_string()));
         assert!(names(&w0).contains(&"IPING".to_string()));
         // Last window: all nine.
-        let w10 = s.window_data(ws[10]);
+        let w10 = s.window_data(ws[10], SEQ);
         assert_eq!(w10.sources.len(), 9);
     }
 
@@ -314,7 +384,7 @@ mod tests {
     fn every_clean_observation_is_truly_used() {
         let s = scenario();
         let w = paper_windows()[10];
-        let wd = s.window_data_clean(w);
+        let wd = s.window_data_clean(w, SEQ);
         let truth = s.truth_addrs(w);
         for d in &wd.sources {
             for addr in d.addrs.iter() {
@@ -327,7 +397,7 @@ mod tests {
     fn spoofed_netflow_contains_unused_addresses() {
         let s = scenario();
         let w = paper_windows()[10];
-        let wd = s.window_data(w);
+        let wd = s.window_data(w, SEQ);
         let truth = s.truth_addrs(w);
         let swin = wd.source("SWIN").unwrap();
         let ghosts = swin.addrs.iter().filter(|&a| !truth.contains(a)).count();
@@ -343,7 +413,7 @@ mod tests {
     fn observed_union_undercounts_truth() {
         let s = scenario();
         let w = paper_windows()[10];
-        let wd = s.window_data_clean(w);
+        let wd = s.window_data_clean(w, SEQ);
         let union = wd.observed_union();
         let truth = s.truth_addrs(w);
         let coverage = union.len() as f64 / truth.len() as f64;
@@ -364,7 +434,7 @@ mod tests {
     fn per_source_sizes_relate_like_table2() {
         let s = scenario();
         let w = paper_windows()[10]; // all nine sources online
-        let wd = s.window_data_clean(w);
+        let wd = s.window_data_clean(w, SEQ);
         let truth = s.truth_addrs(w).len() as f64;
         let frac = |name: &str| {
             wd.source(name)
@@ -406,8 +476,8 @@ mod tests {
     fn windows_are_deterministic() {
         let s = scenario();
         let w = paper_windows()[5];
-        let a = s.window_data(w);
-        let b = s.window_data(w);
+        let a = s.window_data(w, SEQ);
+        let b = s.window_data(w, SEQ);
         for (x, y) in a.sources.iter().zip(&b.sources) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.addrs.len(), y.addrs.len());
@@ -418,8 +488,8 @@ mod tests {
     fn observations_grow_over_time() {
         let s = scenario();
         let ws = paper_windows();
-        let first = s.window_data_clean(ws[0]).observed_union().len();
-        let last = s.window_data_clean(ws[10]).observed_union().len();
+        let first = s.window_data_clean(ws[0], SEQ).observed_union().len();
+        let last = s.window_data_clean(ws[10], SEQ).observed_union().len();
         assert!(
             last as f64 > first as f64 * 1.2,
             "no growth: {first} → {last}"

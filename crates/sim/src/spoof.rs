@@ -12,10 +12,11 @@
 //! paper's routed-space pre-filter at full scale.
 
 use crate::internet::GroundTruth;
-use ghosts_net::{AddrSet, Prefix};
+use ghosts_net::Prefix;
 use ghosts_pipeline::time::Quarter;
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Samples addresses uniformly from the union of routed prefixes.
 pub struct SpoofSampler {
@@ -70,17 +71,28 @@ pub fn spoof_volume(gt: &GroundTruth, source: &str, q: Quarter) -> u64 {
 
 /// Generates the spoofed addresses `source` records in quarter `q`:
 /// uniform random-source spoofs plus a `reflector_fraction` of really-used
-/// victim addresses. Deterministic in `(seed, source, q)`.
-pub fn spoofed_set(gt: &GroundTruth, source: &str, q: Quarter, reflector_fraction: f64) -> AddrSet {
+/// victim addresses, ascending. Deterministic in `(seed, source, q)`.
+///
+/// The draws are deduplicated in a set as they are made: the uniform loop
+/// stops at `volume · (1 − reflector_fraction)` distinct addresses, and a
+/// victim counts only if it is new. The set is a `BTreeSet`, not an
+/// address plane, so a quarter's spoofs cost no 2 MiB /8 segment; callers
+/// insert them into the source's plane (DESIGN.md §18.1).
+pub fn spoofed_set(
+    gt: &GroundTruth,
+    source: &str,
+    q: Quarter,
+    reflector_fraction: f64,
+) -> Vec<u32> {
     let volume = spoof_volume(gt, source, q);
-    let mut out = AddrSet::new();
     if volume == 0 {
-        return out;
+        return Vec::new();
     }
+    let mut out = BTreeSet::new();
     let mut rng = component_rng(gt.cfg.seed, &format!("spoof-{source}-{}", q.0));
     let sampler = SpoofSampler::new(gt);
     let uniform_count = (volume as f64 * (1.0 - reflector_fraction)) as u64;
-    while out.len() < uniform_count {
+    while (out.len() as u64) < uniform_count {
         out.insert(sampler.sample(&mut rng));
     }
     // Reflector victims: genuinely used addresses.
@@ -104,13 +116,14 @@ pub fn spoofed_set(gt: &GroundTruth, source: &str, q: Quarter, reflector_fractio
             }
         }
     }
-    out
+    out.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use ghosts_net::AddrSet;
 
     fn gt() -> GroundTruth {
         GroundTruth::generate(SimConfig::tiny(41))
@@ -161,11 +174,12 @@ mod tests {
         let gt = gt();
         let a = spoofed_set(&gt, "SWIN", Quarter(5), 0.05);
         let b = spoofed_set(&gt, "SWIN", Quarter(5), 0.05);
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a, b);
         assert!(a.len() >= 1_900 && a.len() <= 2_000, "len {}", a.len());
         // Different quarters → different sets.
         let c = spoofed_set(&gt, "SWIN", Quarter(6), 0.05);
-        assert!(a.intersection_count(&c) < a.len() / 4);
+        let common = a.iter().filter(|x| c.binary_search(x).is_ok()).count();
+        assert!(common < a.len() / 4);
     }
 
     #[test]
@@ -174,7 +188,7 @@ mod tests {
         let q = Quarter(5);
         let with = spoofed_set(&gt, "SWIN", q, 0.5);
         let used = gt.used_addr_set(q);
-        let used_overlap = with.iter().filter(|&a| used.contains(a)).count() as f64;
+        let used_overlap = with.iter().filter(|&&a| used.contains(a)).count() as f64;
         // About half the volume should be genuinely used victims (plus the
         // odd uniform draw that happens to hit used space).
         assert!(
@@ -182,5 +196,71 @@ mod tests {
             "victim share {}",
             used_overlap / with.len() as f64
         );
+    }
+
+    /// The plane-building loop `spoofed_set` replaced, frozen as its
+    /// oracle: the same draws, deduplicated in an address plane.
+    fn spoofed_plane(
+        gt: &GroundTruth,
+        source: &str,
+        q: Quarter,
+        reflector_fraction: f64,
+    ) -> AddrSet {
+        let volume = spoof_volume(gt, source, q);
+        let mut out = AddrSet::new();
+        if volume == 0 {
+            return out;
+        }
+        let mut rng = component_rng(gt.cfg.seed, &format!("spoof-{source}-{}", q.0));
+        let sampler = SpoofSampler::new(gt);
+        let uniform_count = (volume as f64 * (1.0 - reflector_fraction)) as u64;
+        while out.len() < uniform_count {
+            out.insert(sampler.sample(&mut rng));
+        }
+        let blocks = gt.blocks();
+        let mut victims = 0u64;
+        let target_victims = volume - uniform_count;
+        let mut attempts = 0u64;
+        while victims < target_victims && attempts < target_victims * 200 {
+            attempts += 1;
+            let Some(b) = blocks.get(rng.gen_range(0..blocks.len())) else {
+                continue;
+            };
+            if !gt.block_active(b, q) {
+                continue;
+            }
+            let byte = rng.gen_range(1..255u32);
+            if gt.addr_used_in_block(b, byte, q) {
+                let addr = (b.subnet << 8) + byte;
+                if out.insert(addr) {
+                    victims += 1;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spoofed_set_equals_the_plane_loop() {
+        let gt = gt();
+        // CALT's spike starts in quarter 12; WIKI has no spoof volume.
+        for source in ["SWIN", "CALT", "WIKI"] {
+            for q in [
+                Quarter(2),
+                Quarter(7),
+                Quarter(11),
+                Quarter(12),
+                Quarter(13),
+            ] {
+                for fraction in [0.05, 0.5] {
+                    let what = format!("{source} quarter {} fraction {fraction}", q.0);
+                    let got = spoofed_set(&gt, source, q, fraction);
+                    let want = spoofed_plane(&gt, source, q, fraction);
+                    assert_eq!(got.len() as u64, want.len(), "{what}: size");
+                    assert!(got.iter().copied().eq(want.iter()), "{what}: addresses");
+                    assert_eq!(got.is_empty(), source == "WIKI", "{what}: volume");
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,8 @@
 //!   log-linear models.
 //! * [`optimize`] — bisection/golden-section for profile-likelihood
 //!   interval inversion.
+//! * [`parallel`] — the deterministic, self-scheduling map behind
+//!   every fan-out, and its [`Parallelism`](parallel::Parallelism) knob.
 //! * [`regression`] — linear trend fitting for the growth analysis (§6).
 //! * [`summary`] — RMSE/MAE/quantiles for the cross-validation (§5).
 //! * [`rng`] — deterministic per-component random streams.
@@ -28,6 +30,7 @@ pub mod dist;
 pub mod glm;
 pub mod linalg;
 pub mod optimize;
+pub mod parallel;
 pub mod regression;
 pub mod rng;
 pub mod special;

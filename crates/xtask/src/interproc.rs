@@ -10,8 +10,8 @@
 //!   entrypoint so the edge can be audited.
 //! - **lock-discipline** — no second lock acquisition while a guard is
 //!   live without a declared order, and no guard live across a
-//!   `par_map`/`try_par_map` fan-out or (in the serve crate) a socket
-//!   I/O call. Functions whose return type names a `MutexGuard` count as
+//!   `par_map`/`try_par_map`/`ordered_map` fan-out or (in the serve
+//!   crate) a socket I/O call. Functions whose return type names a `MutexGuard` count as
 //!   acquisitions at their call sites, which is how the serve cache's
 //!   `lock()` helpers participate.
 //! - **counting-overflow** — unchecked `+`/`*`/`<<` where an operand is a
@@ -337,7 +337,7 @@ fn scan_fn_locks(
                     continue;
                 }
                 // Fan-out with a guard live.
-                if matches!(w.as_str(), "par_map" | "try_par_map") && next_is_call {
+                if matches!(w.as_str(), "par_map" | "try_par_map" | "ordered_map") && next_is_call {
                     if let Some(g) = guards.first() {
                         if !file.test_lines.contains(&t.line)
                             && !file.allows.check(t.line, RULE_LOCK_DISCIPLINE)

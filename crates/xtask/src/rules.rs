@@ -162,7 +162,8 @@ pub const RULE_NET_IO: &str = "net-io";
 /// [`crate::interproc`]).
 pub const RULE_PANIC_PATH: &str = "panic-path";
 /// Nested lock acquisition without a declared order, or a guard live
-/// across `par_map` / socket I/O (interprocedural).
+/// across a fan-out (`par_map`, `try_par_map`, `ordered_map`) or socket
+/// I/O (interprocedural).
 pub const RULE_LOCK_DISCIPLINE: &str = "lock-discipline";
 /// Unchecked `+`/`*`/`<<` on `u32`/`u64` counting values in the
 /// estimation crates.

@@ -1,4 +1,4 @@
-//! Fixture: lock-discipline — nested guards, guards across fan-out and I/O.
+//! Fixture: lock-discipline — nested guards, guards across fan-outs and I/O.
 
 use std::sync::Mutex;
 
@@ -43,5 +43,11 @@ impl S {
         let g = self.a.lock().unwrap();
         let _ = stream.write_all(b"x");
         drop(g);
+    }
+
+    pub fn ordered_fanout(&self, xs: &[u64]) -> u64 {
+        let g = self.a.lock().unwrap();
+        let ys = ordered_map(xs, |x| x + 1);
+        *g + ys.len() as u64
     }
 }

@@ -67,11 +67,12 @@ fn panic_path_findings_carry_the_call_chain() {
 #[test]
 fn lock_discipline_fires_on_nested_fanout_and_socket_io() {
     // Line 13: nested acquisition; line 37: par_map with a guard live;
-    // line 44: socket write with a guard live. Line 21 declares an order,
-    // and the scoped block releases its guard before line 31.
+    // line 44: socket write with a guard live; line 50: the shared
+    // scheduler's ordered_map with a guard live. Line 21 declares an
+    // order, and the scoped block releases its guard before line 31.
     assert_eq!(
         fired("bad_lock_discipline.rs", "serve", "lock-discipline"),
-        vec![13, 37, 44]
+        vec![13, 37, 44, 50]
     );
 }
 

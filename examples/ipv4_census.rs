@@ -38,7 +38,7 @@ fn main() {
 
     // --- Full nine-source window (§4.1). --------------------------------
     let window = *paper_windows().last().expect("paper has 11 windows");
-    let data = scenario.window_data_clean(window);
+    let data = scenario.window_data_clean(window, Parallelism::Auto);
     println!("\nsources over the {window}:");
     for s in &data.sources {
         println!(

@@ -19,8 +19,8 @@ fn main() {
     let scenario = Scenario::new(cfg);
 
     let window = *paper_windows().last().expect("windows");
-    let dirty = scenario.window_data(window);
-    let clean_truth = scenario.window_data_clean(window);
+    let dirty = scenario.window_data(window, Parallelism::Auto);
+    let clean_truth = scenario.window_data_clean(window, Parallelism::Auto);
 
     let swin_dirty = &dirty.source("SWIN").expect("SWIN online").addrs;
     let swin_clean = &clean_truth.source("SWIN").expect("SWIN online").addrs;

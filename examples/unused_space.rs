@@ -20,7 +20,7 @@ fn main() {
     cfg.allocated_budget = 1_000_000;
     let scenario = Scenario::new(cfg);
     let window = *paper_windows().last().expect("windows");
-    let data = scenario.window_data_clean(window);
+    let data = scenario.window_data_clean(window, Parallelism::Auto);
 
     // Universe: the routed prefixes (see DESIGN.md on the scale-driven
     // deviation from the paper's allocatable universe).

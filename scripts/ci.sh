@@ -72,16 +72,18 @@ echo "==> addrplane smoke (bitwise 2^t kernel ≡ per-address table on the repro
 cargo test -q -p ghosts-bench --release --lib \
     plane_kernel_matches_per_address_on_repro_windows >/dev/null
 
-echo "==> exactness smoke (fused window pass, log-linear design products, Newton loop, cell shortcuts, ln_cdf guard, bit pins)"
+echo "==> exactness smoke (parallel window pass, spoof sets, log-linear design products, Newton loop, cell shortcuts, ln_cdf guard, bit pins)"
 # The hot loops skip work whose result is already known (DESIGN.md §18);
 # in release builds they must still give the bits of the loops they
-# replaced: the per-quarter simulator loop, the dense design products, the
-# Newton loop on dense products with rates recomputed every step and
+# replaced: the per-quarter simulator loop (at one, two and more workers
+# than chunks), the plane-building spoof loop, the dense design products,
+# the Newton loop on dense products with rates recomputed every step and
 # frozen per-cell formulas, the per-cell zero-count and rate-bound
 # shortcuts, the one-pass truncated moments, the unguarded ln_cdf, and the
 # pinned outputs.
 cargo test -q -p ghosts-sim --release --lib -- \
-    window_pass_equals_the_per_quarter_loop quarter_observations_equal_the_per_quarter_loop >/dev/null
+    window_pass_equals_the_per_quarter_loop quarter_observations_equal_the_per_quarter_loop \
+    spoofed_set_equals_the_plane_loop >/dev/null
 cargo test -q -p ghosts-stats --release --test prop -- \
     design_products_equal_the_dense_kernels ln_cdf_guard_is_bit_exact >/dev/null
 cargo test -q -p ghosts-stats --release --lib -- newton_fit_equals_the_dense_loop \

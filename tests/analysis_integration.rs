@@ -16,7 +16,7 @@ fn cross_validation_beats_observed_baseline() {
     // using the number of observed IPs."
     let s = scenario();
     let w = paper_windows()[8]; // window 9 in the paper's 1-based count
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let cfg = CrConfig {
         min_stratum_observed: 0,
         ..CrConfig::paper()
@@ -48,7 +48,7 @@ fn cross_validation_distinguishes_skips_from_failures() {
     // must land in different buckets of the report.
     let s = scenario();
     let w = paper_windows()[8];
-    let mut data = s.window_data_clean(w);
+    let mut data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     data.sources.truncate(2);
     let cfg = CrConfig {
         min_stratum_observed: 0,
@@ -80,7 +80,7 @@ fn growth_series_shapes_match_paper() {
     let mut observed = Vec::new();
     let mut truth = Vec::new();
     for w in &windows {
-        let data = s.window_data_clean(*w);
+        let data = s.window_data_clean(*w, Parallelism::SEQUENTIAL);
         observed.push(data.observed_union().len() as f64);
         truth.push(s.truth_addrs(*w).len() as f64);
     }
@@ -106,7 +106,7 @@ fn growth_series_shapes_match_paper() {
 fn unused_space_model_places_all_ghosts_and_crosschecks_llm() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let universe = s.gt.routed.prefixes();
 
     // Subnet-level censuses from source merges.
@@ -167,7 +167,7 @@ fn supply_projection_runs_out_in_the_future() {
     let windows = paper_windows();
     let mut estimates = Vec::new();
     for w in &windows {
-        let data = s.window_data_clean(*w);
+        let data = s.window_data_clean(*w, Parallelism::SEQUENTIAL);
         // Cheap proxy for the estimate series: observed union scaled by a
         // constant ghost factor (the full CR series is exercised in the
         // repro harness; here we test the projection plumbing).
@@ -192,7 +192,7 @@ fn fig3_style_ranges_cover_most_sources() {
     // Fig 3: normalised CV ranges should bracket 1.0 for most sources.
     let s = scenario();
     let w = paper_windows()[8];
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let cfg = CrConfig {
         min_stratum_observed: 0,
         ..CrConfig::paper()

@@ -14,7 +14,7 @@ fn scenario() -> Scenario {
 fn cr_beats_observed_union_on_addresses() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let truth = s.truth_addrs(w).len() as f64;
 
     let sets = data.addr_sets();
@@ -44,7 +44,7 @@ fn cr_beats_observed_union_on_addresses() {
 fn cr_beats_observed_union_on_subnets() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let truth = s.truth_subnets(w).len() as f64;
 
     let subnet_sets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
@@ -76,7 +76,7 @@ fn address_estimate_exceeds_subnet_estimate_relative_to_observed() {
     // IPs is 50–60% above the number of observed IPs".
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
 
     let sets = data.addr_sets();
     let addr_table = ContingencyTable::from_addr_sets(&sets);
@@ -113,7 +113,7 @@ fn estimates_grow_roughly_linearly_over_windows() {
     let picks = [0usize, 5, 10];
     let mut estimates = Vec::new();
     for &i in &picks {
-        let data = s.window_data_clean(windows[i]);
+        let data = s.window_data_clean(windows[i], Parallelism::SEQUENTIAL);
         let sets = data.addr_sets();
         let table = ContingencyTable::from_addr_sets(&sets);
         let est = estimate_table(
@@ -138,8 +138,8 @@ fn estimates_grow_roughly_linearly_over_windows() {
 fn spoofed_netflow_inflates_and_filter_recovers() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let dirty = s.window_data(w);
-    let clean = s.window_data_clean(w);
+    let dirty = s.window_data(w, Parallelism::SEQUENTIAL);
+    let clean = s.window_data_clean(w, Parallelism::SEQUENTIAL);
 
     let swin_dirty = &dirty.source("SWIN").unwrap().addrs;
     let swin_clean = &clean.source("SWIN").unwrap().addrs;

@@ -35,7 +35,7 @@ fn stratified_total_consistent_with_unstratified() {
     // stratifications".
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
 
     let sets = data.addr_sets();
     let table = ContingencyTable::from_addr_sets(&sets);
@@ -67,7 +67,7 @@ fn stratified_total_consistent_with_unstratified() {
 fn per_rir_estimates_order_like_allocations() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let (tables, limits) = rir_tables(&s, &data);
     let strat = estimate_stratified(&tables, Some(&limits), &CrConfig::paper());
 
@@ -99,7 +99,7 @@ fn truth_networks_estimated_better_than_observed() {
     cfg.with_truth_networks = true;
     let s = Scenario::new(cfg);
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let truth = s.truth_addrs(w);
 
     let mut improved = 0usize;
@@ -153,7 +153,7 @@ fn truncated_beats_poisson_on_small_strata() {
     cfg.with_truth_networks = true;
     let s = Scenario::new(cfg);
     let w = *paper_windows().last().unwrap();
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let truth = s.truth_addrs(w);
 
     let mut trunc_wins = 0usize;

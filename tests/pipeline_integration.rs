@@ -15,7 +15,7 @@ fn routed_filter_is_identity_on_simulated_observations() {
     // and pipeline.
     let s = scenario();
     let w = paper_windows()[3];
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     for d in &data.sources {
         let (kept, stats) = filter_to_routed(&d.addrs, &s.gt.routed, &Scope::disabled());
         assert_eq!(kept.len(), d.addrs.len(), "{} lost addresses", d.name);
@@ -28,7 +28,7 @@ fn routed_filter_is_identity_on_simulated_observations() {
 fn routed_filter_drops_injected_garbage() {
     let s = scenario();
     let w = paper_windows()[3];
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let mut polluted = data.sources[0].addrs.clone();
     let before = polluted.len();
     polluted.insert(addr_from_str("10.1.2.3").unwrap()); // reserved
@@ -56,9 +56,9 @@ fn yearly_summaries_mirror_table2_availability() {
     let q1 = Quarter(0);
     let q2 = Quarter(2);
     let q2013 = Quarter(8);
-    let obs1 = s.quarter_observations(q1);
-    let obs2 = s.quarter_observations(q2);
-    let obs3 = s.quarter_observations(q2013);
+    let obs1 = s.quarter_observations(q1, Parallelism::SEQUENTIAL);
+    let obs2 = s.quarter_observations(q2, Parallelism::SEQUENTIAL);
+    let obs3 = s.quarter_observations(q2013, Parallelism::SEQUENTIAL);
 
     let mut rows = Vec::new();
     for (name, set) in obs1.iter().chain(&obs2).chain(&obs3) {
@@ -100,7 +100,7 @@ fn yearly_summaries_mirror_table2_availability() {
 fn spoof_filter_never_removes_confirmed_addresses() {
     let s = scenario();
     let w = *paper_windows().last().unwrap();
-    let dirty = s.window_data(w);
+    let dirty = s.window_data(w, Parallelism::SEQUENTIAL);
     let spoof_free = dirty.spoof_free_union();
     let swin = &dirty.source("SWIN").unwrap().addrs;
 
@@ -121,7 +121,7 @@ fn spoof_filter_never_removes_confirmed_addresses() {
 fn window_observed_counts_match_union() {
     let s = scenario();
     let w = paper_windows()[6];
-    let data = s.window_data_clean(w);
+    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
     let obs = window_observed(&data, &Scope::disabled());
     let union = data.observed_union();
     assert_eq!(obs.ips, union.len());
@@ -139,8 +139,14 @@ fn calt_spike_hits_march_2014_window_only() {
     let w_spike = ws[9];
     assert!(w_spike.contains(Quarter(12)));
     assert!(!w_before.contains(Quarter(12)));
-    let calt_before = s.window_data(w_before).take_source("CALT").unwrap();
-    let calt_spike = s.window_data(w_spike).take_source("CALT").unwrap();
+    let calt_before = s
+        .window_data(w_before, Parallelism::SEQUENTIAL)
+        .take_source("CALT")
+        .unwrap();
+    let calt_spike = s
+        .window_data(w_spike, Parallelism::SEQUENTIAL)
+        .take_source("CALT")
+        .unwrap();
     assert!(
         calt_spike.addrs.len() as f64 > calt_before.addrs.len() as f64 * 1.5,
         "CALT spike missing: {} vs {}",
