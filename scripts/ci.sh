@@ -151,6 +151,21 @@ grep -q '"section":"reliability"' "$smoke_dir/rel_manifest.json" || {
 }
 test -s "$smoke_dir/results/reliability.json"
 
+echo "==> results gate (repro all + repro reliability at the defaults = committed results/)"
+# results/ is what EXPERIMENTS.md quotes. Outputs are identical at every
+# thread count (DESIGN.md §8), so a fresh run must reproduce it byte for
+# byte (about 100 s on 2 vCPUs). A change that moves an output
+# regenerates results/ in the same change and names the files that moved.
+gate_dir="$smoke_dir/results_gate"
+mkdir -p "$gate_dir"
+(cd "$gate_dir" && "$repo_root/target/release/repro" all --quiet &&
+    "$repo_root/target/release/repro" reliability --quiet)
+diff -r "$repo_root/results" "$gate_dir/results" || {
+    echo "ci.sh: results/ differs from a fresh repro all + repro reliability run;" >&2
+    echo "       regenerate it from the repo root and name the files that moved" >&2
+    exit 1
+}
+
 echo "==> serve smoke (ephemeral port, cache hit, clean SIGTERM shutdown)"
 serve_log="$smoke_dir/serve.log"
 "$repo_root/target/release/serve" run --port 0 --denom 16384 --seed 7 --workers 2 \
