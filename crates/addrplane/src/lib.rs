@@ -7,8 +7,9 @@
 //! address order by construction:
 //!
 //! * [`AddrPlane`] — the segmented bitmap with word-wise boolean
-//!   kernels (AND/OR/XOR/AND-NOT), popcounts per arbitrary range or
-//!   prefix, bulk word ingest, and a set-bit iterator.
+//!   kernels (AND, OR), popcounts per arbitrary range or prefix, bulk
+//!   word ingest, and a set-bit iterator. It is the workspace's one
+//!   address-set type: `ghosts-net` re-exports it as `AddrSet`.
 //! * [`contingency_counts`] — the bitwise 2^t kernel: all
 //!   capture-history cells of `t` source planes from one walk over
 //!   their shared words, bit-identical to the per-address construction;

@@ -13,8 +13,8 @@
 //!   allocator services with zeroed (copy-on-write) pages — pages no
 //!   kernel ever writes stay non-resident;
 //! * every segment tracks the word range it has ever touched, and all
-//!   kernels (union, intersect, subtract, xor, popcounts, iteration)
-//!   confine their scans to that range.
+//!   kernels (union, intersect, popcounts, iteration) confine their
+//!   scans to that range.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -141,37 +141,6 @@ impl Segment {
             total += u64::from(w.count_ones());
         }
         total + u64::from((self.word(ew) & high_mask(eb)).count_ones())
-    }
-
-    /// Sets bit positions `start..=end` (segment-local); returns how many
-    /// were newly set.
-    fn fill_bits(&mut self, start: usize, end: usize) -> u64 {
-        let (sw, sb) = (start / 64, (start % 64) as u32);
-        let (ew, eb) = (end / 64, (end % 64) as u32);
-        fn orr(bits: &mut [u64], wi: usize, mask: u64) -> u64 {
-            match bits.get_mut(wi) {
-                Some(w) => {
-                    let added = u64::from((mask & !*w).count_ones());
-                    *w |= mask;
-                    added
-                }
-                None => 0,
-            }
-        }
-        let mut added = 0u64;
-        if sw == ew {
-            added += orr(&mut self.bits, sw, low_mask(sb) & high_mask(eb));
-        } else {
-            added += orr(&mut self.bits, sw, low_mask(sb));
-            for w in self.bits.get_mut(sw + 1..ew).unwrap_or(&mut []) {
-                added += u64::from((!*w).count_ones());
-                *w = u64::MAX;
-            }
-            added += orr(&mut self.bits, ew, high_mask(eb));
-        }
-        self.touch_range(sw as u32, ew as u32);
-        self.count += added;
-        added
     }
 }
 
@@ -391,65 +360,6 @@ impl AddrPlane {
         out
     }
 
-    /// AND-NOT kernel: removes from `self` every address in `other`.
-    pub fn subtract(&mut self, other: &AddrPlane) {
-        let mut doomed = Vec::new();
-        for (&key, seg) in &mut self.segs {
-            let Some(oseg) = other.segs.get(&key) else {
-                continue;
-            };
-            let from = seg.span().start.max(oseg.span().start);
-            let to = seg.span().end.min(oseg.span().end);
-            let mut removed = 0u64;
-            let dst = seg.bits.get_mut(from..to).unwrap_or(&mut []);
-            let src = oseg.bits.get(from..to).unwrap_or(&[]);
-            for (w, &ow) in dst.iter_mut().zip(src) {
-                if ow != 0 {
-                    removed += u64::from((*w & ow).count_ones());
-                    *w &= !ow;
-                }
-            }
-            seg.count -= removed;
-            self.len -= removed;
-            if seg.count == 0 {
-                doomed.push(key);
-            }
-        }
-        for key in doomed {
-            self.segs.remove(&key);
-        }
-    }
-
-    /// XOR kernel: symmetric difference, in place.
-    pub fn xor_with(&mut self, other: &AddrPlane) {
-        let mut doomed = Vec::new();
-        for (&key, oseg) in &other.segs {
-            if oseg.count == 0 {
-                continue;
-            }
-            let seg = self.segs.entry(key).or_default();
-            let mut added = 0u64;
-            let mut removed = 0u64;
-            let dst = seg.bits.get_mut(oseg.span()).unwrap_or(&mut []);
-            for (w, &ow) in dst.iter_mut().zip(oseg.words()) {
-                if ow != 0 {
-                    removed += u64::from((*w & ow).count_ones());
-                    added += u64::from((ow & !*w).count_ones());
-                    *w ^= ow;
-                }
-            }
-            seg.touch_range(oseg.lo, oseg.hi);
-            seg.count = seg.count + added - removed;
-            self.len = self.len + added - removed;
-            if seg.count == 0 {
-                doomed.push(key);
-            }
-        }
-        for key in doomed {
-            self.segs.remove(&key);
-        }
-    }
-
     /// Popcount over the inclusive address range `lo..=hi`.
     pub fn count_range(&self, lo: u32, hi: u32) -> u64 {
         if lo > hi {
@@ -485,35 +395,6 @@ impl AddrPlane {
         }
         let (lo, hi) = prefix_bounds(base, len);
         self.count_range(lo, hi)
-    }
-
-    /// Sets every address in the prefix `base/len`; returns how many were
-    /// newly set. Filling allocates real pages for the whole prefix —
-    /// use for bounded ranges (building reserved/routed masks), not the
-    /// full space.
-    pub fn fill_prefix(&mut self, base: u32, len: u8) -> u64 {
-        let (lo, hi) = if len == 0 {
-            (0u32, u32::MAX)
-        } else {
-            prefix_bounds(base, len)
-        };
-        let (klo, khi) = (seg_key(lo), seg_key(hi));
-        let mut added = 0u64;
-        for key in klo..=khi {
-            let start = if key == klo {
-                (lo & 0x00ff_ffff) as usize
-            } else {
-                0
-            };
-            let end = if key == khi {
-                (hi & 0x00ff_ffff) as usize
-            } else {
-                SEG_BITS - 1
-            };
-            added += self.segs.entry(key).or_default().fill_bits(start, end);
-        }
-        self.len += added;
-        added
     }
 
     /// ORs a whole word of bits at the 64-aligned address `word_base`;
@@ -566,14 +447,6 @@ impl AddrPlane {
                     BitIter::new(w).map(move |b| word_base + b)
                 })
         })
-    }
-
-    /// Keeps only addresses satisfying the predicate.
-    pub fn retain<F: FnMut(u32) -> bool>(&mut self, mut f: F) {
-        let doomed: Vec<u32> = self.iter().filter(|&a| !f(a)).collect();
-        for a in doomed {
-            self.remove(a);
-        }
     }
 
     /// Per-/8 address counts (index = first octet). Segments are exactly
@@ -674,6 +547,28 @@ mod tests {
     }
 
     #[test]
+    fn boundary_addresses() {
+        let mut p = AddrPlane::new();
+        for addr in [0u32, u32::MAX, 0xffff, 0x1_0000, 0x00ff_ffff, 0x0100_0000] {
+            p.insert(addr);
+        }
+        assert_eq!(p.len(), 6);
+        assert!(p.contains(0) && p.contains(u32::MAX));
+        let all: Vec<u32> = p.iter().collect();
+        assert_eq!(all, vec![0, 65535, 65536, (1 << 24) - 1, 1 << 24, u32::MAX]);
+    }
+
+    #[test]
+    fn iter_sorted_and_complete() {
+        let addrs = [9u32, 5, 70_000, 3, u32::MAX, 65_536];
+        let p: AddrPlane = addrs.iter().copied().collect();
+        let got: Vec<u32> = p.iter().collect();
+        let mut want = addrs.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn union_intersection_subtract() {
         let a: AddrPlane = [1u32, 2, 3, 0x0900_0000].into_iter().collect();
         let b: AddrPlane = [3u32, 4, 0x0900_0000, 0xff00_0001].into_iter().collect();
@@ -687,28 +582,26 @@ mod tests {
 
         let i = a.intersect(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![3, 0x0900_0000]);
-
-        let mut d = a.clone();
-        d.subtract(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 2]);
-        let mut gone = a.clone();
-        gone.subtract(&a);
-        assert!(gone.is_empty());
-        assert_eq!(gone.segment_count(), 0);
     }
 
     #[test]
-    fn xor_is_symmetric_difference() {
-        let a: AddrPlane = [1u32, 2, 3].into_iter().collect();
-        let b: AddrPlane = [2u32, 3, 4, 0x0a00_0000].into_iter().collect();
-        let mut x = a.clone();
-        x.xor_with(&b);
-        assert_eq!(x.iter().collect::<Vec<_>>(), vec![1, 4, 0x0a00_0000]);
-        // XOR with itself empties and prunes.
-        let mut z = b.clone();
-        z.xor_with(&b);
-        assert!(z.is_empty());
-        assert_eq!(z.segment_count(), 0);
+    fn union_with_overlapping_chunks_maintains_len() {
+        let mut a: AddrPlane = (0u32..1000).collect();
+        let b: AddrPlane = (500u32..1500).collect();
+        a.union_with(&b);
+        assert_eq!(a.len(), 1500);
+        assert_eq!(a.iter().count() as u64, a.len());
+    }
+
+    #[test]
+    fn intersect_builds_common_set() {
+        let a: AddrPlane = [1u32, 2, 3, 100_000].into_iter().collect();
+        let b: AddrPlane = [2u32, 3, 100_000, 9_000_000].into_iter().collect();
+        let i = a.intersect(&b);
+        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3, 100_000]);
+        assert_eq!(i.len(), a.intersection_count(&b));
+        // Intersection with an empty plane is empty.
+        assert!(a.intersect(&AddrPlane::new()).is_empty());
     }
 
     #[test]
@@ -733,21 +626,6 @@ mod tests {
         // Prefixes wider than a segment straddle the directory.
         assert_eq!(p.count_in_prefix(0x0a00_0000, 7), 5);
         assert_eq!(p.count_in_prefix(0x0800_0000, 5), 5);
-    }
-
-    #[test]
-    fn fill_prefix_sets_whole_blocks() {
-        let mut p = AddrPlane::new();
-        assert_eq!(p.fill_prefix(0xc000_0200, 24), 256);
-        assert_eq!(p.len(), 256);
-        // Refill is idempotent.
-        assert_eq!(p.fill_prefix(0xc000_0200, 24), 0);
-        // Straddling a segment boundary: /7 covers two /8s.
-        assert_eq!(p.fill_prefix(0x0a00_0000, 7), 1 << 25);
-        assert_eq!(p.count_in_prefix(0x0a00_0000, 8), 1 << 24);
-        assert_eq!(p.count_in_prefix(0x0b00_0000, 8), 1 << 24);
-        assert!(p.contains(0x0bff_ffff));
-        assert!(!p.contains(0x0c00_0000));
     }
 
     #[test]
@@ -801,13 +679,5 @@ mod tests {
         assert_eq!(p.word(0x0a00_0040), 0b10);
         assert_eq!(p.word(u32::MAX), 1 << 63);
         assert_eq!(p.word(0x0b00_0000), 0, "missing segment reads zero");
-    }
-
-    #[test]
-    fn retain_filters() {
-        let mut p: AddrPlane = (0u32..100).collect();
-        p.retain(|x| x % 2 == 0);
-        assert_eq!(p.len(), 50);
-        assert!(p.contains(42) && !p.contains(43));
     }
 }

@@ -25,7 +25,6 @@ enum Op {
     Remove(u32),
     Union(Vec<u32>),
     Intersect(Vec<u32>),
-    Subtract(Vec<u32>),
     PopcountPrefix(u32, u8),
 }
 
@@ -36,7 +35,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         addr_strategy().prop_map(Op::Remove),
         small().prop_map(Op::Union),
         small().prop_map(Op::Intersect),
-        small().prop_map(Op::Subtract),
         // Prefix length derived from the address so one draw covers both.
         addr_strategy().prop_map(|a| Op::PopcountPrefix(a, (a % 33) as u8)),
     ]
@@ -77,12 +75,6 @@ proptest! {
                     plane = plane.intersect(&other);
                     model = model.intersection(&keep).copied().collect();
                 }
-                Op::Subtract(addrs) => {
-                    let other: AddrPlane = addrs.iter().copied().collect();
-                    let drop: BTreeSet<u32> = addrs.into_iter().collect();
-                    plane.subtract(&other);
-                    model = model.difference(&drop).copied().collect();
-                }
                 Op::PopcountPrefix(base, len) => {
                     prop_assert_eq!(
                         plane.count_in_prefix(base, len),
@@ -110,20 +102,6 @@ proptest! {
         );
     }
 
-    #[test]
-    fn xor_is_symmetric_difference(
-        a in proptest::collection::vec(addr_strategy(), 0..200),
-        b in proptest::collection::vec(addr_strategy(), 0..200),
-    ) {
-        let a: BTreeSet<u32> = a.into_iter().collect();
-        let b: BTreeSet<u32> = b.into_iter().collect();
-        let mut plane: AddrPlane = a.iter().copied().collect();
-        let pb: AddrPlane = b.iter().copied().collect();
-        plane.xor_with(&pb);
-        let want: BTreeSet<u32> = a.symmetric_difference(&b).copied().collect();
-        prop_assert_eq!(plane.len(), want.len() as u64);
-        prop_assert!(plane.iter().eq(want.iter().copied()));
-    }
 }
 
 #[test]
@@ -146,19 +124,4 @@ fn segment_boundary_edge_cases() {
     assert_eq!(p.count_in_prefix(0, 0), 6);
     assert_eq!(p.count_in_prefix(0, 32), 1);
     assert_eq!(p.count_in_prefix(u32::MAX, 32), 1);
-}
-
-#[test]
-fn fill_prefix_straddling_segments_matches_per_bit() {
-    // 0.255.255.128/25 through 1.0.0.127: a /7-contained fill crossing
-    // the segment directory's key boundary.
-    let mut filled = AddrPlane::new();
-    let added = filled.fill_prefix(0x00ff_ff80, 25);
-    assert_eq!(added, 128);
-    let mut per_bit = AddrPlane::new();
-    for a in 0x00ff_ff80u32..=0x00ff_ffff {
-        per_bit.insert(a);
-    }
-    assert_eq!(filled.len(), per_bit.len());
-    assert!(filled.iter().eq(per_bit.iter()));
 }

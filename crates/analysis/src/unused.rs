@@ -33,7 +33,7 @@ impl CensusDepth {
 /// Free-block census of a used address set within a universe of disjoint
 /// prefixes.
 pub fn census_addrs(universe: &[Prefix], used: &AddrSet) -> BlockCounts {
-    free_block_census(universe, &|p| used.count_in_prefix(p), 32)
+    free_block_census(universe, &|p| used.count_in_prefix(p.base(), p.len()), 32)
 }
 
 /// Free-block census of a used /24 set within a universe (lengths > 24 in

@@ -28,13 +28,25 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("census_40k_in_slash12", |b| {
         b.iter(|| {
-            free_block_census(&[universe], &|p| used.count_in_prefix(p), 32)
-                .iter()
-                .sum::<u64>()
+            free_block_census(
+                &[universe],
+                &|p| used.count_in_prefix(p.base(), p.len()),
+                32,
+            )
+            .iter()
+            .sum::<u64>()
         })
     });
-    let before = free_block_census(&[universe], &|p| used.count_in_prefix(p), 32);
-    let after = free_block_census(&[universe], &|p| more.count_in_prefix(p), 32);
+    let before = free_block_census(
+        &[universe],
+        &|p| used.count_in_prefix(p.base(), p.len()),
+        32,
+    );
+    let after = free_block_census(
+        &[universe],
+        &|p| more.count_in_prefix(p.base(), p.len()),
+        32,
+    );
     g.bench_function("additions_from_delta", |b| {
         b.iter(|| additions_by_block_size(&before, &after).iter().sum::<f64>())
     });

@@ -507,7 +507,7 @@ fn contingency_btree(sources: &[std::collections::BTreeSet<u32>]) -> Vec<u64> {
 /// cell construction vs the per-address oracle and the BTree baseline,
 /// and per-probe membership cost, at 1e6 and 1e7 observed addresses.
 fn addrplane_mode(out: &str) {
-    use ghosts_addrplane::{contingency_counts, AddrPlane, PrefixPlane};
+    use ghosts_addrplane::{contingency_counts, PrefixPlane};
     use ghosts_net::AddrSet;
     use std::collections::BTreeSet;
     let wall = WallClock::new();
@@ -522,7 +522,7 @@ fn addrplane_mode(out: &str) {
     for (n, label) in [(1_000_000usize, "1e6"), (10_000_000usize, "1e7")] {
         eprintln!("perf_record: building {t} sources over ~{label} addresses…");
         let mut rng = component_rng(10, &format!("perf-addrplane-{label}"));
-        let mut planes: Vec<AddrPlane> = (0..t).map(|_| AddrPlane::new()).collect();
+        let mut planes: Vec<AddrSet> = (0..t).map(|_| AddrSet::new()).collect();
         let mut btrees: Vec<BTreeSet<u32>> = (0..t).map(|_| BTreeSet::new()).collect();
         for _ in 0..n {
             let addr = (EIGHTS[rng.gen_range(0..4)] << 24) | rng.gen_range(0..(1u32 << 24));
@@ -540,7 +540,7 @@ fn addrplane_mode(out: &str) {
             }
         }
         let observed: u64 = {
-            let mut union = AddrPlane::new();
+            let mut union = AddrSet::new();
             for p in &planes {
                 union.union_with(p);
             }
@@ -548,20 +548,15 @@ fn addrplane_mode(out: &str) {
         };
 
         eprintln!("perf_record: timing 2^{t} cell construction ({label})…");
-        let plane_refs: Vec<&AddrPlane> = planes.iter().collect();
+        let plane_refs: Vec<&AddrSet> = planes.iter().collect();
         // Fewer timed iterations at 1e7: the BTree baseline alone runs for
         // tens of seconds per pass.
         let iters = if n > 1_000_000 { 3 } else { 5 };
         let kernel_us = median_us(&wall, iters, || {
             std::hint::black_box(contingency_counts(&plane_refs));
         });
-        let sets: Vec<AddrSet> = planes
-            .iter()
-            .map(|p| AddrSet::from_plane(p.clone()))
-            .collect();
-        let set_refs: Vec<&AddrSet> = sets.iter().collect();
         let per_addr_us = median_us(&wall, iters, || {
-            std::hint::black_box(ContingencyTable::from_addr_sets_per_addr(&set_refs));
+            std::hint::black_box(ContingencyTable::from_addr_sets_per_addr(&plane_refs));
         });
         let t0 = wall.now();
         let btree_counts = contingency_btree(&btrees);
@@ -577,7 +572,7 @@ fn addrplane_mode(out: &str) {
 
         eprintln!("perf_record: timing membership probes ({label})…");
         let union_plane = {
-            let mut u = AddrPlane::new();
+            let mut u = AddrSet::new();
             for p in &planes {
                 u.union_with(p);
             }

@@ -73,7 +73,6 @@ const MANIFEST_EVENTS: &[&str] = &[
     "estimate",
     "stratified_total",
     "ci",
-    "filter",
     "spoof_filter",
     "window_observed",
 ];

@@ -3,7 +3,7 @@
 
 use crate::context::ReproContext;
 use ghosts_analysis::report::TextTable;
-use ghosts_net::AddrSet;
+use ghosts_net::{AddrSet, SubnetSet};
 use ghosts_obs::Scope;
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::Quarter;
@@ -68,7 +68,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
         for year in years {
             match per_year.get(&(name.to_string(), year)) {
                 Some(set) => {
-                    let subs = set.to_subnet24().len();
+                    let subs = SubnetSet::covering(set).len();
                     cells.push(set.len().to_string());
                     cells.push(subs.to_string());
                     jrow[format!("ips_{year}")] = json!(set.len());

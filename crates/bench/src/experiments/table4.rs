@@ -50,7 +50,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
         let refs: Vec<&AddrSet> = restricted.iter().collect();
         let table = ContingencyTable::from_addr_sets(&refs);
         let observed = table.observed_total();
-        let net_truth = truth.count_in_prefix(n.prefix) as f64;
+        let net_truth = truth.count_in_prefix(n.prefix.base(), n.prefix.len()) as f64;
 
         let plain_cfg = CrConfig {
             truncated: false,

@@ -28,7 +28,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
     let ping_subnets = data.source("IPING").map(|d| d.subnets().len()).unwrap_or(0);
     let observed = data.observed_union();
     let observed_addrs = observed.len();
-    let observed_subnets = observed.to_subnet24().len();
+    let observed_subnets = SubnetSet::covering(&observed).len();
     let routed_addrs = ctx.scenario.gt.routed.address_count();
     let routed_subnets = ctx.scenario.gt.routed.subnet24_count();
 

@@ -6,7 +6,6 @@
 //! observed by source `i`), and a [`ContingencyTable`] holds the `2^t`
 //! counts, with the all-zero cell — the ghosts — unknown.
 
-use ghosts_addrplane::AddrPlane;
 use ghosts_net::{AddrSet, SubnetSet};
 
 /// Maximum number of sources a table can hold. The paper uses nine; the
@@ -49,28 +48,26 @@ impl ContingencyTable {
     }
 
     /// Builds the table for a collection of address sets (one per source)
-    /// via the bitwise plane kernel: all `2^t` cells from one walk over
-    /// the sources' shared bitmap words, no per-address loop. The result
-    /// is bit-identical to [`ContingencyTable::from_addr_sets_per_addr`]
-    /// (both compute the same exact partition; the equivalence is pinned
-    /// by tests here and asserted on the repro scenario in the bench
-    /// crate).
+    /// via the word-wise 2^t kernel
+    /// ([`ghosts_addrplane::contingency_counts`]): all `2^t` cells from
+    /// one walk over the sources' shared bitmap words, no per-address
+    /// loop. The result is bit-identical to
+    /// [`ContingencyTable::from_addr_sets_per_addr`] (both compute the
+    /// same exact partition; the equivalence is pinned by tests here and
+    /// asserted on the repro scenario in the bench crate).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= sources.len() <= MAX_SOURCES`.
     pub fn from_addr_sets(sources: &[&AddrSet]) -> Self {
-        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
-        Self::from_planes(&planes)
-    }
-
-    /// Builds the table directly from `t` source bitmap planes using the
-    /// word-wise 2^t kernel ([`ghosts_addrplane::contingency_counts`]).
-    pub fn from_planes(planes: &[&AddrPlane]) -> Self {
-        let t = planes.len();
+        let t = sources.len();
         assert!(
             (1..=MAX_SOURCES).contains(&t),
             "ContingencyTable: t = {t} out of range"
         );
         ContingencyTable {
             t,
-            counts: ghosts_addrplane::contingency_counts(planes),
+            counts: ghosts_addrplane::contingency_counts(sources),
         }
     }
 
@@ -102,8 +99,8 @@ impl ContingencyTable {
     /// same plane kernel as [`ContingencyTable::from_addr_sets`] (a subnet
     /// set is a plane of /24 ids).
     pub fn from_subnet_sets(sources: &[&SubnetSet]) -> Self {
-        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
-        Self::from_planes(&planes)
+        let planes: Vec<&AddrSet> = sources.iter().map(|s| s.plane()).collect();
+        Self::from_addr_sets(&planes)
     }
 
     /// Builds one table per stratum from address sets. `stratum_of` maps an
@@ -122,8 +119,11 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
-        Self::stratified_from_planes(&planes, n_strata, stratum_of)
+        let t = sources.len();
+        ghosts_addrplane::stratified_counts(sources, n_strata, stratum_of)
+            .into_iter()
+            .map(|counts| ContingencyTable { t, counts })
+            .collect()
     }
 
     /// Builds one table per stratum from /24 subnet sets. `stratum_of`
@@ -140,24 +140,10 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
-        Self::stratified_from_planes(&planes, n_strata, |sub| {
+        let planes: Vec<&AddrSet> = sources.iter().map(|s| s.plane()).collect();
+        Self::stratified_from_addr_sets(&planes, n_strata, |sub| {
             stratum_of(SubnetSet::subnet_base(sub))
         })
-    }
-
-    /// The stratified plane walk
-    /// ([`ghosts_addrplane::stratified_counts`]) behind both
-    /// `stratified_from_*` builders.
-    fn stratified_from_planes<F>(planes: &[&AddrPlane], n_strata: usize, key: F) -> Vec<Self>
-    where
-        F: Fn(u32) -> Option<usize>,
-    {
-        let t = planes.len();
-        ghosts_addrplane::stratified_counts(planes, n_strata, key)
-            .into_iter()
-            .map(|counts| ContingencyTable { t, counts })
-            .collect()
     }
 
     /// Records one individual with history `mask`. A zero mask (individual
@@ -338,8 +324,6 @@ mod tests {
         let kernel = ContingencyTable::from_addr_sets(&refs);
         let per_addr = ContingencyTable::from_addr_sets_per_addr(&refs);
         assert_eq!(kernel, per_addr);
-        let planes: Vec<_> = sources.iter().map(|s| s.plane()).collect();
-        assert_eq!(ContingencyTable::from_planes(&planes), per_addr);
     }
 
     #[test]

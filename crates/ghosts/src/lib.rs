@@ -11,7 +11,7 @@
 //! | [`net`] | IPv4 prefixes, bitmap address sets, prefix trie, routed table, registry, free-block census |
 //! | [`core`] | log-linear capture–recapture: contingency tables, model selection, profile ranges, L-P/Chao baselines |
 //! | [`sim`] | synthetic Internet + the nine measurement sources + spoofing (the data substitute) |
-//! | [`pipeline`] | time windows, routed/bogon filtering, the §4.5 spoof filter |
+//! | [`pipeline`] | time windows, the §4.5 spoof filter, /24 aggregation |
 //! | [`analysis`] | growth trends, cross-validation, unused-space model, supply projection |
 //! | [`reliability`] | parametric bootstrap, batched leave-one-source-out CV, CI coverage curves |
 //!
@@ -69,8 +69,7 @@ pub mod prelude {
     pub use ghosts_net::{addr_from_str, addr_to_string, AddrSet, Prefix, RoutedTable, SubnetSet};
     pub use ghosts_obs::Scope;
     pub use ghosts_pipeline::{
-        filter_spoofed, filter_to_routed, paper_windows, Quarter, SpoofFilterConfig, TimeWindow,
-        WindowData,
+        filter_spoofed, paper_windows, Quarter, SpoofFilterConfig, TimeWindow, WindowData,
     };
     pub use ghosts_reliability::{
         bootstrap_table, coverage_curves, cross_validate_batch, BootstrapConfig, BootstrapSummary,

@@ -129,7 +129,7 @@ mod tests {
     }
 
     fn census_of(universe: &[Prefix], used: &AddrSet) -> BlockCounts {
-        free_block_census(universe, &|b| used.count_in_prefix(b), 32)
+        free_block_census(universe, &|b| used.count_in_prefix(b.base(), b.len()), 32)
     }
 
     #[test]

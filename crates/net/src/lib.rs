@@ -5,9 +5,9 @@
 //!
 //! * [`addr`] — addresses as `u32`, CIDR [`Prefix`] algebra.
 //! * [`set`] — [`AddrSet`] / [`SubnetSet`] holding per-source
-//!   observations at Internet scale. Both are views over the segmented
-//!   bitmap plane (`ghosts_addrplane::AddrPlane`): one over addresses,
-//!   one over /24 subnet ids.
+//!   observations at Internet scale. [`AddrSet`] is the segmented bitmap
+//!   plane (`ghosts_addrplane::AddrPlane`) itself; [`SubnetSet`] is a
+//!   plane over /24 subnet ids.
 //! * [`routed`] — the aggregated publicly routed table (§4.4, §6.1).
 //! * [`registry`] — RIR delegations with country/industry/age attributes for
 //!   stratification (§3.4).

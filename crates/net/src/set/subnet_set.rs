@@ -1,20 +1,20 @@
 //! A set of /24 subnets as an address plane over subnet ids.
 
+use super::AddrSet;
 use crate::addr::Prefix;
-use ghosts_addrplane::AddrPlane;
 
 /// Number of /24 subnets in the IPv4 space; valid ids are below it.
 const TOTAL_SUBNETS: u32 = 1 << 24;
 
 /// A set of /24 subnets, identified by the top 24 bits of an address
-/// (`addr >> 8`). A view over an [`AddrPlane`] whose positions are subnet
-/// ids instead of addresses: every id is below 2²⁴, so the whole set
+/// (`addr >> 8`). A view over a plane ([`AddrSet`]) whose positions are
+/// subnet ids instead of addresses: every id is below 2²⁴, so the whole set
 /// lives in the plane's first segment, allocated lazily and scanned only
 /// over its touched words. Set algebra, popcounts and the contingency
 /// kernels are the plane's.
 #[derive(Clone, Default)]
 pub struct SubnetSet {
-    plane: AddrPlane,
+    plane: AddrSet,
 }
 
 impl SubnetSet {
@@ -23,15 +23,39 @@ impl SubnetSet {
         Self::default()
     }
 
-    /// Wraps a plane of subnet ids (all below 2²⁴).
-    pub(crate) fn from_plane(plane: AddrPlane) -> Self {
-        debug_assert!(plane.count_range(TOTAL_SUBNETS, u32::MAX) == 0);
-        SubnetSet { plane }
+    /// The /24 subnets that hold at least one address of `addrs` (§4: a
+    /// /24 is used if any of its addresses is). Each nonzero address word
+    /// sits inside one /24, and 64 consecutive /24 ids share one word of
+    /// the id plane, so the walk gathers each output word's bits and ORs
+    /// it in once.
+    ///
+    /// ```
+    /// use ghosts_net::{addr_from_str, AddrSet, SubnetSet};
+    ///
+    /// let mut seen = AddrSet::new();
+    /// seen.insert(addr_from_str("192.0.2.1").unwrap());
+    /// seen.insert(addr_from_str("192.0.2.200").unwrap());
+    /// assert_eq!(seen.len(), 2);
+    /// assert_eq!(SubnetSet::covering(&seen).len(), 1); // same /24
+    /// ```
+    pub fn covering(addrs: &AddrSet) -> Self {
+        let mut ids = AddrSet::new();
+        let (mut out_base, mut bits) = (0u32, 0u64);
+        addrs.for_each_word(|word_base, _| {
+            let id = word_base >> 8;
+            if id & !63 != out_base {
+                ids.or_word(out_base, bits);
+                (out_base, bits) = (id & !63, 0);
+            }
+            bits |= 1u64 << (id & 63);
+        });
+        ids.or_word(out_base, bits);
+        SubnetSet { plane: ids }
     }
 
     /// The backing plane of subnet ids (for word-wise kernels — e.g. the
     /// bitwise contingency build in `ghosts_core`).
-    pub fn plane(&self) -> &AddrPlane {
+    pub fn plane(&self) -> &AddrSet {
         &self.plane
     }
 
@@ -90,11 +114,6 @@ impl SubnetSet {
         SubnetSet {
             plane: self.plane.intersect(&other.plane),
         }
-    }
-
-    /// Removes from `self` every subnet present in `other`.
-    pub fn subtract(&mut self, other: &SubnetSet) {
-        self.plane.subtract(&other.plane);
     }
 
     /// Number of set subnets inside an address prefix (`len <= 24`).
@@ -188,8 +207,6 @@ mod tests {
         let mut u = s1.clone();
         u.union_with(&s2);
         assert_eq!(u.len(), 4);
-        u.subtract(&s2);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]
@@ -199,6 +216,19 @@ mod tests {
         let i = s1.intersect(&s2);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2]);
         assert_eq!(i.len(), 1);
+    }
+
+    #[test]
+    fn projection_to_subnets() {
+        let mut s = AddrSet::new();
+        s.insert(a("10.0.0.1"));
+        s.insert(a("10.0.0.200")); // same /24
+        s.insert(a("10.0.1.1"));
+        s.insert(a("172.16.5.9"));
+        let subs = SubnetSet::covering(&s);
+        assert_eq!(subs.len(), 3);
+        assert!(subs.contains(a("10.0.0.0") >> 8));
+        assert!(subs.contains(a("172.16.5.0") >> 8));
     }
 
     #[test]

@@ -80,16 +80,12 @@ proptest! {
         for addr in i.iter() {
             prop_assert!(sa.contains(addr) && sb.contains(addr));
         }
-        // A \ B ∪ (A ∩ B) = A
-        let mut diff = sa.clone();
-        diff.subtract(&sb);
-        prop_assert_eq!(diff.len() + inter, sa.len());
     }
 
     #[test]
     fn subnet_projection_counts(addrs in proptest::collection::hash_set(projection_addr(), 0..400)) {
         let set: AddrSet = addrs.iter().copied().collect();
-        let subs: SubnetSet = set.to_subnet24();
+        let subs = SubnetSet::covering(&set);
         let want: HashSet<u32> = addrs.iter().map(|a| a >> 8).collect();
         prop_assert_eq!(subs.len(), want.len() as u64);
         let mut sorted: Vec<u32> = want.into_iter().collect();
@@ -106,7 +102,7 @@ proptest! {
         let set: AddrSet = addrs.iter().copied().collect();
         let prefix = Prefix::new(base, len);
         let want = addrs.iter().filter(|&&a| prefix.contains(a)).count() as u64;
-        prop_assert_eq!(set.count_in_prefix(prefix), want);
+        prop_assert_eq!(set.count_in_prefix(prefix.base(), prefix.len()), want);
     }
 
     #[test]
@@ -158,8 +154,8 @@ proptest! {
         for o in &second {
             s2.insert(base + o);
         }
-        let x1 = free_block_census(&universe, &|p| s1.count_in_prefix(p), 32);
-        let x2 = free_block_census(&universe, &|p| s2.count_in_prefix(p), 32);
+        let x1 = free_block_census(&universe, &|p| s1.count_in_prefix(p.base(), p.len()), 32);
+        let x2 = free_block_census(&universe, &|p| s2.count_in_prefix(p.base(), p.len()), 32);
         let n = additions_by_block_size(&x1, &x2);
         // Replay matches exactly.
         let replayed = apply_additions(&x1, &n);

@@ -81,7 +81,6 @@ pub const EVENT_NAMES: &[(&str, &str)] = &[
     ("estimate_empty", "event"),
     ("estimate_failed", "error"),
     ("experiment_failed", "error"),
-    ("filter", "event"),
     ("fired", "fault_injected"),
     ("fit", "event"),
     ("fit_failed", "error"),

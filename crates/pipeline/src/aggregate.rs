@@ -36,7 +36,7 @@ where
             source,
             year,
             unique_ips: set.len(),
-            unique_subnets: set.to_subnet24().len(),
+            unique_subnets: SubnetSet::covering(&set).len(),
         })
         .collect()
 }
@@ -57,7 +57,7 @@ pub fn window_observed(data: &WindowData, obs: &Scope) -> WindowObserved {
     let u = data.observed_union();
     let observed = WindowObserved {
         ips: u.len(),
-        subnets: u.to_subnet24().len(),
+        subnets: SubnetSet::covering(&u).len(),
     };
     let rec = obs.recorder();
     rec.add("aggregate.windows", 1);

@@ -29,7 +29,7 @@ impl SourceDataset {
 
     /// The dataset's unique /24 subnets.
     pub fn subnets(&self) -> SubnetSet {
-        self.addrs.to_subnet24()
+        SubnetSet::covering(&self.addrs)
     }
 }
 

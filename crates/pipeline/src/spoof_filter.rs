@@ -17,7 +17,6 @@
 //!    `P(B|V)`, and Bayes' rule yields the per-address retention
 //!    probability `P(V|B)` (spoofed addresses have uniform last bytes).
 
-use ghosts_addrplane::AddrPlane;
 use ghosts_net::AddrSet;
 use ghosts_obs::{FieldValue, Scope};
 use ghosts_stats::Binomial;
@@ -226,7 +225,6 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
     }
 
     let m = Binomial::new(256, rate).upper_tail_threshold(cfg.alpha);
-    let (target, clean) = (target.plane(), spoof_free.plane());
 
     // --- Stage 1: drop sparse /24s with no spoof-free confirmation. A /24
     // is four plane words; the walk handles each /24 of the target at its
@@ -234,7 +232,7 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
     // bit with the spoof-free word at the same place. Kept /24s are ORed
     // word by word into a fresh plane. ---
     const WORD_OFFSETS: [u32; 4] = [0, 64, 128, 192];
-    let mut filtered = AddrPlane::new();
+    let mut filtered = AddrSet::new();
     let mut removed_stage1_per_eight = [0u64; 256];
     let mut removed_subnets = 0u64;
     let mut last_base = None;
@@ -249,7 +247,7 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
         let confirmed = words
             .iter()
             .zip(WORD_OFFSETS)
-            .any(|(&w, off)| w != 0 && w & clean.word(base | off) != 0);
+            .any(|(&w, off)| w != 0 && w & spoof_free.word(base | off) != 0);
         if n24 < m && !confirmed {
             removed_subnets += 1;
             if let Some(c) = removed_stage1_per_eight.get_mut((base >> 24) as usize) {
@@ -303,7 +301,7 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
                 .get((word_base >> 24) as usize)
                 .copied()
                 .unwrap_or(1.0);
-            let mut candidates = w & !clean.word(word_base);
+            let mut candidates = w & !spoof_free.word(word_base);
             while candidates != 0 {
                 let addr = word_base | candidates.trailing_zeros();
                 candidates &= candidates - 1;
@@ -325,7 +323,7 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
     }
 
     let report = SpoofFilterReport {
-        filtered: AddrSet::from_plane(filtered),
+        filtered,
         s_estimate,
         rate,
         m,
@@ -342,6 +340,7 @@ pub fn filter_spoofed<R: Rng + ?Sized>(
 #[allow(clippy::float_cmp)] // tests assert exact values on purpose
 mod tests {
     use super::*;
+    use ghosts_net::SubnetSet;
     use ghosts_stats::rng::component_rng;
 
     /// Builds a "real usage" set: dense /24s with realistic last bytes
@@ -422,9 +421,9 @@ mod tests {
         );
         // Unfiltered /24 count was wildly inflated; filtered is close to
         // the real one.
-        let real24 = clean.to_subnet24().len();
-        let unfiltered24 = target.to_subnet24().len();
-        let filtered24 = report.filtered.to_subnet24().len();
+        let real24 = SubnetSet::covering(&clean).len();
+        let unfiltered24 = SubnetSet::covering(&target).len();
+        let filtered24 = SubnetSet::covering(&report.filtered).len();
         assert!(unfiltered24 > 10 * real24);
         // A handful of multi-spoof /24s can survive stage 1 (the paper
         // reports "lower or similar" post-filter counts, not perfection);

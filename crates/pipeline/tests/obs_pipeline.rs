@@ -2,11 +2,10 @@
 //! enabled scope must emit schema-valid events and counters, and return
 //! what the same call returns with a disabled scope.
 
-use ghosts_net::{AddrSet, RoutedTable};
+use ghosts_net::AddrSet;
 use ghosts_obs::{validate_jsonl, LogicalClock, Recorder, Scope};
 use ghosts_pipeline::aggregate::window_observed;
 use ghosts_pipeline::dataset::{SourceDataset, WindowData};
-use ghosts_pipeline::filter::filter_to_routed;
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
 use ghosts_pipeline::time::{Quarter, TimeWindow};
 use ghosts_stats::rng::component_rng;
@@ -17,31 +16,6 @@ fn traced_root() -> (Recorder, Scope) {
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
     let root = rec.root("pipeline");
     (rec, root)
-}
-
-#[test]
-fn filter_trace_records_drop_breakdown() {
-    let routed = RoutedTable::from_prefixes(["8.0.0.0/8".parse().unwrap()]);
-    let set: AddrSet = [
-        0x08080808u32, // routed
-        0x0a000001,    // reserved (10/8)
-        0x09090909,    // unrouted
-    ]
-    .into_iter()
-    .collect();
-
-    let (rec, root) = traced_root();
-    let (kept_traced, stats_traced) = filter_to_routed(&set, &routed, &root);
-    let (kept_plain, stats_plain) = filter_to_routed(&set, &routed, &Scope::disabled());
-    assert_eq!(kept_traced.len(), kept_plain.len());
-    assert_eq!(stats_traced, stats_plain);
-
-    let log = rec.flush();
-    assert_eq!(log.counters.get("filter.dropped_reserved"), Some(&1));
-    assert_eq!(log.counters.get("filter.dropped_unrouted"), Some(&1));
-    assert_eq!(log.counters.get("filter.kept"), Some(&1));
-    assert_eq!(log.events_named("filter").count(), 1);
-    validate_jsonl(&log.to_jsonl()).expect("filter trace is schema-valid");
 }
 
 /// Dense, low-last-byte usage inside 60/8 (same shape as the spoof-filter

@@ -129,10 +129,10 @@ impl Backend for InlineBackend {
                 "stratification {name:?} does not exist (inline backend is unstratified)"
             )));
         }
-        // Straight into the word-wise kernel: the sources' backing bitmap
-        // planes produce all 2^t cells without a per-address loop.
-        let planes: Vec<_> = self.sources.iter().map(|s| s.plane()).collect();
-        let table = ContingencyTable::from_planes(&planes);
+        // Straight into the word-wise kernel: the sources' bitmap planes
+        // produce all 2^t cells without a per-address loop.
+        let sources: Vec<&AddrSet> = self.sources.iter().collect();
+        let table = ContingencyTable::from_addr_sets(&sources);
         let limit = request.limit.unwrap_or_else(|| self.routed.address_count());
         Ok(TableSpec {
             tables: vec![table],

@@ -619,10 +619,10 @@ impl GroundTruth {
 
     /// The set of used addresses at quarter `q`.
     ///
-    /// Blocks are generated straight into the backing segmented bitmap:
-    /// each active /24 contributes four pre-packed words OR-ed into the
-    /// plane (`AddrPlane::or_word`), bypassing the
-    /// per-address insert path entirely. Bit-identical to inserting every
+    /// Blocks are generated straight into the segmented bitmap: each
+    /// active /24 contributes four pre-packed words OR-ed into the set
+    /// (`AddrSet::or_word`), bypassing the per-address insert path
+    /// entirely. Bit-identical to inserting every
     /// address [`Self::for_each_used_addr`] visits.
     pub fn used_addr_set(&self, q: Quarter) -> AddrSet {
         let mut s = AddrSet::new();
@@ -633,7 +633,7 @@ impl GroundTruth {
             let base = block.subnet << 8;
             for (w, bits) in self.block_used_words(block, q).iter().enumerate() {
                 if *bits != 0 {
-                    s.plane_mut().or_word(base + 64 * w as u32, *bits);
+                    s.or_word(base + 64 * w as u32, *bits);
                 }
             }
         }

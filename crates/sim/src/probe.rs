@@ -225,7 +225,9 @@ mod tests {
             assert!(engine.truly_used(addr, q), "false positive {addr}");
         }
         // Positives exist but undercount the truth.
-        let truth = gt.used_addr_set(q).count_in_prefix(prefix);
+        let truth = gt
+            .used_addr_set(q)
+            .count_in_prefix(prefix.base(), prefix.len());
         assert!(!result.used.is_empty(), "census found nothing");
         assert!(result.used.len() < truth, "census cannot see everything");
     }

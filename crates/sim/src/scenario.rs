@@ -136,7 +136,7 @@ impl Scenario {
             for (&base, block_words) in out.bases.iter().zip(out.words.chunks_exact(n)) {
                 for (set, words) in sets.iter_mut().zip(block_words) {
                     for (k, &bits) in (0u32..).zip(words) {
-                        set.plane_mut().or_word(base + 64 * k, bits);
+                        set.or_word(base + 64 * k, bits);
                     }
                 }
             }
@@ -423,7 +423,7 @@ mod tests {
             "observed coverage {coverage}"
         );
         // /24 coverage is much higher (5.9 M of 6.3 M ≈ 94%).
-        let union24 = union.to_subnet24();
+        let union24 = SubnetSet::covering(&union);
         let truth24 = s.truth_subnets(w);
         let cov24 = union24.len() as f64 / truth24.len() as f64;
         assert!((0.80..=0.99).contains(&cov24), "subnet coverage {cov24}");

@@ -128,7 +128,7 @@ mod tests {
         let q = Quarter(7);
         let used = gt.used_addr_set(q);
         for n in &gt.truth_networks {
-            let used_in = used.count_in_prefix(n.prefix) as f64;
+            let used_in = used.count_in_prefix(n.prefix.base(), n.prefix.len()) as f64;
             let frac = used_in / n.prefix.num_addresses() as f64;
             assert!(
                 (frac - n.peak_fraction).abs() < 0.05,
@@ -143,8 +143,12 @@ mod tests {
     fn network_usage_steady_over_time() {
         let gt = with_networks();
         let n = &gt.truth_networks[2];
-        let early = gt.used_addr_set(Quarter(0)).count_in_prefix(n.prefix);
-        let late = gt.used_addr_set(Quarter(13)).count_in_prefix(n.prefix);
+        let early = gt
+            .used_addr_set(Quarter(0))
+            .count_in_prefix(n.prefix.base(), n.prefix.len());
+        let late = gt
+            .used_addr_set(Quarter(13))
+            .count_in_prefix(n.prefix.base(), n.prefix.len());
         // Within-block densification ramp only (±25%), no activation sweep.
         let ratio = late as f64 / early.max(1) as f64;
         assert!((0.9..=1.4).contains(&ratio), "ratio {ratio}");

@@ -3,7 +3,7 @@
 use ghosts_obs::Scope;
 
 pub fn emit(scope: &Scope) {
-    scope.event("filter", &[]);
+    scope.event("spoof_filter", &[]);
     scope.event("bogus_event", &[]);
     scope.error("fit", &[]);
     // lint: allow(event-exhaustiveness) experimental event, registry entry pending

@@ -29,12 +29,12 @@ fn main() {
     println!(
         "SWIN raw          : {:>7} addrs, {:>6} /24s",
         swin_dirty.len(),
-        swin_dirty.to_subnet24().len()
+        SubnetSet::covering(swin_dirty).len()
     );
     println!(
         "SWIN without spoof: {:>7} addrs, {:>6} /24s (counterfactual)",
         swin_clean.len(),
-        swin_clean.to_subnet24().len()
+        SubnetSet::covering(swin_clean).len()
     );
 
     // At mini-Internet scale the spoofable universe is the routed space,
@@ -57,7 +57,7 @@ fn main() {
     println!(
         "\nSWIN filtered     : {:>7} addrs, {:>6} /24s",
         report.filtered.len(),
-        report.filtered.to_subnet24().len()
+        SubnetSet::covering(&report.filtered).len()
     );
 
     // How much of the real signal survived, and how much spoof leaked?
@@ -74,9 +74,9 @@ fn main() {
     );
     println!("spoofed leaked      : {leaked}");
 
-    let dirty24 = swin_dirty.to_subnet24().len() as f64;
-    let filt24 = report.filtered.to_subnet24().len() as f64;
-    let real24 = swin_clean.to_subnet24().len() as f64;
+    let dirty24 = SubnetSet::covering(swin_dirty).len() as f64;
+    let filt24 = SubnetSet::covering(&report.filtered).len() as f64;
+    let real24 = SubnetSet::covering(swin_clean).len() as f64;
     println!(
         "\n/24 inflation: raw {:.0}% -> filtered {:.0}% of the true count",
         100.0 * dirty24 / real24,

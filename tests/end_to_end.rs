@@ -144,7 +144,7 @@ fn spoofed_netflow_inflates_and_filter_recovers() {
     let swin_dirty = &dirty.source("SWIN").unwrap().addrs;
     let swin_clean = &clean.source("SWIN").unwrap().addrs;
     assert!(
-        swin_dirty.to_subnet24().len() > swin_clean.to_subnet24().len() * 2,
+        SubnetSet::covering(swin_dirty).len() > SubnetSet::covering(swin_clean).len() * 2,
         "spoofing must inflate the raw /24 count substantially"
     );
 
@@ -157,8 +157,8 @@ fn spoofed_netflow_inflates_and_filter_recovers() {
         &mut rng,
         &Scope::disabled(),
     );
-    let filtered24 = report.filtered.to_subnet24().len() as f64;
-    let clean24 = swin_clean.to_subnet24().len() as f64;
+    let filtered24 = SubnetSet::covering(&report.filtered).len() as f64;
+    let clean24 = SubnetSet::covering(swin_clean).len() as f64;
     assert!(
         (filtered24 - clean24).abs() / clean24 < 0.25,
         "filtered /24 count {filtered24} far from spoof-free {clean24}"

@@ -124,7 +124,7 @@ fn truth_networks_estimated_better_than_observed() {
         if table.observed_total() < 100 {
             continue; // network barely sampled at this scale
         }
-        let net_truth = truth.count_in_prefix(n.prefix) as f64;
+        let net_truth = truth.count_in_prefix(n.prefix.base(), n.prefix.len()) as f64;
         let est = estimate_table(&table, Some(n.prefix.num_addresses()), &CrConfig::paper())
             .expect("network estimable");
         total += 1;
@@ -177,7 +177,7 @@ fn truncated_beats_poisson_on_small_strata() {
         if table.observed_total() < 200 {
             continue;
         }
-        let net_truth = truth.count_in_prefix(n.prefix) as f64;
+        let net_truth = truth.count_in_prefix(n.prefix.base(), n.prefix.len()) as f64;
         let plain_cfg = CrConfig {
             truncated: false,
             ..CrConfig::paper()
