@@ -31,8 +31,8 @@ pub mod users;
 
 pub use fib::{market_value, project_fib, FibProjection, MarketSketch};
 pub use ghosts_reliability::crossval::{
-    aggregate_errors, cross_validate_batch, cross_validate_window, observed_baseline_errors,
-    CrossValResult, CvBatchReport, CvCell, CvErrors, CvFailure, CvReport, CvSkip, Granularity,
+    aggregate_errors, cross_validate_batch, observed_baseline_errors, CrossValResult,
+    CvBatchReport, CvCell, CvErrors, CvFailure, CvReport, CvSkip, Granularity,
 };
 pub use growth::{stratum_growth, Series, SeriesPoint, StratumGrowth};
 pub use report::TextTable;

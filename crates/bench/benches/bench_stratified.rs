@@ -55,10 +55,8 @@ fn bench(c: &mut Criterion) {
         ("estimate_8_strata_par4", Parallelism::Fixed(4)),
         ("estimate_8_strata_auto", Parallelism::Auto),
     ] {
-        let cfg = CrConfig {
-            parallelism,
-            ..cfg.clone()
-        };
+        let mut cfg = cfg.clone();
+        cfg.selection.parallelism = parallelism;
         g.bench_function(name, |b| {
             b.iter(|| estimate_stratified(&tables, None, &cfg).estimated_total)
         });

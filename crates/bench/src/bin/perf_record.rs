@@ -135,11 +135,12 @@ fn reliability_mode(out: &str) {
     let wall = WallClock::new();
     let replicates = 400u64;
     let table = synthetic_table(5, 40_000, 9);
-    let cfg = CrConfig {
-        truncated: false,
-        ..CrConfig::paper()
-    };
     let run = |par: Parallelism| {
+        let mut cfg = CrConfig {
+            truncated: false,
+            ..CrConfig::paper()
+        };
+        cfg.selection.parallelism = par;
         let t0 = wall.now();
         let summary = bootstrap_table(
             &table,
@@ -149,7 +150,6 @@ fn reliability_mode(out: &str) {
                 replicates,
                 seed: 2014,
                 alpha: 0.05,
-                parallelism: par,
             },
         )
         .expect("synthetic table bootstraps");

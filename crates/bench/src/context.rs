@@ -86,9 +86,10 @@ pub struct ReproContext {
     /// Internet. Multiply mini-Internet counts by this for full-scale
     /// equivalents.
     pub denom: f64,
-    /// Worker-thread setting handed to the simulator's window pass and to
-    /// every estimation run started from this context (the `repro`
-    /// binary's `--threads` flag lands here).
+    /// Worker-thread setting handed to the simulator's window pass and, as
+    /// `SelectionOptions::parallelism`, to every fan-out of every
+    /// estimation run started from this context (the `repro` binary's
+    /// `--threads` flag lands here).
     pub parallelism: Parallelism,
     /// Observability sink every estimation and filtering run traces into.
     /// Disabled by default (a no-op branch); the `repro` binary enables it
@@ -145,7 +146,6 @@ impl ReproContext {
     pub fn cr_config(&self) -> CrConfig {
         let mut cfg = CrConfig {
             min_stratum_observed: 200,
-            parallelism: self.parallelism,
             // Experiments that estimate ad-hoc tables trace onto a shared
             // `estimate` span (experiments run sequentially, so append
             // order is deterministic); the cached per-window entry points

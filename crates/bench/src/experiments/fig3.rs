@@ -3,7 +3,7 @@
 //! normalised on each source's true size.
 
 use crate::context::ReproContext;
-use ghosts_analysis::crossval::{cross_validate_window, Granularity};
+use ghosts_analysis::crossval::{cross_validate_batch, Granularity};
 use ghosts_analysis::report::TextTable;
 use ghosts_core::CrConfig;
 use serde_json::json;
@@ -16,14 +16,15 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
         min_stratum_observed: 0,
         ..ctx.cr_config()
     };
-    let report = cross_validate_window(&data, Granularity::Addresses, &cfg, true);
+    let batch = cross_validate_batch(&[data], &[Granularity::Addresses], &cfg, true);
+    let report = &batch.cells[0].report;
     assert!(
         report.is_complete(),
         "fig3 window must estimate every source (skipped {}, failed {})",
         report.skipped.len(),
         report.failed.len()
     );
-    let results = report.results;
+    let results = &report.results;
 
     let mut t = TextTable::new([
         "Source",
@@ -36,7 +37,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
     ]);
     let mut json_rows = Vec::new();
     let mut covered = 0usize;
-    for r in &results {
+    for r in results {
         let range = r.range.expect("ranges requested");
         let tr = r.truth as f64;
         let ping_n = r.observed_by_ping.map(|p| p as f64 / tr);

@@ -76,7 +76,6 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
             replicates,
             seed: ctx.scenario.gt.cfg.seed,
             alpha: 0.05,
-            parallelism: ctx.parallelism,
         },
     )
     .expect("window 9 must bootstrap");
@@ -96,7 +95,6 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
             repetitions,
             seed: ctx.scenario.gt.cfg.seed,
             method: CiMethod::Profile,
-            parallelism: ctx.parallelism,
         },
     );
     eprintln!("reliability: coverage curves done ({repetitions} reps/regime)");

@@ -4,7 +4,8 @@
 use crate::context::ReproContext;
 use ghosts_analysis::crossval::{aggregate_errors, cross_validate_batch, Granularity};
 use ghosts_analysis::report::TextTable;
-use ghosts_core::{CrConfig, DivisorRule, IcKind, SelectionOptions};
+use ghosts_core::{CrConfig, DivisorRule, IcKind};
+use ghosts_obs::Scope;
 use serde_json::json;
 
 /// The paper's seven settings (§5.1).
@@ -28,6 +29,20 @@ fn settings() -> Vec<(&'static str, IcKind, DivisorRule)> {
     ]
 }
 
+/// The context's configuration (worker count, stage profiler) with one
+/// setting's criterion and divisor, every held-out source estimated, and
+/// tracing off: the sweep's searches stay out of the trace.
+fn setting_config(ctx: &ReproContext, ic: IcKind, divisor: DivisorRule) -> CrConfig {
+    let mut cfg = CrConfig {
+        min_stratum_observed: 0,
+        obs: Scope::disabled(),
+        ..ctx.cr_config()
+    };
+    cfg.selection.ic = ic;
+    cfg.selection.divisor = divisor;
+    cfg
+}
+
 /// Windows used for the sweep. The paper uses every window except the
 /// first; on the single-core reference machine we subsample every other
 /// one (the averages are stable across this choice).
@@ -42,16 +57,7 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
     let mut json_rows = Vec::new();
     let mut best: Option<(String, f64)> = None;
     for (name, ic, divisor) in settings() {
-        let cfg = CrConfig {
-            min_stratum_observed: 0,
-            selection: SelectionOptions {
-                ic,
-                divisor,
-                ..SelectionOptions::default()
-            },
-            profile: ctx.profiler.scoped("estimate"),
-            ..CrConfig::paper()
-        };
+        let cfg = setting_config(ctx, ic, divisor);
         // All (window × held-out source × granularity) cells of this
         // setting run concurrently through the batched engine.
         let window_data: Vec<_> = windows.iter().map(|&i| ctx.filtered_window(i)).collect();
@@ -109,4 +115,28 @@ pub fn run(ctx: &ReproContext) -> (String, serde_json::Value) {
         t.render(),
     );
     (text, json!({ "settings": json_rows }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ghosts_core::Parallelism;
+    use ghosts_obs::{LogicalClock, Recorder};
+    use std::sync::Arc;
+
+    /// A setting's config carries the context's worker count and no trace
+    /// scope, whatever the context's recorder.
+    #[test]
+    fn setting_config_follows_the_context() {
+        let mut ctx = ReproContext::new(16_384, 7);
+        ctx.parallelism = Parallelism::Fixed(1);
+        ctx.recorder = Recorder::enabled(Arc::new(LogicalClock::new()));
+        let cfg = setting_config(&ctx, IcKind::Aic, DivisorRule::Fixed(10));
+        assert_eq!(cfg.selection.parallelism, Parallelism::Fixed(1));
+        assert!(!cfg.obs.is_enabled());
+        assert!(ctx.cr_config().obs.is_enabled());
+        assert_eq!(cfg.selection.ic, IcKind::Aic);
+        assert_eq!(cfg.selection.divisor, DivisorRule::Fixed(10));
+        assert_eq!(cfg.min_stratum_observed, 0);
+    }
 }

@@ -7,7 +7,7 @@ use crate::degrade::{run_ladder, Degradation, LadderRequest};
 use crate::fit::{fit_llm, CellModel};
 use crate::history::ContingencyTable;
 use crate::invariant;
-use crate::parallel::{try_par_map, Parallelism};
+use crate::parallel::try_par_map;
 use crate::select::{select_model, SelectionOptions, SelectionResult};
 use ghosts_obs::{FieldValue, Scope, StageProfiler};
 use ghosts_stats::glm::GlmError;
@@ -19,24 +19,22 @@ pub struct CrConfig {
     /// space (the limit itself is passed per table, since it differs per
     /// stratum).
     pub truncated: bool,
-    /// Model-selection options (IC, divisor rule, interaction order), and
-    /// in [`SelectionOptions::fit`] the Newton options of every GLM fit of
-    /// an estimate: search candidates, final fit, profile and ladder refits.
+    /// Model-selection options (IC, divisor rule, interaction order); in
+    /// [`SelectionOptions::fit`] the Newton options of every GLM fit of an
+    /// estimate (search candidates, final fit, profile and ladder refits),
+    /// and in [`SelectionOptions::parallelism`] the worker count of every
+    /// fan-out of an estimate, the per-stratum one of
+    /// [`estimate_stratified`] included.
     pub selection: SelectionOptions,
     /// Whether fit/selection/range failures walk the graceful-degradation
     /// ladder ([`crate::degrade`]) instead of aborting the estimate. On by
     /// default; [`EstimateError::NotEnoughSources`] is never degradable.
     pub degrade: bool,
     /// Strata with fewer observed individuals than this are not estimated
-    /// (the paper excludes country strata with < 1000 observed IPs).
+    /// (the paper excludes country strata with < 1000 observed IPs); they
+    /// contribute their observed individuals and no ghosts to stratified
+    /// totals.
     pub min_stratum_observed: u64,
-    /// What an excluded stratum contributes to stratified totals.
-    pub excluded_policy: ExcludedPolicy,
-    /// Worker threads for the per-stratum fan-out of
-    /// [`estimate_stratified`]. Stratum estimates are independent and
-    /// summed in stratum order, so every setting yields bit-identical
-    /// results; `Fixed(1)` is the sequential path.
-    pub parallelism: Parallelism,
     /// Observability scope estimation traces into (disabled by default):
     /// the search, the fits, the range and the ladder all record here.
     /// [`estimate_stratified`] derives an indexed child span per stratum,
@@ -58,8 +56,6 @@ impl Default for CrConfig {
             selection: SelectionOptions::default(),
             degrade: true,
             min_stratum_observed: 1000,
-            excluded_policy: ExcludedPolicy::ObservedOnly,
-            parallelism: Parallelism::Auto,
             obs: Scope::disabled(),
             profile: StageProfiler::disabled(),
         }
@@ -79,16 +75,6 @@ impl CrConfig {
             _ => CellModel::Poisson,
         }
     }
-}
-
-/// Contribution of strata that fail the minimum-observed rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExcludedPolicy {
-    /// Drop entirely (what §3.3.4 does for small country strata, which it
-    /// argues are negligible).
-    Drop,
-    /// Count the observed individuals but estimate no ghosts for them.
-    ObservedOnly,
 }
 
 /// A point estimate for one table.
@@ -429,8 +415,8 @@ pub struct StratifiedEstimate {
     /// Per-stratum estimates; `None` where the stratum was excluded by the
     /// minimum-observed rule or failed outright (see [`Self::failed`]).
     pub strata: Vec<Option<CrEstimate>>,
-    /// Sum of observed individuals over all strata (including excluded
-    /// and failed ones under [`ExcludedPolicy::ObservedOnly`]).
+    /// Sum of observed individuals over all strata, excluded and failed
+    /// ones included.
     pub observed_total: u64,
     /// Sum of estimated totals.
     pub estimated_total: f64,
@@ -441,7 +427,7 @@ pub struct StratifiedEstimate {
     /// Indices of strata that produced no estimate at all — a
     /// non-degradable error (too few sources, or a run with the ladder
     /// switched off) or a worker panic. They contribute like excluded
-    /// strata under the configured [`ExcludedPolicy`].
+    /// strata: their observed individuals and no ghosts.
     pub failed: Vec<usize>,
 }
 
@@ -476,18 +462,14 @@ pub fn estimate_stratified(
     if let Some(ls) = limits {
         assert_eq!(ls.len(), tables.len(), "one limit per stratum required");
     }
-    // One task per stratum. When strata already fan out across workers the
-    // inner model selection runs sequentially (nested parallelism would
-    // oversubscribe cores without changing any result).
-    let mut inner = cfg.clone();
-    if cfg.parallelism.threads() > 1 && tables.len() > 1 {
-        inner.selection.parallelism = Parallelism::SEQUENTIAL;
-    }
-    let results = try_par_map(cfg.parallelism, tables, |i, table| {
+    // One task per stratum. A stratum's model search, started on a
+    // worker, runs sequentially on it (`Parallelism::threads`).
+    let par = cfg.selection.parallelism;
+    let results = try_par_map(par, tables, |i, table| {
         // Each stratum traces into its own indexed span, owned by exactly
         // one worker — cross-stratum event order is imposed at flush time
         // by the span paths, not by scheduling.
-        let mut stratum_cfg = inner.clone();
+        let mut stratum_cfg = cfg.clone();
         stratum_cfg.obs = cfg.obs.child_idx("stratum", i as u64);
         let observed = table.observed_total();
         if observed < cfg.min_stratum_observed {
@@ -508,7 +490,7 @@ pub fn estimate_stratified(
     rec.volatile_add("stratified.par_map_tasks", tables.len() as u64);
     rec.volatile_max(
         "stratified.par_map_workers",
-        cfg.parallelism.threads().min(tables.len().max(1)) as u64,
+        par.threads().min(tables.len().max(1)) as u64,
     );
 
     // Deterministic merge in stratum order. `stratum_failed` events are
@@ -539,12 +521,10 @@ pub fn estimate_stratified(
             }
             Ok(None) => {
                 excluded.push(i);
-                if cfg.excluded_policy == ExcludedPolicy::ObservedOnly {
-                    // lint: allow(panic-path) i indexes the par_map results, one per table
-                    let observed = tables[i].observed_total();
-                    observed_total += observed;
-                    estimated_total += observed as f64;
-                }
+                // lint: allow(panic-path) i indexes the par_map results, one per table
+                let observed = tables[i].observed_total();
+                observed_total += observed;
+                estimated_total += observed as f64;
                 strata.push(None);
             }
             Err(message) => {
@@ -552,12 +532,10 @@ pub fn estimate_stratified(
                 cfg.obs
                     .child_idx("stratum", i as u64)
                     .error("stratum_failed", &[("error", FieldValue::Str(message))]);
-                if cfg.excluded_policy == ExcludedPolicy::ObservedOnly {
-                    // lint: allow(panic-path) i indexes the par_map results, one per table
-                    let observed = tables[i].observed_total();
-                    observed_total += observed;
-                    estimated_total += observed as f64;
-                }
+                // lint: allow(panic-path) i indexes the par_map results, one per table
+                let observed = tables[i].observed_total();
+                observed_total += observed;
+                estimated_total += observed as f64;
                 strata.push(None);
             }
         }
@@ -718,20 +696,12 @@ mod tests {
             s.failed
         );
         assert!(s.strata[0].is_some() && s.strata[1].is_none());
-        // ObservedOnly policy: the small stratum's observed count is in.
+        // The small stratum's observed count is in.
         assert_eq!(
             s.observed_total,
             big.observed_total() + small.observed_total()
         );
         assert!(s.estimated_total > s.observed_total as f64);
-
-        // Drop policy: the small stratum vanishes.
-        let cfg_drop = CrConfig {
-            excluded_policy: ExcludedPolicy::Drop,
-            ..cfg
-        };
-        let s2 = estimate_stratified(&[big.clone(), small], None, &cfg_drop);
-        assert_eq!(s2.observed_total, big.observed_total());
     }
 
     /// A stratum with too few sources is a non-degradable failure: it is
@@ -748,7 +718,7 @@ mod tests {
         assert_eq!(s.failed, vec![1]);
         assert!(s.excluded.is_empty() && s.degraded.is_empty());
         assert!(s.strata[0].is_some() && s.strata[1].is_none());
-        // ObservedOnly: the failed stratum still contributes its observed.
+        // The failed stratum still contributes its observed count.
         assert_eq!(
             s.observed_total,
             good.observed_total() + bad.observed_total()

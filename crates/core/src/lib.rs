@@ -77,7 +77,7 @@ pub use ci::{profile_interval, EstimateRange, PAPER_ALPHA};
 pub use degrade::{Degradation, LadderRung};
 pub use estimator::{
     estimate_stratified, estimate_table, estimate_table_with_fit, estimate_table_with_range,
-    CrConfig, CrEstimate, CrFit, EstimateError, ExcludedPolicy, StratifiedEstimate,
+    CrConfig, CrEstimate, CrFit, EstimateError, StratifiedEstimate,
 };
 pub use fit::{fit_llm, CellModel, FittedLlm};
 pub use ghosts_stats::glm::GlmOptions;

@@ -1,11 +1,16 @@
-//! The estimation pipeline's two fan-outs: candidate evaluation inside a
-//! model-selection round ([`crate::select::select_model`]) and
-//! per-stratum estimation ([`crate::estimator::estimate_stratified`]).
+//! The estimation fan-outs: candidate evaluation inside a model-selection
+//! round ([`crate::select::select_model`]) and per-stratum estimation
+//! ([`crate::estimator::estimate_stratified`]) here, and held-out
+//! sources, bootstrap replicates and coverage repetitions in
+//! `ghosts_reliability`. All of them read one setting,
+//! [`crate::SelectionOptions::parallelism`].
 //!
-//! Both run on the one deterministic scheduler,
+//! They run on the one deterministic scheduler,
 //! [`ghosts_stats::parallel::ordered_map`] (self-scheduling workers,
 //! results in index order, bit-identical at every thread count), which
-//! this module re-exports with its [`Parallelism`] knob. On top of it,
+//! this module re-exports with its [`Parallelism`] knob. A fan-out
+//! started on one of its workers runs sequentially on that worker, so
+//! nested fan-outs never multiply threads. On top of it,
 //! [`par_map`] and [`try_par_map`] give every item its own
 //! fault-injection task frame, probe the `parallel.worker` fault site, and
 //! trap each item's panic, so every item runs at every thread count.

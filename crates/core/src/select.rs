@@ -43,9 +43,14 @@ pub struct SelectionOptions {
     /// fit, the profile refits and the ladder's refits under these options,
     /// so one policy governs every fit of an estimate.
     pub fit: GlmOptions,
-    /// Worker threads for evaluating a round's candidate terms. Candidate
-    /// fits are independent and merged in term order, so every setting
-    /// yields bit-identical results; `Fixed(1)` is the sequential path.
+    /// Worker threads of every fan-out of an estimate: a round's candidate
+    /// terms here, and the strata of [`crate::estimate_stratified`] and
+    /// the held-out sources, bootstrap replicates and coverage
+    /// repetitions of `ghosts_reliability`. A fan-out nested in another
+    /// runs sequentially on the outer worker
+    /// ([`Parallelism::threads`]). Items are independent and merged in
+    /// input order, so every setting yields bit-identical results;
+    /// `Fixed(1)` is the sequential path.
     pub parallelism: Parallelism,
 }
 

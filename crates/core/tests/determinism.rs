@@ -124,11 +124,11 @@ fn estimate_stratified_is_thread_count_invariant() {
         .map(|t| t.observed_total() * 2 + 500)
         .collect();
     let run = |parallelism| {
-        let cfg = CrConfig {
+        let mut cfg = CrConfig {
             min_stratum_observed: 1000,
-            parallelism,
             ..CrConfig::paper()
         };
+        cfg.selection.parallelism = parallelism;
         estimate_stratified(&tables, Some(&limits), &cfg)
     };
 

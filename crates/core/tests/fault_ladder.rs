@@ -213,12 +213,12 @@ fn degraded_stratified_trace_is_thread_count_invariant() {
     let run = |threads: usize| -> String {
         install(plan()).expect("feature is armed in tests");
         let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
-        let cfg = CrConfig {
+        let mut cfg = CrConfig {
             min_stratum_observed: 100,
-            parallelism: Parallelism::Fixed(threads),
             obs: rec.root("run"),
             ..wide_margin_cfg()
         };
+        cfg.selection.parallelism = Parallelism::Fixed(threads);
         let s = estimate_stratified(&tables, None, &cfg);
         assert_eq!(s.degraded, vec![1], "threads={threads}");
         assert_eq!(s.failed, vec![2], "threads={threads}");

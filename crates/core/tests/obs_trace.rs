@@ -44,10 +44,10 @@ fn run_trace(threads: usize) -> String {
     let cfg = CrConfig {
         truncated: false,
         min_stratum_observed: 100,
-        parallelism: Parallelism::Fixed(threads),
         obs: rec.root("run"),
         selection: SelectionOptions {
             divisor: DivisorRule::Fixed(1),
+            parallelism: Parallelism::Fixed(threads),
             ..SelectionOptions::default()
         },
         ..CrConfig::paper()
@@ -97,13 +97,13 @@ fn trace_matches_the_committed_golden_fixture() {
 fn volatile_lane_is_populated_but_not_serialised() {
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
     let tables = fixture_tables();
-    let cfg = CrConfig {
+    let mut cfg = CrConfig {
         truncated: false,
         min_stratum_observed: 100,
-        parallelism: Parallelism::Fixed(4),
         obs: rec.root("run"),
         ..CrConfig::paper()
     };
+    cfg.selection.parallelism = Parallelism::Fixed(4);
     assert!(estimate_stratified(&tables, None, &cfg).is_clean());
     let log = rec.flush();
     assert!(
@@ -111,6 +111,10 @@ fn volatile_lane_is_populated_but_not_serialised() {
         "volatile stats missing: {:?}",
         log.volatile
     );
+    // Two strata fan out on two of the four workers; the search inside
+    // the estimable stratum runs on its worker, so its gauge reads one.
+    assert_eq!(log.volatile["stratified.par_map_workers"], 2);
+    assert_eq!(log.volatile["select.par_map_workers"], 1);
     for key in log.volatile.keys() {
         assert!(
             !log.to_jsonl().contains(key.as_str()),

@@ -58,9 +58,7 @@ pub use ghosts_stats as stats;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use ghosts_analysis::{
-        aggregate_errors, cross_validate_window, Granularity, Series, TextTable,
-    };
+    pub use ghosts_analysis::{aggregate_errors, Granularity, Series, TextTable};
     pub use ghosts_core::{
         chao_lower_bound, estimate_stratified, estimate_table, estimate_table_with_range, fit_llm,
         lincoln_petersen, CellModel, ContingencyTable, CrConfig, DivisorRule, GlmOptions, IcKind,

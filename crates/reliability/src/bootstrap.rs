@@ -10,15 +10,17 @@
 //! histogram: how often each model won, the quantity You et al. 2021 show
 //! drives CR interval miscalibration when it is unstable.
 //!
-//! Replicates run through [`ghosts_core::try_par_map`] with per-replicate
-//! failure isolation: a replicate whose refit fails (or panics) is
+//! Replicates run through [`ghosts_core::try_par_map`] on the estimate's
+//! one worker-count setting, `SelectionOptions::parallelism`, with
+//! per-replicate failure isolation: a replicate whose refit fails (or
+//! panics) is
 //! recorded in [`BootstrapSummary::failures`] and excluded from the
 //! distribution; it never aborts the run. Because stream identity is a
 //! pure function of `(seed, replicate)`, the summary is bit-identical at
 //! every thread count.
 
 use ghosts_core::{
-    estimate_table, estimate_table_with_fit, ContingencyTable, CrConfig, EstimateError, Parallelism,
+    estimate_table, estimate_table_with_fit, ContingencyTable, CrConfig, EstimateError,
 };
 use ghosts_obs::json::JsonValue;
 use ghosts_obs::FieldValue;
@@ -37,9 +39,6 @@ pub struct BootstrapConfig {
     /// Interval miss mass: the percentile/basic intervals are
     /// `[q_{α/2}, q_{1−α/2}]` (0.05 → 95% intervals).
     pub alpha: f64,
-    /// Worker threads for the replicate fan-out. Replicate streams are
-    /// index-derived, so every setting yields bit-identical summaries.
-    pub parallelism: Parallelism,
 }
 
 impl Default for BootstrapConfig {
@@ -48,7 +47,6 @@ impl Default for BootstrapConfig {
             replicates: 200,
             seed: 0,
             alpha: 0.05,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -200,10 +198,12 @@ fn sample_sd(xs: &[f64]) -> Option<f64> {
 /// Fits and selects on the original data (without the degradation ladder —
 /// a parametric bootstrap needs a parametric model to resample from), then
 /// runs `bcfg.replicates` resample→reselect→refit cycles and summarises
-/// the replicate distribution. Replicate refits inherit `cfg` with
-/// tracing disabled (the summary itself is emitted as one `reliability`
-/// event on `cfg.obs`) and sequential inner selection when the replicate
-/// fan-out is parallel.
+/// the replicate distribution. Replicates fan out on
+/// `cfg.selection.parallelism`; replicate streams are index-derived, so
+/// every setting yields bit-identical summaries. Replicate refits inherit
+/// `cfg` with tracing disabled (the summary itself is emitted as one
+/// `reliability` event on `cfg.obs`); their model searches, started on a
+/// worker, run sequentially on it.
 ///
 /// # Errors
 ///
@@ -220,13 +220,10 @@ pub fn bootstrap_table(
 
     let mut replicate_cfg = cfg.clone();
     replicate_cfg.obs = ghosts_obs::Scope::disabled();
-    replicate_cfg.parallelism = Parallelism::SEQUENTIAL;
-    if bcfg.parallelism.threads() > 1 && bcfg.replicates > 1 {
-        replicate_cfg.selection.parallelism = Parallelism::SEQUENTIAL;
-    }
 
+    let par = cfg.selection.parallelism;
     let indices: Vec<u64> = (0..bcfg.replicates).collect();
-    let outcomes = ghosts_core::try_par_map(bcfg.parallelism, &indices, |_, &r| {
+    let outcomes = ghosts_core::try_par_map(par, &indices, |_, &r| {
         let mut rng = indexed_rng(bcfg.seed, "bootstrap", r);
         let resampled = resample_table(t, &fit.expected_cells, &mut rng);
         estimate_table(&resampled, limit, &replicate_cfg)
@@ -237,7 +234,7 @@ pub fn bootstrap_table(
     rec.volatile_add("bootstrap.par_map_tasks", indices.len() as u64);
     rec.volatile_max(
         "bootstrap.par_map_workers",
-        bcfg.parallelism.threads().min(indices.len().max(1)) as u64,
+        par.threads().min(indices.len().max(1)) as u64,
     );
 
     let mut estimates = Vec::new();
@@ -328,12 +325,17 @@ mod tests {
         }
     }
 
+    fn cfg_at(threads: usize) -> CrConfig {
+        let mut cfg = cfg();
+        cfg.selection.parallelism = ghosts_core::Parallelism::Fixed(threads);
+        cfg
+    }
+
     fn bcfg(replicates: u64) -> BootstrapConfig {
         BootstrapConfig {
             replicates,
             seed: 42,
             alpha: 0.05,
-            parallelism: Parallelism::SEQUENTIAL,
         }
     }
 
@@ -360,17 +362,8 @@ mod tests {
     #[test]
     fn bootstrap_is_deterministic_across_thread_counts() {
         let table = synthetic_table(2_000, 2);
-        let seq = bootstrap_table(&table, None, &cfg(), &bcfg(24)).expect("seq");
-        let par = bootstrap_table(
-            &table,
-            None,
-            &cfg(),
-            &BootstrapConfig {
-                parallelism: Parallelism::Fixed(4),
-                ..bcfg(24)
-            },
-        )
-        .expect("par");
+        let seq = bootstrap_table(&table, None, &cfg_at(1), &bcfg(24)).expect("seq");
+        let par = bootstrap_table(&table, None, &cfg_at(4), &bcfg(24)).expect("par");
         assert_eq!(seq.to_json(), par.to_json(), "byte-identical summaries");
     }
 

@@ -19,9 +19,7 @@
 
 use crate::bootstrap::{bootstrap_table, BootstrapConfig};
 use crate::crossval::CvErrors;
-use ghosts_core::{
-    profile_interval, select_model, CellModel, ContingencyTable, CrConfig, Parallelism,
-};
+use ghosts_core::{profile_interval, select_model, CellModel, ContingencyTable, CrConfig};
 use ghosts_obs::{FieldValue, Scope};
 use ghosts_stats::rng::{derive_indexed_seed, indexed_rng};
 use ghosts_stats::summary::mean;
@@ -104,8 +102,6 @@ pub struct CoverageConfig {
     pub seed: u64,
     /// Interval procedure under test.
     pub method: CiMethod,
-    /// Worker threads for the repetition fan-out.
-    pub parallelism: Parallelism,
 }
 
 impl Default for CoverageConfig {
@@ -115,7 +111,6 @@ impl Default for CoverageConfig {
             repetitions: 100,
             seed: 0,
             method: CiMethod::Profile,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -231,7 +226,6 @@ fn estimate_draw(
                 // stream family.
                 seed: derive_indexed_seed(ccfg.seed, &regime.name, repetition),
                 alpha,
-                parallelism: Parallelism::SEQUENTIAL,
             };
             let mut inner_cfg = cfg.clone();
             inner_cfg.truncated = false;
@@ -248,8 +242,9 @@ fn estimate_draw(
 
 /// Sweeps every regime: `K` repetitions each, interval per repetition,
 /// empirical coverage per regime. Repetitions fan out through the
-/// deterministic parallel engine (inner selection forced sequential);
-/// per-repetition failures are isolated and counted.
+/// deterministic parallel engine on `cfg.selection.parallelism`, and the
+/// model searches and bootstraps a repetition starts run sequentially on
+/// its worker; per-repetition failures are isolated and counted.
 ///
 /// When `cfg.obs` is enabled each regime emits one `coverage_point`
 /// reliability event, so `repro` manifests carry the whole curve.
@@ -272,16 +267,12 @@ pub fn coverage_curves(
     }
     let mut inner = cfg.clone();
     inner.obs = Scope::disabled();
-    inner.parallelism = Parallelism::SEQUENTIAL;
-    if ccfg.parallelism.threads() > 1 {
-        inner.selection.parallelism = Parallelism::SEQUENTIAL;
-    }
 
     let mut points = Vec::with_capacity(regimes.len());
     for regime in regimes {
         let indices: Vec<u64> = (0..ccfg.repetitions).collect();
         let reps: Vec<Repetition> =
-            ghosts_core::try_par_map(ccfg.parallelism, &indices, |_, &r| {
+            ghosts_core::try_par_map(cfg.selection.parallelism, &indices, |_, &r| {
                 let mut rng = indexed_rng(ccfg.seed, &regime.name, r);
                 let draw = generate(truth, regime, &mut rng);
                 let outcome = estimate_draw(&draw, &inner, ccfg, regime, r);
@@ -391,7 +382,6 @@ mod tests {
             repetitions,
             seed: 7,
             method: CiMethod::Profile,
-            parallelism: Parallelism::SEQUENTIAL,
         }
     }
 
@@ -401,6 +391,12 @@ mod tests {
             truncated: false,
             ..CrConfig::paper()
         }
+    }
+
+    fn cfg_at(threads: usize) -> CrConfig {
+        let mut cfg = cfg();
+        cfg.selection.parallelism = ghosts_core::Parallelism::Fixed(threads);
+        cfg
     }
 
     #[test]
@@ -439,16 +435,8 @@ mod tests {
     #[test]
     fn coverage_is_thread_invariant() {
         let regimes = [Regime::clean("baseline")];
-        let seq = coverage_curves(&truth(), &regimes, &cfg(), &ccfg(12));
-        let par = coverage_curves(
-            &truth(),
-            &regimes,
-            &cfg(),
-            &CoverageConfig {
-                parallelism: Parallelism::Fixed(4),
-                ..ccfg(12)
-            },
-        );
+        let seq = coverage_curves(&truth(), &regimes, &cfg_at(1), &ccfg(12));
+        let par = coverage_curves(&truth(), &regimes, &cfg_at(4), &ccfg(12));
         assert_eq!(seq[0].empirical.to_bits(), par[0].empirical.to_bits());
         assert_eq!(
             seq[0].mean_estimate.to_bits(),

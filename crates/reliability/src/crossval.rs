@@ -9,20 +9,17 @@
 //! Drives Table 3 (RMSE/MAE over model-selection settings) and Fig 3 (per
 //! source normalised estimate ranges for one window).
 //!
-//! Two entry points:
-//!
-//! * [`cross_validate_window`] — one window, one granularity, sequential.
-//!   Infallible: each held-out source lands in `results`, `skipped`
-//!   (structurally impossible, e.g. too few remaining sources) or `failed`
-//!   (a genuine fit failure) of the returned [`CvReport`].
-//! * [`cross_validate_batch`] — every (window × granularity × held-out
-//!   source) cell as one flat work list through the deterministic parallel
-//!   engine; per-cell worker panics are isolated into `failed`.
+//! One entry point, [`cross_validate_batch`], runs every (window ×
+//! granularity × held-out source) cell as one flat work list through the
+//! deterministic parallel engine. It is infallible: each held-out source
+//! lands in `results`, `skipped` (structurally impossible, e.g. too few
+//! remaining sources) or `failed` (a genuine fit failure or a worker
+//! panic) of its cell's [`CvReport`]. One window at one granularity is a
+//! batch of one cell.
 
 use ghosts_core::ci::EstimateRange;
 use ghosts_core::{
     estimate_table, estimate_table_with_range, ContingencyTable, CrConfig, EstimateError,
-    Parallelism,
 };
 use ghosts_net::{AddrSet, SubnetSet};
 use ghosts_pipeline::dataset::WindowData;
@@ -240,36 +237,6 @@ fn file_outcome(
     }
 }
 
-/// Runs leave-one-out cross-validation over every source of a window.
-///
-/// For each held-out source *i*, the other sources are intersected with
-/// *i* and CR estimates `|i|`. `with_ranges` additionally computes
-/// profile-likelihood ranges (significantly more expensive). Infallible:
-/// a source whose cell cannot be estimated lands in `skipped` (too few
-/// remaining sources) or `failed` (a genuine fit failure) instead of
-/// aborting the whole window.
-pub fn cross_validate_window(
-    data: &WindowData,
-    granularity: Granularity,
-    cfg: &CrConfig,
-    with_ranges: bool,
-) -> CvReport {
-    // Pre-project subnet sets once if needed.
-    let subnet_sets: Vec<SubnetSet> = if granularity == Granularity::Subnets {
-        data.sources.iter().map(|s| s.subnets()).collect()
-    } else {
-        Vec::new()
-    };
-    let remaining = data.sources.len().saturating_sub(1);
-    let mut report = CvReport::default();
-    for i in 0..data.sources.len() {
-        let input = build_cell(data, &subnet_sets, i, granularity);
-        let outcome = estimate_cell(&input, cfg, with_ranges);
-        file_outcome(&mut report, &input.source, remaining, outcome);
-    }
-    report
-}
-
 /// One (window × granularity) cell of a batched cross-validation run.
 #[derive(Debug, Clone)]
 pub struct CvCell {
@@ -314,16 +281,21 @@ impl CvBatchReport {
     }
 }
 
-/// Runs every (window × held-out source × granularity) cell of a batch
-/// concurrently through the deterministic parallel engine.
+/// Runs leave-one-out cross-validation over every (window × held-out
+/// source × granularity) cell of a batch.
 ///
-/// The flat work list is scheduled with [`ghosts_core::try_par_map`]:
-/// worker panics are isolated per cell (they land in the owning report's
-/// `failed` bucket as kind `panic`) and results are merged in input order,
-/// so the report is bit-identical at every thread count. When the outer
-/// fan-out is parallel the inner model-selection search is forced
-/// sequential — nested parallelism would oversubscribe without changing
-/// any result.
+/// For each held-out source *i*, the other sources are intersected with
+/// *i* and CR estimates `|i|`. `with_ranges` additionally computes
+/// profile-likelihood ranges (significantly more expensive). Each cell
+/// traces into `cv_window[w]/cv_cell[k]` under `cfg.obs`, `k` counting
+/// the flat work list.
+///
+/// The flat work list is scheduled with [`ghosts_core::try_par_map`] on
+/// `cfg.selection.parallelism`: worker panics are isolated per cell (they
+/// land in the owning report's `failed` bucket as kind `panic`) and
+/// results are merged in input order, so the report is bit-identical at
+/// every thread count. A cell's model search, started on a worker, runs
+/// sequentially on it.
 pub fn cross_validate_batch<W: std::borrow::Borrow<WindowData>>(
     windows: &[W],
     granularities: &[Granularity],
@@ -348,13 +320,10 @@ pub fn cross_validate_batch<W: std::borrow::Borrow<WindowData>>(
         }
     }
 
-    let mut inner = cfg.clone();
-    if cfg.parallelism.threads() > 1 && inputs.len() > 1 {
-        inner.selection.parallelism = Parallelism::SEQUENTIAL;
-    }
-    let outcomes = ghosts_core::try_par_map(cfg.parallelism, &inputs, |idx, item| {
+    let par = cfg.selection.parallelism;
+    let outcomes = ghosts_core::try_par_map(par, &inputs, |idx, item| {
         let (w, _, _, input) = item;
-        let mut cell_cfg = inner.clone();
+        let mut cell_cfg = cfg.clone();
         cell_cfg.obs = cfg
             .obs
             .child_idx("cv_window", *w as u64)
@@ -365,7 +334,7 @@ pub fn cross_validate_batch<W: std::borrow::Borrow<WindowData>>(
     rec.volatile_add("crossval.par_map_tasks", inputs.len() as u64);
     rec.volatile_max(
         "crossval.par_map_workers",
-        cfg.parallelism.threads().min(inputs.len().max(1)) as u64,
+        par.threads().min(inputs.len().max(1)) as u64,
     );
 
     // Deterministic reassembly in (window, granularity) input order.
@@ -469,6 +438,7 @@ pub fn observed_baseline_errors(results: &[CrossValResult]) -> CvErrors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ghosts_core::Parallelism;
     use ghosts_pipeline::dataset::SourceDataset;
     use ghosts_pipeline::time::{Quarter, TimeWindow};
     use ghosts_stats::rng::component_rng;
@@ -514,10 +484,21 @@ mod tests {
         }
     }
 
+    /// The report of one window at one granularity: a batch of one cell.
+    fn cross_validate(data: &WindowData, granularity: Granularity, with_ranges: bool) -> CvReport {
+        let batch = cross_validate_batch(
+            std::slice::from_ref(data),
+            &[granularity],
+            &cfg(),
+            with_ranges,
+        );
+        batch.cells[0].report.clone()
+    }
+
     #[test]
     fn cv_estimates_beat_observed_baseline() {
         let data = synthetic_window(8_000, 3);
-        let report = cross_validate_window(&data, Granularity::Addresses, &cfg(), false);
+        let report = cross_validate(&data, Granularity::Addresses, false);
         assert!(report.is_complete());
         assert_eq!(report.results.len(), 4);
         let cr = aggregate_errors(&report.results);
@@ -534,7 +515,7 @@ mod tests {
     #[test]
     fn cv_truth_and_observed_consistent() {
         let data = synthetic_window(3_000, 5);
-        let report = cross_validate_window(&data, Granularity::Addresses, &cfg(), false);
+        let report = cross_validate(&data, Granularity::Addresses, false);
         for r in &report.results {
             assert!(r.observed_by_others <= r.truth);
             assert!(r.estimate >= r.observed_by_others as f64 - 1e-9);
@@ -546,7 +527,7 @@ mod tests {
     #[test]
     fn cv_with_ranges_brackets_estimates() {
         let data = synthetic_window(2_000, 7);
-        let report = cross_validate_window(&data, Granularity::Addresses, &cfg(), true);
+        let report = cross_validate(&data, Granularity::Addresses, true);
         assert!(report.is_complete());
         for r in &report.results {
             let range = r.range.expect("ranges requested");
@@ -558,7 +539,7 @@ mod tests {
     #[test]
     fn subnet_granularity_runs() {
         let data = synthetic_window(4_000, 9);
-        let report = cross_validate_window(&data, Granularity::Subnets, &cfg(), false);
+        let report = cross_validate(&data, Granularity::Subnets, false);
         // All test addresses share few /24s, so truths are small but the
         // machinery must hold together.
         for r in &report.results {
@@ -572,7 +553,7 @@ mod tests {
         // Holding one of two sources out leaves a single source: CR is
         // structurally impossible, so every cell must be a skip.
         let data = synthetic_window_k(1_000, 11, 2);
-        let report = cross_validate_window(&data, Granularity::Addresses, &cfg(), false);
+        let report = cross_validate(&data, Granularity::Addresses, false);
         assert!(report.results.is_empty());
         assert!(report.failed.is_empty(), "skips must not read as failures");
         assert_eq!(report.skipped.len(), 2);
@@ -589,16 +570,13 @@ mod tests {
             synthetic_window_k(1_500, 23, 2), // all-skip window
         ];
         let grans = [Granularity::Addresses, Granularity::Subnets];
-        let sequential = CrConfig {
-            parallelism: Parallelism::SEQUENTIAL,
-            ..cfg()
+        let run = |threads| {
+            let mut cfg = cfg();
+            cfg.selection.parallelism = Parallelism::Fixed(threads);
+            cross_validate_batch(&windows, &grans, &cfg, false)
         };
-        let parallel = CrConfig {
-            parallelism: Parallelism::Fixed(4),
-            ..cfg()
-        };
-        let a = cross_validate_batch(&windows, &grans, &sequential, false);
-        let b = cross_validate_batch(&windows, &grans, &parallel, false);
+        let a = run(1);
+        let b = run(4);
         assert_eq!(a.cells.len(), windows.len() * grans.len());
         assert_eq!(a.cells.len(), b.cells.len());
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
@@ -614,17 +592,6 @@ mod tests {
                     rb.estimate.to_bits(),
                     "bit-identical"
                 );
-            }
-        }
-        // Per-window sequential runs agree with the batch.
-        for (w, data) in windows.iter().enumerate() {
-            for (g, &gran) in grans.iter().enumerate() {
-                let solo = cross_validate_window(data, gran, &sequential, false);
-                let cell = &a.cells[w * grans.len() + g];
-                assert_eq!(solo.results.len(), cell.report.results.len());
-                for (rs, rc) in solo.results.iter().zip(&cell.report.results) {
-                    assert_eq!(rs.estimate.to_bits(), rc.estimate.to_bits());
-                }
             }
         }
         let (ok, skipped, failed) = a.totals();

@@ -20,7 +20,9 @@
 //! Everything is deterministic: replicate `r` of component `label` draws
 //! from [`ghosts_stats::rng::indexed_rng`]`(seed, label, r)`, so results
 //! are bit-identical at every thread count and invariant to completion
-//! order.
+//! order. All three fan out on the estimate's one worker-count setting,
+//! `CrConfig::selection.parallelism`; the searches, refits and inner
+//! bootstraps they start run sequentially on the fan-out's workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,6 @@ pub mod crossval;
 pub use bootstrap::{bootstrap_table, BootstrapConfig, BootstrapSummary, ReplicateFailure};
 pub use coverage::{coverage_curves, CiMethod, CoverageConfig, CoveragePoint, Regime, TruthModel};
 pub use crossval::{
-    aggregate_errors, cross_validate_batch, cross_validate_window, observed_baseline_errors,
-    CrossValResult, CvBatchReport, CvCell, CvErrors, CvFailure, CvReport, CvSkip, Granularity,
+    aggregate_errors, cross_validate_batch, observed_baseline_errors, CrossValResult,
+    CvBatchReport, CvCell, CvErrors, CvFailure, CvReport, CvSkip, Granularity,
 };

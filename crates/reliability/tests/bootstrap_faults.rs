@@ -33,12 +33,13 @@ fn table() -> ContingencyTable {
 #[test]
 fn replicate_failures_are_isolated() {
     let failing = [3u64, 6];
-    let cfg = CrConfig {
-        degrade: false,
-        min_stratum_observed: 0,
-        ..CrConfig::paper()
-    };
     let run = |parallelism: Parallelism| {
+        let mut cfg = CrConfig {
+            degrade: false,
+            min_stratum_observed: 0,
+            ..CrConfig::paper()
+        };
+        cfg.selection.parallelism = parallelism;
         install(FaultPlan {
             rules: failing
                 .iter()
@@ -55,7 +56,6 @@ fn replicate_failures_are_isolated() {
             replicates: 8,
             seed: 42,
             alpha: 0.05,
-            parallelism,
         };
         let summary = bootstrap_table(&table(), None, &cfg, &bcfg).expect("original fit succeeds");
         assert_eq!(

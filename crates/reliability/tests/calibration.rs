@@ -4,7 +4,7 @@
 //! Monte-Carlo tolerance. Everything is seeded: these are regression
 //! tests, not flaky statistics.
 
-use ghosts_core::{CrConfig, Parallelism};
+use ghosts_core::CrConfig;
 use ghosts_reliability::{
     bootstrap_table, coverage_curves, BootstrapConfig, CiMethod, CoverageConfig, Regime, TruthModel,
 };
@@ -31,7 +31,6 @@ fn profile_interval_recovers_nominal_coverage() {
         repetitions: 60,
         seed: 1_234,
         method: CiMethod::Profile,
-        parallelism: Parallelism::Auto,
     };
     let points = coverage_curves(&truth(), &[Regime::clean("independence")], &cfg(), &ccfg);
     let p = &points[0];
@@ -61,7 +60,6 @@ fn bootstrap_percentile_recovers_nominal_coverage() {
         repetitions: 40,
         seed: 99,
         method: CiMethod::BootstrapPercentile { replicates: 60 },
-        parallelism: Parallelism::Auto,
     };
     let points = coverage_curves(&truth(), &[Regime::clean("independence")], &cfg(), &ccfg);
     let p = &points[0];
@@ -108,7 +106,6 @@ fn bootstrap_se_tracks_replicate_spread() {
             replicates: 120,
             seed: 5,
             alpha: 0.05,
-            parallelism: Parallelism::Auto,
         },
     )
     .expect("bootstrap runs");

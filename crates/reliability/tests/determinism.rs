@@ -29,29 +29,30 @@ fn fixture_table() -> ContingencyTable {
     t
 }
 
-fn cfg() -> CrConfig {
-    CrConfig {
+fn cfg(par: Parallelism) -> CrConfig {
+    let mut cfg = CrConfig {
         min_stratum_observed: 0,
         truncated: false,
         ..CrConfig::paper()
-    }
+    };
+    cfg.selection.parallelism = par;
+    cfg
 }
 
-fn bcfg(par: Parallelism) -> BootstrapConfig {
+fn bcfg() -> BootstrapConfig {
     BootstrapConfig {
         replicates: 24,
         seed: 7,
         alpha: 0.05,
-        parallelism: par,
     }
 }
 
 #[test]
 fn bootstrap_summary_is_bit_identical_across_thread_counts() {
     let table = fixture_table();
-    let one = bootstrap_table(&table, None, &cfg(), &bcfg(Parallelism::Fixed(1)))
+    let one = bootstrap_table(&table, None, &cfg(Parallelism::Fixed(1)), &bcfg())
         .expect("sequential bootstrap");
-    let four = bootstrap_table(&table, None, &cfg(), &bcfg(Parallelism::Fixed(4)))
+    let four = bootstrap_table(&table, None, &cfg(Parallelism::Fixed(4)), &bcfg())
         .expect("parallel bootstrap");
     assert_eq!(
         one.to_json(),
@@ -67,7 +68,7 @@ fn bootstrap_summary_is_bit_identical_across_thread_counts() {
 fn bootstrap_summary_json_matches_golden_pin() {
     let table = fixture_table();
     let summary =
-        bootstrap_table(&table, None, &cfg(), &bcfg(Parallelism::Fixed(4))).expect("bootstrap");
+        bootstrap_table(&table, None, &cfg(Parallelism::Fixed(4)), &bcfg()).expect("bootstrap");
     let json = summary.to_json();
     let golden = r#"{"alpha":0.05,"basic":[569.8565644416994,671.8926481765623],"completed":24,"estimates":[684.5265360466233,632.4042274109211,621.9440610317006,649.4718170467343,592.7788604764206,673.2895752061354,646.1152854114841,658.7935802470179,643.5000000003715,618.7731773882529,665.9871297431004,638.2311873701076,629.9943361308158,591.8737918215653,581.346439179169,568.8352877657829,617.4361307180984,629.1354076659961,667.9783184257055,609.3340121356397,585.0000000000016,610.0051478277605,658.6462104386055,651.9433950089801],"failures":[],"model":"[1][2][3]","observed":404,"percentile":[576.0291998284799,678.0652835633427],"point":623.9609240025211,"requested":24,"se":31.455186680617164,"selection_counts":{"[1][2][3]":24}}"#;
     assert_eq!(json, golden, "bootstrap summary drifted from golden pin");
@@ -92,13 +93,12 @@ fn coverage_points_are_bit_identical_across_thread_counts() {
         coverage_curves(
             &truth,
             &regimes,
-            &cfg(),
+            &cfg(par),
             &CoverageConfig {
                 nominal: 0.95,
                 repetitions: 12,
                 seed: 11,
                 method: CiMethod::Profile,
-                parallelism: par,
             },
         )
     };

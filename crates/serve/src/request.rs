@@ -82,7 +82,8 @@ pub struct Knobs {
     pub degrade: bool,
     /// Minimum observed individuals for a stratum to be estimated.
     pub min_stratum_observed: u64,
-    /// Worker threads for stratified fan-out (identical bytes at any
+    /// Worker threads for every fan-out of the estimate: the model
+    /// search's candidate terms and the strata (identical bytes at any
     /// setting — see `ghosts_core::parallel`).
     pub threads: u64,
 }
@@ -275,10 +276,9 @@ impl EstimateRequest {
             truncated: self.knobs.truncated,
             degrade: self.knobs.degrade,
             min_stratum_observed: self.knobs.min_stratum_observed,
-            parallelism: Parallelism::Fixed(self.knobs.threads as usize),
             ..CrConfig::paper()
         };
-        cfg.selection.parallelism = cfg.parallelism;
+        cfg.selection.parallelism = Parallelism::Fixed(self.knobs.threads as usize);
         cfg
     }
 }
@@ -437,7 +437,6 @@ mod tests {
         assert!(!cfg.truncated);
         assert!(!cfg.degrade);
         assert_eq!(cfg.min_stratum_observed, 50);
-        assert_eq!(cfg.parallelism.threads(), 4);
         assert_eq!(cfg.selection.parallelism.threads(), 4);
     }
 }

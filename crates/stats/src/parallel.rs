@@ -1,7 +1,8 @@
 //! Deterministic self-scheduling parallelism: the one scheduler behind
-//! every fan-out of the workspace, model selection and stratified
-//! estimation (through `ghosts_core::parallel`) and the simulator's block
-//! pass (`ghosts_sim::Scenario`).
+//! every fan-out of the workspace: the simulator's block pass
+//! (`ghosts_sim::Scenario`), and, through `ghosts_core::parallel`, the
+//! estimator's candidate terms and strata and the reliability engine's
+//! held-out sources, bootstrap replicates and coverage repetitions.
 //!
 //! The design constraint is **bit-identical output at every thread
 //! count**: workers claim items one at a time from a shared atomic
@@ -11,10 +12,22 @@
 //! value is ever combined in a thread-dependent order, so `threads = 1`
 //! and `threads = N` produce exactly the same bytes.
 //!
+//! Fan-outs do not nest: a worker spawned by [`ordered_map`] is marked,
+//! and [`Parallelism::threads`] reads 1 on it, so a fan-out started inside
+//! another (a model search inside a stratum, a bootstrap inside a coverage
+//! repetition) runs sequentially on the outer worker instead of spawning
+//! threads of its own. Callers therefore pass one setting everywhere.
+//!
 //! Only `std` is used (`std::thread::scope` + atomics) — the workspace
 //! builds offline and adds no dependency for this.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on the workers [`ordered_map`] spawns, for their lifetime.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// How many worker threads fan-out sections may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,8 +45,14 @@ impl Parallelism {
     /// Runs everything on the calling thread.
     pub const SEQUENTIAL: Parallelism = Parallelism::Fixed(1);
 
-    /// The number of workers this setting resolves to (always ≥ 1).
+    /// The number of workers a fan-out started on this thread runs with
+    /// (always ≥ 1): 1 on a worker of [`ordered_map`], so nested fan-outs
+    /// run sequentially on the outer worker, and otherwise what the
+    /// setting resolves to.
     pub fn threads(self) -> usize {
+        if ON_WORKER.with(Cell::get) {
+            return 1;
+        }
         match self {
             Parallelism::Auto => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -79,8 +98,9 @@ impl std::fmt::Display for Parallelism {
 /// index order afterwards, so the output is independent of scheduling.
 /// Each worker runs under the spawning thread's fault-injection scope
 /// ([`ghosts_faultinject::with_scope`]), so a fault site probed inside `f`
-/// renders the same scope at every thread count. The scheduler itself
-/// probes no fault site and pushes no task frame.
+/// renders the same scope at every thread count, and is marked as a
+/// worker, so a fan-out `f` starts runs on it sequentially. The scheduler
+/// itself probes no fault site and pushes no task frame.
 ///
 /// # Panics
 ///
@@ -107,6 +127,7 @@ where
             .map(|_| {
                 let (token, next) = (&token, &next);
                 scope.spawn(move || {
+                    ON_WORKER.with(|w| w.set(true));
                     // Workers inherit the spawning thread's fault scope so
                     // nested fan-outs address items identically at every
                     // thread count.
@@ -192,6 +213,27 @@ mod tests {
             ordered_map(Parallelism::Fixed(4), &[41u32], |_, &x| x + 1),
             vec![42]
         );
+    }
+
+    /// A fan-out started on a worker runs every item on that worker, and
+    /// `threads()` reads 1 there while the caller's reading is unchanged.
+    #[test]
+    fn nested_ordered_map_runs_on_the_outer_worker() {
+        let par = Parallelism::Fixed(2);
+        let caller = std::thread::current().id();
+        let outer: Vec<u32> = (0..4).collect();
+        let inner: Vec<u32> = (0..8).collect();
+        let runs = ordered_map(par, &outer, |_, _| {
+            let worker = std::thread::current().id();
+            let inner_ids = ordered_map(par, &inner, |_, _| std::thread::current().id());
+            (worker, par.threads(), inner_ids)
+        });
+        for (worker, threads, inner_ids) in runs {
+            assert_ne!(worker, caller, "outer items run on spawned workers");
+            assert_eq!(threads, 1);
+            assert!(inner_ids.iter().all(|&id| id == worker), "{inner_ids:?}");
+        }
+        assert_eq!(par.threads(), 2);
     }
 
     #[test]

@@ -134,12 +134,20 @@ grep -q '"kind":"fault_injected"' "$smoke_dir/fault_trace.jsonl" || {
 }
 test -s "$smoke_dir/results/table4.json"
 
-echo "==> reliability smoke (repro reliability: bounded B, fixed seed, manifest section)"
+echo "==> reliability smoke (repro reliability: bounded B, fixed seed, one worker, manifest section)"
 # Small scale keeps the bootstrap/coverage budgets low (the experiment
 # scales its replicate counts by --denom); the trace must stay
 # schema-valid and the manifest must carry the reliability section.
+# At --threads 1 every fan-out gauge must read 1: a fan-out that does not
+# read the estimate's one worker-count setting (DESIGN.md §8) shows here.
 (cd "$smoke_dir" && "$repo_root/target/release/repro" reliability --denom 16384 --seed 7 --quiet \
-    --trace rel_trace.jsonl --metrics-out rel_manifest.json)
+    --threads 1 --trace rel_trace.jsonl --metrics-out rel_manifest.json)
+rel_workers="$(grep -o '"[a-z_]*\.par_map_workers":[0-9]*' "$smoke_dir/rel_manifest.json" || true)"
+if [ -z "$rel_workers" ] || echo "$rel_workers" | grep -qv ':1$'; then
+    echo "ci.sh: at --threads 1 a reliability fan-out ran on more than one worker:" >&2
+    echo "${rel_workers:-(no par_map_workers gauges in the manifest)}" >&2
+    exit 1
+fi
 cargo run -q -p xtask -- lint --check-events "$smoke_dir/rel_trace.jsonl"
 grep -q '"kind":"reliability"' "$smoke_dir/rel_trace.jsonl" || {
     echo "ci.sh: no reliability events in the reliability trace" >&2

@@ -21,20 +21,26 @@ fn cross_validation_beats_observed_baseline() {
         min_stratum_observed: 0,
         ..CrConfig::paper()
     };
-    let report = cross_validate_window(&data, Granularity::Addresses, &cfg, false);
+    let batch = cross_validate_batch(
+        std::slice::from_ref(&data),
+        &[Granularity::Addresses],
+        &cfg,
+        false,
+    );
+    let report = &batch.cells[0].report;
     assert!(report.is_complete(), "no source should be skipped or fail");
-    let results = report.results;
+    let results = &report.results;
     assert_eq!(results.len(), data.sources.len());
 
-    let cr = aggregate_errors(&results);
-    let baseline = ghosts::analysis::observed_baseline_errors(&results);
+    let cr = aggregate_errors(results);
+    let baseline = ghosts::analysis::observed_baseline_errors(results);
     assert!(
         cr.mae < baseline.mae,
         "CR MAE {} must beat observed-only MAE {}",
         cr.mae,
         baseline.mae
     );
-    for r in &results {
+    for r in results {
         assert!(r.estimate <= r.truth as f64 + 1e-6, "{}", r.source);
         assert!(r.estimate >= r.observed_by_others as f64 - 1e-6);
     }
@@ -54,7 +60,8 @@ fn cross_validation_distinguishes_skips_from_failures() {
         min_stratum_observed: 0,
         ..CrConfig::paper()
     };
-    let report = cross_validate_window(&data, Granularity::Addresses, &cfg, false);
+    let batch = cross_validate_batch(&[data], &[Granularity::Addresses], &cfg, false);
+    let report = &batch.cells[0].report;
     assert!(report.results.is_empty());
     assert!(
         report.failed.is_empty(),
@@ -197,11 +204,12 @@ fn fig3_style_ranges_cover_most_sources() {
         min_stratum_observed: 0,
         ..CrConfig::paper()
     };
-    let report = cross_validate_window(&data, Granularity::Addresses, &cfg, true);
+    let batch = cross_validate_batch(&[data], &[Granularity::Addresses], &cfg, true);
+    let report = &batch.cells[0].report;
     assert!(report.is_complete(), "every source must yield a range");
-    let results = report.results;
+    let results = &report.results;
     let mut covered = 0usize;
-    for r in &results {
+    for r in results {
         let range = r.range.expect("requested");
         let lo = range.lower / r.truth as f64;
         let hi = range.upper / r.truth as f64;
