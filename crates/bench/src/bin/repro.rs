@@ -26,11 +26,12 @@
 //!   (DESIGN.md §11) before running; implies tracing so every fired fault
 //!   and every degradation is recorded.
 //! * `--profile` — enable the stage profiler: wall time attributed across
-//!   the pipeline stages (`parse` → `estimate/select` → `estimate/fit` →
-//!   `estimate/ci`), printed as a table and ingested into the
-//!   `--metrics-out` manifest (call counts deterministic, durations
-//!   volatile). The trace gains `stage_profile` events carrying the
-//!   deterministic call counts only.
+//!   the pipeline stages (`sim/window` → `pipeline/spoof_filter` →
+//!   `estimate/select` → `estimate/fit` → `estimate/ci`), printed as a
+//!   table. Under `--metrics-out` the manifest carries each stage's
+//!   deterministic call count as the counter `stage.<path>.calls` and its
+//!   wall microseconds as the volatile `stage.<path>.us`; the trace is
+//!   unchanged.
 //! * `--quiet` — suppress progress chatter and per-experiment text on
 //!   stdout; errors still go to stderr.
 //!
@@ -46,7 +47,9 @@ use ghosts_bench::context::write_results;
 use ghosts_bench::experiments::{self, ALL_IDS_FULL};
 use ghosts_bench::ReproContext;
 use ghosts_core::{estimate_stratified, estimate_table, ContingencyTable, Parallelism};
-use ghosts_obs::{FieldValue, LogicalClock, Recorder, RunManifest, StageProfiler, WallClock};
+use ghosts_obs::{
+    FieldValue, LogicalClock, Recorder, Registry, RunManifest, StageProfiler, WallClock,
+};
 use serde_json::json;
 use std::sync::Arc;
 
@@ -76,7 +79,6 @@ const MANIFEST_EVENTS: &[&str] = &[
     "stratified_total",
     "ci",
     "spoof_filter",
-    "window_observed",
 ];
 
 struct Options {
@@ -210,10 +212,11 @@ fn main() {
     let mut ctx = ReproContext::new(opts.denom, opts.seed);
     ctx.parallelism = opts.parallelism;
     ctx.recorder = rec.clone();
+    // The profiler's cells: call counts and wall-clock durations, surfaced
+    // only through the stage table and the manifest, never the trace.
+    let stages = Registry::new();
     if opts.profile {
-        // Wall-clock durations: only surfaced through the stage table and
-        // the manifest's volatile lane, never the deterministic trace.
-        ctx.profiler = StageProfiler::enabled(Arc::new(WallClock::new()));
+        ctx.profiler = StageProfiler::over(stages.clone(), Arc::new(WallClock::new()));
     }
     let ctx = ctx;
     rec.volatile_add("repro.scenario_build_us", wall.now() - t_build);
@@ -272,24 +275,8 @@ fn main() {
     rec.volatile_add("repro.total_us", wall.now());
     rec.volatile_max("repro.worker_threads", opts.parallelism.threads() as u64);
 
-    // The stage table: printed for humans, echoed into the trace as
-    // deterministic `stage_profile` events (call counts only — durations
-    // are volatile and stay out of the trace bytes).
-    if opts.profile {
-        let table = ctx.profiler.table();
-        if !opts.quiet {
-            println!("\nStage profile\n{}", table.render_text());
-        }
-        let span = rec.root("profile");
-        for row in &table.rows {
-            span.event(
-                "stage_profile",
-                &[
-                    ("stage", FieldValue::Str(row.path.clone())),
-                    ("calls", FieldValue::U64(row.calls)),
-                ],
-            );
-        }
+    if opts.profile && !opts.quiet {
+        println!("\nStage profile\n{}", ctx.profiler.table().render_text());
     }
 
     // Record every fired fault before the flush, in the fire log's
@@ -335,9 +322,7 @@ fn main() {
             manifest.set_config("experiments", opts.ids.join(" "));
             manifest.ingest_metrics(&log);
             manifest.ingest_events(&log, MANIFEST_EVENTS);
-            if opts.profile {
-                manifest.ingest_stage_table(&ctx.profiler.table());
-            }
+            manifest.ingest_snapshot(&stages.snapshot());
             if let Err(e) = ghosts_durable::atomic_write(
                 std::path::Path::new(path),
                 manifest.to_json().as_bytes(),

@@ -1,11 +1,12 @@
 //! Shared state for the experiment harness: one scenario, cached window
 //! datasets (raw and spoof-filtered) and cached CR estimates.
 //!
-//! The context is `Send + Sync`: caches are `Arc` values behind sharded
-//! mutexes (one shard per window-index residue), so experiments and the
-//! parallel estimation layer can share one context across threads without
-//! a global lock. Every cached value is deterministic in the scenario, so
-//! a racing double-compute stores the same bytes either way.
+//! The context is `Send + Sync`: each cache is a map of `Arc` values
+//! behind one mutex that is held only to look up or insert, never while a
+//! value is computed, so experiments and the parallel estimation layer can
+//! share one context across threads. Every cached value is deterministic
+//! in the scenario, so a racing double-compute stores the same bytes
+//! either way.
 
 use ghosts_core::{
     estimate_table, ContingencyTable, CrConfig, CrEstimate, EstimateError, Parallelism,
@@ -18,30 +19,25 @@ use ghosts_pipeline::time::{paper_windows, TimeWindow};
 use ghosts_sim::{Scenario, SimConfig};
 use ghosts_stats::rng::component_rng;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Shards per cache: windows map round-robin onto shards, so the eleven
-/// paper windows spread across locks instead of serialising on one.
-const CACHE_SHARDS: usize = 8;
-
-/// A sharded `index → Arc<V>` cache. `get_or_insert_with` holds only the
-/// shard lock for the key, and never while computing the value. `BTreeMap`
-/// keeps any future iteration over a shard in key order.
-struct ShardedCache<V> {
-    shards: Vec<Mutex<BTreeMap<usize, Arc<V>>>>,
+/// An `index → Arc<V>` cache. `get_or_insert_with` holds the lock only to
+/// look up or insert, never while computing the value, so a poisoned lock
+/// still guards only finished values and is recovered. `BTreeMap` keeps
+/// any future iteration in key order.
+struct Cache<V> {
+    map: Mutex<BTreeMap<usize, Arc<V>>>,
 }
 
-impl<V> ShardedCache<V> {
+impl<V> Cache<V> {
     fn new() -> Self {
         Self {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
+            map: Mutex::new(BTreeMap::new()),
         }
     }
 
-    fn shard(&self, key: usize) -> &Mutex<BTreeMap<usize, Arc<V>>> {
-        &self.shards[key % CACHE_SHARDS]
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<V>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get_or_insert_with<F: FnOnce() -> V>(&self, key: usize, compute: F) -> Arc<V> {
@@ -56,19 +52,13 @@ impl<V> ShardedCache<V> {
         key: usize,
         compute: F,
     ) -> Result<Arc<V>, E> {
-        if let Some(v) = self.shard(key).lock().expect("cache shard").get(&key) {
+        if let Some(v) = self.lock().get(&key) {
             return Ok(Arc::clone(v));
         }
         // Compute outside the lock: concurrent misses may compute twice,
         // but both results are identical and the first insert wins.
         let value = Arc::new(compute()?);
-        Ok(Arc::clone(
-            self.shard(key)
-                .lock()
-                .expect("cache shard")
-                .entry(key)
-                .or_insert(value),
-        ))
+        Ok(Arc::clone(self.lock().entry(key).or_insert(value)))
     }
 }
 
@@ -104,10 +94,10 @@ pub struct ReproContext {
     /// default; the `repro` binary enables it under `--profile`. Call
     /// counts are deterministic; durations live in the volatile lane.
     pub profiler: StageProfiler,
-    raw: ShardedCache<WindowData>,
-    filtered: ShardedCache<WindowData>,
-    addr_estimates: ShardedCache<CrEstimate>,
-    subnet_estimates: ShardedCache<CrEstimate>,
+    raw: Cache<WindowData>,
+    filtered: Cache<WindowData>,
+    addr_estimates: Cache<CrEstimate>,
+    subnet_estimates: Cache<CrEstimate>,
 }
 
 impl ReproContext {
@@ -131,10 +121,10 @@ impl ReproContext {
             parallelism: Parallelism::Auto,
             recorder: Recorder::disabled(),
             profiler: StageProfiler::disabled(),
-            raw: ShardedCache::new(),
-            filtered: ShardedCache::new(),
-            addr_estimates: ShardedCache::new(),
-            subnet_estimates: ShardedCache::new(),
+            raw: Cache::new(),
+            filtered: Cache::new(),
+            addr_estimates: Cache::new(),
+            subnet_estimates: Cache::new(),
         }
     }
 
@@ -170,6 +160,7 @@ impl ReproContext {
     pub fn raw_window(&self, i: usize) -> Arc<WindowData> {
         self.raw.get_or_insert_with(i, || {
             let _stage = self.profiler.scoped("sim").enter("window");
+            // lint: allow(panic-path) experiments iterate 0..windows.len(), and ReproBackend::resolve checks the bound
             self.scenario.window_data(self.windows[i], self.parallelism)
         })
     }
@@ -321,16 +312,6 @@ mod tests {
     fn context_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ReproContext>();
-    }
-
-    #[test]
-    fn cache_shards_share_nothing() {
-        let cache: ShardedCache<usize> = ShardedCache::new();
-        // Holding one shard's value must not block other shards: compute
-        // for key 1 while key 0's shard lock is held by this thread.
-        let _guard = cache.shard(0).lock().unwrap();
-        assert_eq!(*cache.get_or_insert_with(1, || 10), 10);
-        assert_eq!(*cache.get_or_insert_with(1, || 99), 10); // cached
     }
 
     #[test]

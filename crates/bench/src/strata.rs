@@ -75,14 +75,14 @@ pub fn build<'a>(ctx: &'a ReproContext, strat: Strat) -> StratInfo<'a> {
             let key = Box::new(move |addr: u32| {
                 registry
                     .lookup(addr)
-                    .map(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir).unwrap())
+                    .and_then(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir))
             });
             let (addr_limits, subnet_limits) = limits_by(
                 ctx,
                 |addr| {
                     registry
                         .lookup(addr)
-                        .map(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir).unwrap())
+                        .and_then(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir))
                 },
                 Rir::ALL.len(),
             );
@@ -157,7 +157,7 @@ pub fn build<'a>(ctx: &'a ReproContext, strat: Strat) -> StratInfo<'a> {
             let find = move |addr: u32| {
                 registry
                     .lookup(addr)
-                    .map(|(_, a)| Industry::ALL.iter().position(|i| *i == a.industry).unwrap())
+                    .and_then(|(_, a)| Industry::ALL.iter().position(|i| *i == a.industry))
             };
             let n = labels.len();
             let (addr_limits, subnet_limits) = limits_by(ctx, find, n);
@@ -194,9 +194,12 @@ fn limits_by<F: Fn(u32) -> Option<usize>>(
     let mut addrs = vec![0u64; n];
     let mut subs = vec![0u64; n];
     for block in ctx.scenario.gt.blocks() {
-        if let Some(s) = key(block.subnet << 8) {
-            addrs[s] += 256;
-            subs[s] += 1;
+        let Some(s) = key(block.subnet << 8) else {
+            continue;
+        };
+        if let (Some(a), Some(n)) = (addrs.get_mut(s), subs.get_mut(s)) {
+            *a += 256;
+            *n += 1;
         }
     }
     (addrs, subs)

@@ -111,7 +111,11 @@ impl CountryCode {
             bytes.len() == 2 && bytes.iter().all(u8::is_ascii_alphabetic),
             "CountryCode: expected two ASCII letters, got {s:?}"
         );
-        CountryCode([bytes[0].to_ascii_uppercase(), bytes[1].to_ascii_uppercase()])
+        let mut code = [0u8; 2];
+        for (c, b) in code.iter_mut().zip(bytes) {
+            *c = b.to_ascii_uppercase();
+        }
+        CountryCode(code)
     }
 
     /// The code as a `&str`.
@@ -192,8 +196,12 @@ impl Registry {
     }
 
     /// The allocation with the given id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by this registry's [`add`](Self::add).
     pub fn get(&self, id: AllocationId) -> &Allocation {
-        &self.allocations[id as usize]
+        &self.allocations[id as usize] // lint: allow(panic-path) allocation ids come from this registry's add()
     }
 
     /// The most specific allocation containing `addr`, if any.

@@ -64,9 +64,6 @@ pub use profile::{StageGuard, StageProfiler, StageRow, StageTable};
 pub use recorder::{EventKind, EventLog, EventRecord, FieldValue, Recorder, Scope, SpanPath};
 pub use registry::{Counter, Histogram, Registry, RegistrySnapshot};
 pub use ring::{EpochRing, TailClass, TailEntry, TailRing, TailStats};
-pub use schema::{
-    validate_event_line, validate_jsonl, EVENTS_SCHEMA, EVENTS_SCHEMA_V1, EVENTS_SCHEMA_V2,
-    EVENTS_SCHEMA_V3, EVENTS_SCHEMA_V4,
-};
+pub use schema::{validate_event_line, validate_jsonl, EVENTS_SCHEMA};
 pub use sketch::{LogLinearHist, RELATIVE_ERROR, SUB_BITS, SUB_BUCKETS};
 pub use wall::WallClock;

@@ -11,6 +11,7 @@
 
 use crate::json::{parse, JsonError, JsonValue};
 use crate::recorder::{fold_volatile, EventLog, FieldValue};
+use crate::registry::RegistrySnapshot;
 use crate::sketch::LogLinearHist;
 use std::collections::BTreeMap;
 
@@ -138,23 +139,30 @@ impl RunManifest {
         }
     }
 
-    /// Ingests an aggregated stage table from the
-    /// [`StageProfiler`](crate::StageProfiler): the deterministic call
-    /// counts become `stage_profile` records, while the clock totals —
-    /// wall time when the profiler ran on a wall clock — land in the
-    /// volatile lane under `stage.<path>.us`, keeping the two-lane
-    /// discipline.
-    pub fn ingest_stage_table(&mut self, table: &crate::profile::StageTable) {
-        for row in &table.rows {
-            self.records.push(Record {
-                section: "stage_profile".to_string(),
-                span: row.path.clone(),
-                fields: vec![("calls".to_string(), FieldValue::U64(row.calls))],
-            });
-            *self
-                .volatile
-                .entry(format!("stage.{}.us", row.path))
-                .or_insert(0) += row.total_us;
+    /// Copies a registry snapshot: counters and histograms into their
+    /// maps, volatile counters into the volatile lane, and each volatile
+    /// histogram as its `<name>.count` and `<name>.sum` (merging into
+    /// anything already present, as [`RegistrySnapshot::merge`] does).
+    /// A [`StageProfiler`](crate::StageProfiler)'s cells arrive this way:
+    /// `stage.<path>.calls` among the counters, `stage.<path>.us` in the
+    /// volatile lane.
+    pub fn ingest_snapshot(&mut self, snap: &RegistrySnapshot) {
+        fn add(map: &mut BTreeMap<String, u64>, name: String, v: u64) {
+            let slot = map.entry(name).or_insert(0);
+            *slot = slot.saturating_add(v);
+        }
+        for (name, &v) in &snap.counters {
+            add(&mut self.counters, name.clone(), v);
+        }
+        for (name, h) in &snap.hists {
+            self.hists.entry(name.clone()).or_default().merge(h);
+        }
+        for (name, &v) in &snap.volatile_counters {
+            add(&mut self.volatile, name.clone(), v);
+        }
+        for (name, h) in &snap.volatile_hists {
+            add(&mut self.volatile, format!("{name}.count"), h.count());
+            add(&mut self.volatile, format!("{name}.sum"), h.sum);
         }
     }
 
@@ -402,20 +410,23 @@ mod tests {
     #[test]
     fn stage_table_lands_in_records_and_volatile() {
         use crate::profile::StageProfiler;
-        let p = StageProfiler::enabled(Arc::new(LogicalClock::new()));
+        use crate::registry::Registry;
+        let registry = Registry::new();
+        let p = StageProfiler::over(registry.clone(), Arc::new(LogicalClock::new()));
         drop(p.enter("parse"));
         let est = p.scoped("estimate");
         drop(est.enter("fit"));
         drop(est.enter("fit"));
+        registry.volatile_hist("serve.request_us").record(40);
         let mut m = RunManifest::new();
-        m.ingest_stage_table(&p.table());
-        let rows: Vec<_> = m.section("stage_profile").collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].span, "estimate/fit");
-        assert_eq!(rows[0].f64("calls"), Some(2.0));
-        assert!(m.volatile.contains_key("stage.estimate/fit.us"));
-        assert!(m.volatile.contains_key("stage.parse.us"));
-        // The stage table round-trips through JSON like any other section.
+        m.ingest_snapshot(&registry.snapshot());
+        assert_eq!(m.counters["stage.estimate/fit.calls"], 2);
+        assert_eq!(m.counters["stage.parse.calls"], 1);
+        assert_eq!(m.volatile["stage.estimate/fit.us"], 2);
+        assert_eq!(m.volatile["stage.parse.us"], 1);
+        assert_eq!(m.volatile["serve.request_us.count"], 1);
+        assert_eq!(m.volatile["serve.request_us.sum"], 40);
+        // The stage cells round-trip through JSON like any other metric.
         let back = RunManifest::from_json(&m.to_json()).expect("parses");
         assert_eq!(back, m);
     }

@@ -3,10 +3,15 @@
 //!
 //! A [`StageProfiler`] is a cheap cloneable handle (the
 //! [`Recorder`](crate::Recorder) `Option<Arc>` pattern): disabled by
-//! default, free when off. Enabled, it maps hierarchical stage paths
-//! (`serve/parse`, `estimate/fit`, …) to a pair of atomic accumulators —
-//! a deterministic call count and a clock-delta total. Hierarchy comes
-//! from [`scoped`](StageProfiler::scoped) prefixes: the serve layer hands
+//! default, free when off. Enabled, it is a view over two
+//! [`Registry`] cells per hierarchical stage path (`serve/parse`,
+//! `estimate/fit`, …): a deterministic counter `stage.<path>.calls` and a
+//! volatile counter `stage.<path>.us` holding the clock-delta total. So a
+//! stage is an ordinary registry series, and every surface that renders a
+//! [`RegistrySnapshot`](crate::RegistrySnapshot) — serve's `/metrics`,
+//! [`RunManifest::ingest_snapshot`](crate::RunManifest::ingest_snapshot) —
+//! shows it without code of its own. Hierarchy comes from
+//! [`scoped`](StageProfiler::scoped) prefixes: the serve layer hands
 //! `profiler.scoped("estimate")` into the estimator, which then enters
 //! plain `"fit"` / `"select"` stages without knowing where it sits.
 //!
@@ -14,25 +19,17 @@
 //! deterministic** (the same input enters the same stages the same number
 //! of times at any thread count), while the **duration totals follow the
 //! driving [`Clock`]** — wall microseconds in binaries, logical ticks in
-//! tests — and are only ever published through volatile surfaces (the
-//! [`RunManifest`](crate::RunManifest) volatile lane, the `/v1/profile`
-//! ops endpoint). The aggregated [`StageTable`] sorts rows by path, so
-//! rendering is order-independent.
+//! tests — and live in the registry's volatile lane. [`StageTable`] reads
+//! both back from one snapshot and sorts rows by path, so rendering is
+//! order-independent.
 
 use crate::clock::Clock;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
-
-#[derive(Default)]
-struct StageCell {
-    calls: AtomicU64,
-    total: AtomicU64,
-}
+use crate::registry::{Counter, Registry};
+use std::sync::Arc;
 
 struct ProfInner {
+    registry: Registry,
     clock: Arc<dyn Clock>,
-    stages: RwLock<BTreeMap<String, Arc<StageCell>>>,
 }
 
 /// The cheap, cloneable profiler handle instrumented code carries.
@@ -57,16 +54,19 @@ impl StageProfiler {
         Self::default()
     }
 
-    /// A recording profiler driven by `clock`. Binaries pass a
-    /// [`WallClock`](crate::WallClock); tests pass a
+    /// A recording profiler driven by `clock`, over a registry of its
+    /// own. Binaries pass a [`WallClock`](crate::WallClock); tests pass a
     /// [`LogicalClock`](crate::LogicalClock) so durations are
     /// deterministic ticks.
     pub fn enabled(clock: Arc<dyn Clock>) -> Self {
+        Self::over(Registry::new(), clock)
+    }
+
+    /// A recording profiler whose stage cells live in `registry`, so a
+    /// snapshot of that registry carries them next to its other series.
+    pub fn over(registry: Registry, clock: Arc<dyn Clock>) -> Self {
         Self {
-            inner: Some(Arc::new(ProfInner {
-                clock,
-                stages: RwLock::new(BTreeMap::new()),
-            })),
+            inner: Some(Arc::new(ProfInner { registry, clock })),
             prefix: String::new(),
         }
     }
@@ -96,62 +96,74 @@ impl StageProfiler {
         }
     }
 
-    /// Enters a stage; the returned guard attributes the clock delta (and
-    /// one call) to `prefix/stage` when dropped.
+    /// Enters a stage; the returned guard adds one call and the clock
+    /// delta to `prefix/stage` when dropped.
     pub fn enter(&self, stage: &str) -> StageGuard {
         let Some(inner) = &self.inner else {
             return StageGuard::default();
         };
         let path = self.join(stage);
-        let cell = {
-            let stages = inner.stages.read().unwrap_or_else(PoisonError::into_inner);
-            stages.get(&path).cloned()
-        };
-        let cell = cell.unwrap_or_else(|| {
-            let mut stages = inner.stages.write().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(stages.entry(path).or_default())
-        });
+        let calls = inner.registry.counter(&format!("stage.{path}.calls"));
+        let total = inner.registry.volatile_counter(&format!("stage.{path}.us"));
         StageGuard {
-            cell: Some(cell),
-            clock: Some(Arc::clone(&inner.clock)),
-            start: inner.clock.now(),
+            open: Some(OpenStage {
+                calls,
+                total,
+                clock: Arc::clone(&inner.clock),
+                start: inner.clock.now(),
+            }),
         }
     }
 
-    /// The aggregated table (non-mutating; rows sorted by path).
+    /// The aggregated table, read from one registry snapshot
+    /// (non-mutating; rows sorted by path).
     pub fn table(&self) -> StageTable {
         let Some(inner) = &self.inner else {
             return StageTable::default();
         };
-        let stages = inner.stages.read().unwrap_or_else(PoisonError::into_inner);
+        let snap = inner.registry.snapshot();
+        let mut rows: Vec<StageRow> = snap
+            .counters
+            .iter()
+            .filter_map(|(name, &calls)| {
+                let path = name.strip_prefix("stage.")?.strip_suffix(".calls")?;
+                let total_us = snap.volatile_counters.get(&format!("stage.{path}.us"));
+                Some(StageRow {
+                    path: path.to_string(),
+                    calls,
+                    total_us: total_us.copied().unwrap_or(0),
+                })
+            })
+            .collect();
+        // Name order is not path order: `stage.a-b.calls` sorts before
+        // `stage.a.calls`, while `a` sorts before `a-b`.
+        rows.sort_by(|a, b| a.path.cmp(&b.path));
         StageTable {
             clock_is_wall: inner.clock.is_wall(),
-            rows: stages
-                .iter()
-                .map(|(path, cell)| StageRow {
-                    path: path.clone(),
-                    calls: cell.calls.load(Ordering::Relaxed),
-                    total_us: cell.total.load(Ordering::Relaxed),
-                })
-                .collect(),
+            rows,
         }
     }
+}
+
+struct OpenStage {
+    calls: Counter,
+    total: Counter,
+    clock: Arc<dyn Clock>,
+    start: u64,
 }
 
 /// An open stage: dropping it attributes the elapsed clock delta.
 #[derive(Default)]
 pub struct StageGuard {
-    cell: Option<Arc<StageCell>>,
-    clock: Option<Arc<dyn Clock>>,
-    start: u64,
+    open: Option<OpenStage>,
 }
 
 impl Drop for StageGuard {
     fn drop(&mut self) {
-        if let (Some(cell), Some(clock)) = (&self.cell, &self.clock) {
-            let elapsed = clock.now().saturating_sub(self.start);
-            cell.calls.fetch_add(1, Ordering::Relaxed);
-            cell.total.fetch_add(elapsed, Ordering::Relaxed);
+        if let Some(stage) = &self.open {
+            let elapsed = stage.clock.now().saturating_sub(stage.start);
+            stage.calls.inc();
+            stage.total.add(elapsed);
         }
     }
 }
@@ -283,5 +295,34 @@ mod tests {
         let text = p.table().render_text();
         assert!(text.contains("a/b"));
         assert!(text.contains("ticks"));
+    }
+
+    #[test]
+    fn stages_are_cells_of_the_given_registry() {
+        let registry = Registry::new();
+        let p = StageProfiler::over(registry.clone(), Arc::new(LogicalClock::new()));
+        for path in ["a/b", "a-b", "a", "a-b"] {
+            drop(p.enter(path));
+        }
+        let snap = registry.snapshot();
+        let table = p.table();
+        let rows: Vec<(&str, u64, u64)> = table
+            .rows
+            .iter()
+            .map(|r| (r.path.as_str(), r.calls, r.total_us))
+            .collect();
+        assert_eq!(
+            rows,
+            [("a", 1, 1), ("a-b", 2, 2), ("a/b", 1, 1)],
+            "path order, not registry-name order"
+        );
+        for row in &table.rows {
+            let calls = format!("stage.{}.calls", row.path);
+            let us = format!("stage.{}.us", row.path);
+            assert_eq!(snap.counters.get(&calls), Some(&row.calls), "{calls}");
+            assert_eq!(snap.volatile_counters.get(&us), Some(&row.total_us), "{us}");
+        }
+        assert_eq!(snap.counters.len(), 3, "{:?}", snap.counters);
+        assert_eq!(snap.volatile_counters.len(), 3);
     }
 }

@@ -493,12 +493,8 @@ pub struct EventLog {
 
 /// Schema identifier written on the JSONL meta line. Version 5 writes
 /// `hist` lines in the sketch's sparse form (`buckets` as ascending
-/// `[lower_bound, count]` pairs); version 4 added the telemetry-plane
-/// event *names* (`stage_profile`, `tail_retention`) without new line
-/// kinds; version 3 added the `reliability` kind; version 2 added
-/// `degradation` and `fault_injected`. Everything else is unchanged from
-/// version 1, and the validator still accepts v1–v4 traces (see
-/// [`crate::schema`]).
+/// `[lower_bound, count]` pairs); it is the only version the validator
+/// accepts (see [`crate::schema`]).
 pub const JSONL_SCHEMA: &str = "ghosts-events/5";
 
 impl EventLog {

@@ -1,5 +1,4 @@
-//! Structural validation of `ghosts-events/5` (and legacy `ghosts-events/1`
-//! … `/4`) JSONL trace files.
+//! Structural validation of `ghosts-events/5` JSONL trace files.
 //!
 //! `xtask lint --check-events <file>` and the CI smoke step use this to
 //! verify that a trace emitted by `repro --trace` is well-formed: a single
@@ -7,44 +6,20 @@
 //! counters, then histograms, with every line carrying exactly the keys the
 //! writer produces and every span's `seq` numbering dense from zero.
 //!
-//! Version 2 adds the `degradation` and `fault_injected` line kinds (same
-//! grammar as `event`); version 3 adds `reliability` (same grammar again);
-//! version 4 adds no kinds but introduces the telemetry-plane event *names*
-//! (`stage_profile`, `tail_retention`) emitted by the stage profiler and the
-//! trace-tail ring; version 5 writes `hist` lines in the sketch's sparse
-//! form — `buckets` as ascending `[lower_bound, count]` pairs — where v1–v4
-//! wrote 12 dense power-of-two buckets. A trace whose meta line declares an
-//! older version is still accepted, but must not contain kinds — or, for
-//! v4, names — introduced after that version, and its `hist` lines must
-//! use the bucket form of its version.
+//! The event-like kinds (`event`, `error`, `degradation`,
+//! `fault_injected`, `reliability`) share one grammar, and `hist` lines
+//! list the sketch's non-empty buckets as ascending `[lower_bound, count]`
+//! pairs. The writer has emitted no other version since `/5`, so a meta
+//! line naming any other schema is rejected.
 
 use crate::json::{parse, JsonValue};
 use crate::sketch::LogLinearHist;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Bucket count of the dense `hist` lines of `ghosts-events/1` … `/4`.
-const LEGACY_HIST_BUCKETS: usize = 12;
-
 /// The schema identifier expected on the meta line (same constant the
 /// writer uses).
 pub const EVENTS_SCHEMA: &str = crate::recorder::JSONL_SCHEMA;
-
-/// The version-4 schema identifier (dense 12-bucket `hist` lines), still
-/// accepted on the meta line.
-pub const EVENTS_SCHEMA_V4: &str = "ghosts-events/4";
-
-/// The version-3 schema identifier (before the telemetry-plane names),
-/// still accepted on the meta line.
-pub const EVENTS_SCHEMA_V3: &str = "ghosts-events/3";
-
-/// The version-2 schema identifier (before the reliability kind), still
-/// accepted on the meta line.
-pub const EVENTS_SCHEMA_V2: &str = "ghosts-events/2";
-
-/// The original schema identifier (before the robustness kinds), still
-/// accepted on the meta line.
-pub const EVENTS_SCHEMA_V1: &str = "ghosts-events/1";
 
 /// The ghosts-events name registry: every `(name, kind)` pair the
 /// workspace is allowed to emit on an event-like trace line.
@@ -94,9 +69,7 @@ pub const EVENT_NAMES: &[(&str, &str)] = &[
     ("request", "event"),
     ("resolve", "error"),
     ("search_started", "event"),
-    ("source_observed", "event"),
     ("spoof_filter", "event"),
-    ("stage_profile", "event"),
     ("stratified_total", "event"),
     ("stratum_excluded", "event"),
     ("stratum_failed", "error"),
@@ -104,7 +77,6 @@ pub const EVENT_NAMES: &[(&str, &str)] = &[
     ("term_added", "event"),
     ("wal_quarantined", "error"),
     ("wal_recovered", "event"),
-    ("window_observed", "event"),
 ];
 
 /// Whether `(name, kind)` is a registered ghosts-events emission.
@@ -138,11 +110,11 @@ pub struct JsonlSummary {
     pub events: usize,
     /// Error events.
     pub errors: usize,
-    /// Degradation events (v2).
+    /// Degradation events.
     pub degradations: usize,
-    /// Fault-injection events (v2).
+    /// Fault-injection events.
     pub faults: usize,
-    /// Reliability-engine events (v3).
+    /// Reliability-engine events.
     pub reliability: usize,
     /// Counter lines.
     pub counters: usize,
@@ -168,29 +140,6 @@ fn is_event_like(kind: &str) -> bool {
         kind,
         "event" | "error" | "degradation" | "fault_injected" | "reliability"
     )
-}
-
-/// The version a meta line's schema identifier names, if supported.
-fn schema_version(schema: &str) -> Option<u8> {
-    [
-        EVENTS_SCHEMA_V1,
-        EVENTS_SCHEMA_V2,
-        EVENTS_SCHEMA_V3,
-        EVENTS_SCHEMA_V4,
-        EVENTS_SCHEMA,
-    ]
-    .iter()
-    .position(|&s| s == schema)
-    .map(|i| i as u8 + 1)
-}
-
-/// Whether a `hist` line lists sparse `[lower_bound, count]` pairs (v5)
-/// rather than dense counts (v1–v4). An empty list is the sparse form of
-/// an empty histogram.
-fn is_sparse_hist(doc: &JsonValue) -> bool {
-    doc.get("buckets")
-        .and_then(JsonValue::as_array)
-        .is_some_and(|b| b.first().is_none_or(|first| first.as_array().is_some()))
 }
 
 fn keys_of(v: &JsonValue) -> Vec<&str> {
@@ -219,9 +168,9 @@ pub fn validate_event_line(line: &str) -> Result<(), String> {
                 return Err("meta line must have exactly kind, schema, clock".to_string());
             }
             let schema = doc.get("schema").and_then(JsonValue::as_str);
-            if schema.and_then(schema_version).is_none() {
+            if schema != Some(EVENTS_SCHEMA) {
                 return Err(format!(
-                    "unsupported schema {schema:?}, expected {EVENTS_SCHEMA:?} (or legacy ghosts-events/1 … /4)"
+                    "unsupported schema {schema:?}, expected {EVENTS_SCHEMA:?}"
                 ));
             }
             match doc.get("clock").and_then(JsonValue::as_str) {
@@ -284,40 +233,7 @@ pub fn validate_event_line(line: &str) -> Result<(), String> {
             if doc.get("name").and_then(JsonValue::as_str).is_none() {
                 return Err("name must be a string".to_string());
             }
-            if is_sparse_hist(&doc) {
-                return LogLinearHist::from_json_fields(&doc).map(drop);
-            }
-            let mut nums = [0u64; 4];
-            for (slot, key) in nums.iter_mut().zip(["count", "sum", "min", "max"]) {
-                *slot = doc
-                    .get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("{key} must be a non-negative integer"))?;
-            }
-            let buckets = doc
-                .get("buckets")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| "buckets must be an array".to_string())?;
-            if buckets.len() != LEGACY_HIST_BUCKETS {
-                return Err(format!(
-                    "buckets must have {LEGACY_HIST_BUCKETS} entries, got {}",
-                    buckets.len()
-                ));
-            }
-            let mut total: u64 = 0;
-            for b in buckets {
-                total = total
-                    .saturating_add(b.as_u64().ok_or_else(|| {
-                        "bucket counts must be non-negative integers".to_string()
-                    })?);
-            }
-            if total != nums[0] {
-                return Err(format!(
-                    "bucket counts sum to {total} but count is {}",
-                    nums[0]
-                ));
-            }
-            Ok(())
+            LogLinearHist::from_json_fields(&doc).map(drop)
         }
         other => Err(format!("unknown kind '{other}'")),
     }
@@ -344,10 +260,6 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, SchemaError> {
     }
     let mut summary = JsonlSummary::default();
     let mut phase: u8 = 0;
-    // Schema version the meta line declares (1–4 or the current 5); kinds
-    // (and, for v4, names; for v5, sparse histograms) introduced after the
-    // declared version are rejected below.
-    let mut declared_version: u8 = 5;
     let mut next_seq: BTreeMap<String, u64> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -363,43 +275,12 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, SchemaError> {
             if kind != "meta" {
                 return Err(fail(lineno, "first line must be the meta line".to_string()));
             }
-            declared_version = doc
-                .get("schema")
-                .and_then(JsonValue::as_str)
-                .and_then(schema_version)
-                .unwrap_or(5);
         } else if kind == "meta" {
             return Err(fail(lineno, "duplicate meta line".to_string()));
         } else if this_phase < phase {
             return Err(fail(
                 lineno,
                 format!("'{kind}' line after a later-phase line (out of writer order)"),
-            ));
-        }
-        let mut needs_version: u8 = match kind {
-            "degradation" | "fault_injected" => 2,
-            "reliability" => 3,
-            "hist" if is_sparse_hist(&doc) => 5,
-            "hist" if declared_version >= 5 => {
-                return Err(fail(
-                    lineno,
-                    "dense 12-bucket hist lines belong to ghosts-events/1 … /4; v5 lists [lower_bound, count] pairs".to_string(),
-                ));
-            }
-            _ => 1,
-        };
-        if is_event_like(kind) {
-            // v4 introduced names, not kinds: a telemetry-plane event under
-            // an older meta line is a writer bug.
-            let name = doc.get("name").and_then(JsonValue::as_str).unwrap_or("");
-            if matches!(name, "stage_profile" | "tail_retention") {
-                needs_version = needs_version.max(4);
-            }
-        }
-        if needs_version > declared_version {
-            return Err(fail(
-                lineno,
-                format!("'{kind}' lines require schema version {needs_version}, but the meta line declares version {declared_version}"),
             ));
         }
         phase = this_phase;
@@ -459,14 +340,6 @@ mod tests {
         rec.add("pipeline.dropped_reserved", 42);
         rec.observe("glm.iterations", 9);
         rec.flush().to_jsonl()
-    }
-
-    /// `sample_trace` as a v1–v4 writer wrote it: the older meta line and
-    /// the 12 dense buckets of its one histogram (`glm.iterations` = 9).
-    fn legacy_sample_trace(schema: &str) -> String {
-        sample_trace()
-            .replace(EVENTS_SCHEMA, schema)
-            .replace("[[9,1]]", "[0,0,0,0,1,0,0,0,0,0,0,0]")
     }
 
     #[test]
@@ -529,23 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_meta_accepted_but_v2_kinds_rejected_under_it() {
-        // A v1 trace without the new kinds still validates.
-        let v1 = legacy_sample_trace(EVENTS_SCHEMA_V1);
-        assert!(v1.contains(EVENTS_SCHEMA_V1), "substitution applied");
-        validate_jsonl(&v1).expect("legacy trace stays valid");
-
-        // The same meta line with a degradation line must be rejected.
-        let meta = format!(r#"{{"kind":"meta","schema":"{EVENTS_SCHEMA_V1}","clock":"logical"}}"#);
-        let degradation =
-            r#"{"kind":"degradation","span":"s","seq":0,"name":"degradation","fields":{}}"#;
-        let mixed = format!("{meta}\n{degradation}\n");
-        let err = validate_jsonl(&mixed).expect_err("v2 kind under v1 meta");
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("require schema"));
-    }
-
-    #[test]
     fn reliability_kind_validates_and_is_version_gated() {
         let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
         rec.root("reliability").reliability(
@@ -556,49 +412,20 @@ mod tests {
             ],
         );
         let trace = rec.flush().to_jsonl();
-        let summary = validate_jsonl(&trace).expect("valid v3 trace");
+        let summary = validate_jsonl(&trace).expect("valid trace");
         assert_eq!(summary.reliability, 1);
-
-        // The same line under a v2 (or v1) meta must be rejected.
-        for legacy in [EVENTS_SCHEMA_V2, EVENTS_SCHEMA_V1] {
-            let downgraded = trace.replace(EVENTS_SCHEMA, legacy);
-            let err = validate_jsonl(&downgraded).expect_err("v3 kind under old meta");
-            assert_eq!(err.line, 2);
-            assert!(err.message.contains("require schema version 3"));
-        }
-
-        // A v2 trace without reliability lines still validates.
-        let v2 = legacy_sample_trace(EVENTS_SCHEMA_V2);
-        validate_jsonl(&v2).expect("v2 trace stays valid");
     }
 
     #[test]
     fn v4_names_validate_and_are_version_gated() {
         let rec = Recorder::enabled(Arc::new(LogicalClock::new()));
-        let span = rec.root("profile");
-        span.event(
-            "stage_profile",
-            &[
-                ("stage", FieldValue::Str("estimate/fit".into())),
-                ("calls", FieldValue::U64(12)),
-            ],
-        );
-        rec.root("tail")
-            .event("tail_retention", &[("sampled_out", FieldValue::U64(3))]);
+        let tail = rec.root("tail");
+        tail.event("tail_retention", &[("sampled_out", FieldValue::U64(3))]);
+        tail.child_idx("request", 0)
+            .event("request", &[("status", FieldValue::U64(200))]);
         let trace = rec.flush().to_jsonl();
-        let summary = validate_jsonl(&trace).expect("valid v4 trace");
+        let summary = validate_jsonl(&trace).expect("valid trace");
         assert_eq!(summary.events, 2);
-
-        // The same names under any older meta line must be rejected.
-        for legacy in [EVENTS_SCHEMA_V3, EVENTS_SCHEMA_V2, EVENTS_SCHEMA_V1] {
-            let downgraded = trace.replace(EVENTS_SCHEMA, legacy);
-            let err = validate_jsonl(&downgraded).expect_err("v4 name under old meta");
-            assert!(err.message.contains("require schema version 4"));
-        }
-
-        // A v3 trace without the new names still validates.
-        let v3 = legacy_sample_trace(EVENTS_SCHEMA_V3);
-        validate_jsonl(&v3).expect("v3 trace stays valid");
     }
 
     #[test]
@@ -645,29 +472,13 @@ mod tests {
             ),
             (
                 r#""count":1,"sum":9,"min":9,"max":9,"buckets":[0,0,0,0,1,0,0,0,0,0,0,0]"#,
-                "dense 12-bucket",
+                "[lower_bound, count] pairs",
             ),
         ] {
             let err = validate_jsonl(&doc(EVENTS_SCHEMA, body)).expect_err(why);
             assert_eq!(err.line, 2);
             assert!(err.message.contains(why), "{why}: {}", err.message);
         }
-        // Sparse pairs under any v1–v4 meta line are rejected.
-        for legacy in [
-            EVENTS_SCHEMA_V4,
-            EVENTS_SCHEMA_V3,
-            EVENTS_SCHEMA_V2,
-            EVENTS_SCHEMA_V1,
-        ] {
-            let err = validate_jsonl(&doc(legacy, valid)).expect_err("sparse under old meta");
-            assert!(
-                err.message.contains("require schema version 5"),
-                "{}",
-                err.message
-            );
-        }
-        // And the v4 writer's dense form still validates under its own meta.
-        validate_jsonl(&legacy_sample_trace(EVENTS_SCHEMA_V4)).expect("v4 trace stays valid");
     }
 
     #[test]
@@ -708,17 +519,24 @@ mod tests {
     }
 
     #[test]
+    fn rejects_legacy_meta_lines_as_unsupported() {
+        // ghosts-events/1 … /4 traces are no longer accepted: the writer
+        // has emitted only the current version since /5.
+        let legacy = sample_trace().replace(EVENTS_SCHEMA, "ghosts-events/4");
+        let err = validate_jsonl(&legacy).expect_err("v4 meta line");
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message.contains("unsupported schema"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
     fn rejects_seq_gaps() {
         let trace = sample_trace();
         let tampered = trace.replace("\"seq\":1", "\"seq\":5");
         assert!(validate_jsonl(&tampered).is_err());
-    }
-
-    #[test]
-    fn rejects_bucket_count_mismatch() {
-        let line = r#"{"kind":"hist","name":"h","count":3,"sum":9,"min":1,"max":5,"buckets":[1,0,0,0,0,0,0,0,0,0,0,0]}"#;
-        let err = validate_event_line(line).expect_err("count mismatch");
-        assert!(err.contains("sum to 1"));
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! * [`dataset`] — per-source, per-window observation sets.
 //! * [`spoof_filter`] — the two-stage spoofed-address removal heuristic for
 //!   the NetFlow sources (§4.5).
-//! * [`aggregate`] — Table-2-style per-source/per-year summaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod dataset;
 pub mod spoof_filter;
 pub mod time;

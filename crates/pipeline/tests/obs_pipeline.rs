@@ -4,10 +4,7 @@
 
 use ghosts_net::AddrSet;
 use ghosts_obs::{validate_jsonl, LogicalClock, Recorder, Scope};
-use ghosts_pipeline::aggregate::window_observed;
-use ghosts_pipeline::dataset::{SourceDataset, WindowData};
 use ghosts_pipeline::spoof_filter::{filter_spoofed, SpoofFilterConfig};
-use ghosts_pipeline::time::{Quarter, TimeWindow};
 use ghosts_stats::rng::component_rng;
 use rand::Rng;
 use std::sync::Arc;
@@ -69,28 +66,4 @@ fn spoof_filter_trace_matches_untraced_result() {
         Some(&traced.removed_stage1)
     );
     validate_jsonl(&log.to_jsonl()).expect("spoof trace is schema-valid");
-}
-
-#[test]
-fn window_aggregation_trace_records_per_source_sizes() {
-    let wd = WindowData {
-        window: TimeWindow {
-            start: Quarter(0),
-            len: 4,
-        },
-        sources: vec![
-            SourceDataset::new("A", [0x01000001u32, 0x01000002].into_iter().collect(), true),
-            SourceDataset::new("B", [0x01000002u32, 0x02000001].into_iter().collect(), true),
-        ],
-    };
-    let (rec, root) = traced_root();
-    let obs = window_observed(&wd, &root);
-    assert_eq!(obs, window_observed(&wd, &Scope::disabled()));
-
-    let log = rec.flush();
-    assert_eq!(log.counters.get("aggregate.windows"), Some(&1));
-    assert_eq!(log.counters.get("aggregate.union_ips"), Some(&obs.ips));
-    assert_eq!(log.events_named("window_observed").count(), 1);
-    assert_eq!(log.events_named("source_observed").count(), 2);
-    validate_jsonl(&log.to_jsonl()).expect("aggregate trace is schema-valid");
 }

@@ -9,8 +9,10 @@
 //! of a quiescent hub are byte-identical. Per-request *traces* still flow
 //! through short-lived [`Recorder`]s in the server; [`MetricsHub::absorb`]
 //! folds each flushed log's counters, histograms and volatile values into
-//! the same registry under the same names, so the registry is the hub's
-//! only cumulative store and `/metrics` renders one [`RegistrySnapshot`].
+//! the same registry under the same names. The stage profiler records
+//! into that registry too (`stage.<path>.calls`, `stage.<path>.us`), so
+//! the registry is the hub's only cumulative store and `/metrics`,
+//! `/v1/profile` and `/manifest` all render one [`RegistrySnapshot`].
 //!
 //! Two lanes keep the determinism contract: deterministic series (request
 //! counts, cache dispositions) are pure functions of the request sequence
@@ -148,8 +150,8 @@ impl MetricsHub {
         let registry = Registry::new();
         Arc::new(Self {
             stats: HotStats::resolve(&registry),
+            profiler: StageProfiler::over(registry.clone(), Arc::clone(&clock)),
             registry,
-            profiler: StageProfiler::enabled(Arc::clone(&clock)),
             clock,
             records: Mutex::default(),
             tail: Mutex::new(TailRing::new(TAIL_CAPACITY, TAIL_OK_SAMPLE)),
@@ -186,8 +188,8 @@ impl MetricsHub {
         &self.stats
     }
 
-    /// The stage profiler; layers receive scoped handles
-    /// (`profiler().scoped("estimate")`).
+    /// The stage profiler over the hub's registry; layers receive scoped
+    /// handles (`profiler().scoped("estimate")`).
     pub fn profiler(&self) -> &StageProfiler {
         &self.profiler
     }
@@ -239,17 +241,22 @@ impl MetricsHub {
     /// The `/metrics` exposition: Prometheus-compatible text, name-sorted
     /// within every section, deterministic given the same history. Series
     /// folded in from request traces (`fit.count`, `fit.glm_iterations`)
-    /// render exactly like the server's own.
+    /// render exactly like the server's own, and so do the profiler's
+    /// stage cells (`stage.serve/parse.calls` → `stage_serve_parse_calls`).
     ///
     /// ```text
     /// # TYPE fit_count counter
     /// fit_count 1
     /// # TYPE serve_requests counter
     /// serve_requests 3
+    /// # TYPE stage_serve_parse_calls counter
+    /// stage_serve_parse_calls 2
     /// # TYPE fit_glm_iterations summary
     /// fit_glm_iterations{quantile="0.5"} 4
     /// ...
     /// fit_glm_iterations_sum 4
+    /// # TYPE stage_serve_parse_us counter
+    /// stage_serve_parse_us{lane="volatile"} 85
     /// # TYPE serve_request_us summary
     /// serve_request_us{lane="volatile",quantile="0.5"} 120
     /// ...
@@ -308,8 +315,8 @@ impl MetricsHub {
         rec.flush().to_jsonl()
     }
 
-    /// The `/v1/profile` body: the aggregated stage table as JSON. Call
-    /// counts are deterministic; totals follow the hub clock (wall
+    /// The `/v1/profile` body: the profiler's stage cells as a JSON table.
+    /// Call counts are deterministic; totals follow the hub clock (wall
     /// microseconds in production, ticks under [`MetricsHub::logical`]).
     pub fn render_profile(&self) -> String {
         let table = self.profiler.table();
@@ -346,22 +353,14 @@ impl MetricsHub {
     }
 
     /// The `/manifest` document: server configuration echoed through a
-    /// [`RunManifest`] with the registry's cumulative metrics, the absorbed
-    /// robustness records and the stage-profile table.
+    /// [`RunManifest`] with the registry's cumulative metrics (stage cells
+    /// included) and the absorbed robustness records.
     pub fn render_manifest(&self, config: &[(String, String)]) -> String {
-        let snap = self.registry.snapshot();
         let mut manifest = lock(&self.records).clone();
         for (key, value) in config {
             manifest.set_config(key, value.clone());
         }
-        manifest.counters = snap.counters;
-        manifest.hists = snap.hists;
-        manifest.volatile = snap.volatile_counters;
-        for (name, h) in &snap.volatile_hists {
-            manifest.volatile.insert(format!("{name}.count"), h.count());
-            manifest.volatile.insert(format!("{name}.sum"), h.sum);
-        }
-        manifest.ingest_stage_table(&self.profiler.table());
+        manifest.ingest_snapshot(&self.registry.snapshot());
         manifest.to_json()
     }
 

@@ -13,8 +13,7 @@ Usage: cargo run -p xtask -- <command>
 Commands:
   lint [flags]              run ghost-lint over the whole workspace
   lint --check-events PATH  validate a JSONL event trace (repro --trace output)
-                            against the ghosts-events/5 schema (v1–v4 traces
-                            are still accepted)
+                            against the ghosts-events/5 schema
 
 Lint flags:
   --format text|json        report format (default text); json is

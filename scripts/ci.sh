@@ -106,8 +106,9 @@ head -n 1 "$smoke_dir/trace.jsonl" | grep -q '"schema":"ghosts-events/5"' || {
     exit 1
 }
 test -s "$smoke_dir/manifest.json"
-grep -q '"section":"stage_profile"' "$smoke_dir/manifest.json" || {
-    echo "ci.sh: --profile manifest lacks the stage_profile section" >&2
+# The profiler's cells land in the manifest's deterministic counters.
+grep -q '"stage.sim/window.calls":' "$smoke_dir/manifest.json" || {
+    echo "ci.sh: --profile manifest lacks the stage.sim/window.calls counter" >&2
     exit 1
 }
 grep -q 'sim/window' "$smoke_dir/manifest.json" || {
@@ -240,6 +241,14 @@ grep -q '^serve_request_us{lane="volatile",quantile="0.99"}' "$smoke_dir/serve_m
 grep -q '^fit_glm_iterations{quantile="0.5"} ' "$smoke_dir/serve_metrics.txt" && \
     grep -q '^fit_glm_iterations_sum ' "$smoke_dir/serve_metrics.txt" || {
     echo "ci.sh: /metrics does not render the trace-derived fit_glm_iterations summary" >&2
+    cat "$smoke_dir/serve_metrics.txt" >&2
+    exit 1
+}
+# The stage profiler records into the same registry, so every stage is a
+# /metrics series: calls in the deterministic lane, time in the volatile one.
+grep -q '^stage_serve_parse_calls ' "$smoke_dir/serve_metrics.txt" && \
+    grep -q '^stage_estimate_select_us{lane="volatile"} ' "$smoke_dir/serve_metrics.txt" || {
+    echo "ci.sh: /metrics lacks the stage_serve_parse_calls / stage_estimate_select_us series" >&2
     cat "$smoke_dir/serve_metrics.txt" >&2
     exit 1
 }

@@ -1,8 +1,8 @@
 //! Pipeline integration: the simulator's routed-space contract (§4.4),
-//! spoof filtering and yearly aggregation over simulator output.
+//! spoof filtering and per-year source availability over simulator output.
 
-use ghosts::pipeline::aggregate::{window_observed, yearly_summaries};
 use ghosts::prelude::*;
+use std::collections::BTreeMap;
 
 fn scenario() -> Scenario {
     Scenario::new(SimConfig::tiny(777))
@@ -42,18 +42,33 @@ fn yearly_summaries_mirror_table2_availability() {
     let obs2 = s.quarter_observations(q2, Parallelism::SEQUENTIAL);
     let obs3 = s.quarter_observations(q2013, Parallelism::SEQUENTIAL);
 
-    let mut rows = Vec::new();
-    for (name, set) in obs1.iter().chain(&obs2).chain(&obs3) {
-        rows.push((*name, set));
+    // Per-source, per-year unions, as Table 2 counts them.
+    #[derive(Debug)]
+    struct SourceYear {
+        source: String,
+        year: u16,
+        unique_ips: u64,
+        unique_subnets: u64,
     }
     let quarters = [q1, q2, q2013];
-    let mut flat = Vec::new();
-    for (i, obs) in [&obs1, &obs2, &obs3].into_iter().enumerate() {
+    let mut unions: BTreeMap<(&str, u16), AddrSet> = BTreeMap::new();
+    for (quarter, obs) in quarters.into_iter().zip([&obs1, &obs2, &obs3]) {
         for (name, set) in obs {
-            flat.push((*name, quarters[i], set));
+            unions
+                .entry((*name, quarter.year()))
+                .or_default()
+                .union_with(set);
         }
     }
-    let summaries = yearly_summaries(flat);
+    let summaries: Vec<SourceYear> = unions
+        .into_iter()
+        .map(|((source, year), set)| SourceYear {
+            source: source.to_string(),
+            year,
+            unique_ips: set.len(),
+            unique_subnets: SubnetSet::covering(&set).len(),
+        })
+        .collect();
 
     // SPAM starts May 2012 → no 2011 row; TPING starts Mar 2012.
     assert!(!summaries
@@ -97,18 +112,6 @@ fn spoof_filter_never_removes_confirmed_addresses() {
             );
         }
     }
-}
-
-#[test]
-fn window_observed_counts_match_union() {
-    let s = scenario();
-    let w = paper_windows()[6];
-    let data = s.window_data_clean(w, Parallelism::SEQUENTIAL);
-    let obs = window_observed(&data, &Scope::disabled());
-    let union = data.observed_union();
-    assert_eq!(obs.ips, union.len());
-    assert_eq!(obs.subnets, SubnetSet::covering(&union).len());
-    assert!(obs.subnets <= obs.ips);
 }
 
 #[test]
