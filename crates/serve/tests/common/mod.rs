@@ -50,15 +50,18 @@ pub fn start_with(config: ServerConfig) -> ServerHandle {
     Server::bind(config, inline_backend(), MetricsHub::wall()).expect("bind loopback")
 }
 
-/// Reads one lifetime counter out of a `/metrics` body. Dotted internal
-/// names are sanitised to `snake_case` series names in the exposition;
-/// the plain (label-free) line is the cumulative total.
-pub fn counter(metrics_text: &str, name: &str) -> u64 {
-    let series: String = name
-        .chars()
+/// The `/metrics` series name of an internal metric name: dotted (and
+/// slashed) names are sanitised to `snake_case`.
+pub fn series(name: &str) -> String {
+    name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let prefix = format!("{series} ");
+        .collect()
+}
+
+/// Reads one lifetime counter out of a `/metrics` body; the plain
+/// (label-free) line is the cumulative total.
+pub fn counter(metrics_text: &str, name: &str) -> u64 {
+    let prefix = format!("{} ", series(name));
     metrics_text
         .lines()
         .find_map(|l| l.strip_prefix(&prefix))
