@@ -15,12 +15,12 @@
 //! fed to the recursion belongs to at least one source, so the all-"not
 //! in" path always carries an empty accumulator.
 //!
-//! Stratified tables ([`stratified_counts`]) share the same segment and
+//! Stratified tables ([`stratified_counts`]) share the same page and
 //! word gather but take the per-bit path for every union bit: each bit's
 //! stratum key is evaluated once, and its capture history is read from
 //! the source words already loaded — no set probes either way.
 
-use crate::plane::{AddrPlane, BitIter};
+use crate::plane::{word_addr, AddrPlane, BitIter, Segment, PAGE_WORDS, SEG_PAGES};
 use std::collections::BTreeSet;
 
 /// Maximum number of sources a contingency build accepts; mirrors
@@ -39,6 +39,7 @@ fn check_sources(t: usize) {
 /// The shared gather: visits every word position where at least one of
 /// `planes` has a bit, in ascending address order, as `visit(first
 /// position of the word, union of the words, the words in source order)`.
+/// Only /16 pages some source holds are walked.
 /// Callers guarantee `planes.len() <= MAX_SOURCES`.
 fn for_each_union_word<F: FnMut(u32, u64, &[u64])>(planes: &[&AddrPlane], mut visit: F) {
     let t = planes.len();
@@ -46,38 +47,39 @@ fn for_each_union_word<F: FnMut(u32, u64, &[u64])>(planes: &[&AddrPlane], mut vi
     for p in planes {
         keys.extend(p.segment_keys());
     }
+    let mut pages: Vec<(usize, &[u64; PAGE_WORDS])> = Vec::with_capacity(t);
     for key in keys {
-        // Resolve each present source to its raw word slice once per
-        // segment; the word loop then runs on plain slice loads.
-        let mut srcs: Vec<(usize, &[u64])> = Vec::with_capacity(t);
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for (i, p) in planes.iter().enumerate() {
-            if let Some(seg) = p.segment(key) {
-                let span = seg.word_span();
-                lo = lo.min(span.start);
-                hi = hi.max(span.end);
-                srcs.push((i, seg.words_all()));
+        let segs: Vec<(usize, &Segment)> = planes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.segment(key).map(|seg| (i, seg)))
+            .collect();
+        for pi in 0..SEG_PAGES {
+            // Resolve each present source to its page once per /16; the
+            // word loop then runs on plain array loads.
+            pages.clear();
+            pages.extend(
+                segs.iter()
+                    .filter_map(|&(i, seg)| seg.page(pi).map(|page| (i, page.words()))),
+            );
+            if pages.is_empty() {
+                continue;
             }
-        }
-        let seg_base = u32::from(key) << 24;
-        // Fresh buffer per segment: sources absent from this /8 must not
-        // see stale words from the previous one.
-        let mut words = [0u64; MAX_SOURCES];
-        for wi in lo..hi {
-            let mut union = 0u64;
-            for &(i, bits) in &srcs {
-                let w = bits.get(wi).copied().unwrap_or(0);
-                if let Some(slot) = words.get_mut(i) {
-                    *slot = w;
+            // Fresh buffer per page: sources absent from this /16 must not
+            // see stale words from the previous one.
+            let mut words = [0u64; MAX_SOURCES];
+            for wi in 0..PAGE_WORDS {
+                let mut union = 0u64;
+                for &(i, page) in &pages {
+                    let w = page.get(wi).copied().unwrap_or(0);
+                    if let Some(slot) = words.get_mut(i) {
+                        *slot = w;
+                    }
+                    union |= w;
                 }
-                union |= w;
-            }
-            if union != 0 {
-                // wi < SEG_WORDS = 2^18, so the shifted index fits the
-                // segment's low 24 bits.
-                let word_base = seg_base | (wi << 6) as u32;
-                visit(word_base, union, words.get(..t).unwrap_or(&[]));
+                if union != 0 {
+                    visit(word_addr(key, pi, wi), union, words.get(..t).unwrap_or(&[]));
+                }
             }
         }
     }

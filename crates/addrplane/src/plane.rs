@@ -1,37 +1,45 @@
-//! The segmented bitmap over the full IPv4 space.
+//! The paged bitmap over the full IPv4 space.
 //!
-//! One bit per address, grouped into 2 MiB segments covering one /8 each.
-//! Segments are allocated lazily on first set bit, and the segment
-//! directory is a `BTreeMap` so every walk over the plane visits
-//! segments in ascending address order by construction — no iteration
-//! nondeterminism can reach derived output.
+//! One bit per address. A `BTreeMap` directory holds one segment per
+//! populated /8, and each segment is a table of 256 /16 pages of 1,024
+//! words (8 KiB). A page is allocated on its first set bit and freed
+//! when its last bit is cleared; a segment goes with its last page. So
+//! memory follows the /16s a set touches, and an 8 KiB allocation never
+//! reaches the allocator's mmap threshold: residency does not depend on
+//! the allocator.
 //!
-//! Two properties keep resident memory proportional to the *touched*
-//! address space rather than the allocated one:
-//!
-//! * a fresh segment comes from `vec![0u64; SEG_WORDS]`, which the
-//!   allocator services with zeroed (copy-on-write) pages — pages no
-//!   kernel ever writes stay non-resident;
-//! * every segment tracks the word range it has ever touched, and all
-//!   kernels (union, intersect, popcounts, iteration) confine their
-//!   scans to that range.
+//! Every walk visits segments in key order, pages in index order and
+//! words in ascending order, so iteration is ascending by construction —
+//! no iteration nondeterminism can reach derived output. A page is small
+//! enough to scan whole: kernels skip absent pages and read every word
+//! of a present one.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
-/// Bits per segment: one /8 of address space.
-pub const SEG_BITS: usize = 1 << 24;
-/// Words per segment (2 MiB of `u64`s).
-pub const SEG_WORDS: usize = SEG_BITS / 64;
-
-/// Word index of `addr` within its segment.
-fn word_index(addr: u32) -> usize {
-    ((addr >> 6) & 0x3_ffff) as usize
-}
+/// Pages per segment: the /16s of one /8.
+pub(crate) const SEG_PAGES: usize = 1 << 8;
+/// Words per page: one /16 of address space (8 KiB of `u64`s).
+pub(crate) const PAGE_WORDS: usize = 1 << 10;
 
 /// Segment key (first octet) of `addr`.
 fn seg_key(addr: u32) -> u8 {
     (addr >> 24) as u8
+}
+
+/// Page index (second octet) of `addr` within its segment.
+fn page_index(addr: u32) -> usize {
+    ((addr >> 16) & 0xff) as usize
+}
+
+/// Word index of `addr` within its page.
+fn word_index(addr: u32) -> usize {
+    ((addr >> 6) & 0x3ff) as usize
+}
+
+/// First address of word `wi` of page `pi` in segment `key`.
+pub(crate) fn word_addr(key: u8, pi: usize, wi: usize) -> u32 {
+    // pi < SEG_PAGES and wi < PAGE_WORDS, so the three fields are disjoint.
+    (u32::from(key) << 24) | ((pi << 16) | (wi << 6)) as u32
 }
 
 /// Single-bit mask for `addr` within its word.
@@ -51,9 +59,9 @@ fn high_mask(bit: u32) -> u64 {
     u64::MAX >> (63 - bit)
 }
 
-/// First and last address of the prefix `base/len` (`len >= 1`).
+/// First and last address of the prefix `base/len` (`len >= 1`); every
+/// `len >= 32` is the /32 of `base`.
 fn prefix_bounds(base: u32, len: u8) -> (u32, u32) {
-    debug_assert!((1..=32).contains(&len), "prefix_bounds: len {len}");
     let mask = if len >= 32 {
         u32::MAX
     } else {
@@ -62,108 +70,76 @@ fn prefix_bounds(base: u32, len: u8) -> (u32, u32) {
     (base & mask, (base & mask) | !mask)
 }
 
-/// One lazily allocated /8 worth of bits.
-pub(crate) struct Segment {
-    /// Always `SEG_WORDS` long; allocated zeroed so untouched pages stay
-    /// copy-on-write references to the shared zero page.
-    bits: Vec<u64>,
+/// One /16 worth of bits, present only while it holds a set bit.
+#[derive(Clone)]
+pub(crate) struct Page {
+    words: [u64; PAGE_WORDS],
     /// Number of set bits.
     count: u64,
-    /// Touched word range `lo..=hi` (an over-approximation that never
-    /// shrinks); `lo == u32::MAX` means nothing was ever touched.
-    lo: u32,
-    hi: u32,
+}
+
+impl Page {
+    fn new() -> Box<Page> {
+        Box::new(Page {
+            words: [0; PAGE_WORDS],
+            count: 0,
+        })
+    }
+
+    /// The page's words, ascending.
+    pub(crate) fn words(&self) -> &[u64; PAGE_WORDS] {
+        &self.words
+    }
+
+    /// Set bits among page-local bit positions `start..=end`.
+    fn count_bits(&self, start: usize, end: usize) -> u64 {
+        let (sw, sb) = (start / 64, (start % 64) as u32);
+        let (ew, eb) = (end / 64, (end % 64) as u32);
+        let word = |wi: usize| self.words.get(wi).copied().unwrap_or(0);
+        if sw == ew {
+            return u64::from((word(sw) & low_mask(sb) & high_mask(eb)).count_ones());
+        }
+        let mut total = u64::from((word(sw) & low_mask(sb)).count_ones());
+        for w in self.words.get(sw + 1..ew).unwrap_or(&[]) {
+            total += u64::from(w.count_ones());
+        }
+        total + u64::from((word(ew) & high_mask(eb)).count_ones())
+    }
+}
+
+/// One /8: a table of its [`SEG_PAGES`] /16 pages. A segment in the
+/// directory always holds at least one page.
+#[derive(Clone)]
+pub(crate) struct Segment {
+    /// Always `SEG_PAGES` long, indexed by the address's second octet.
+    pages: Box<[Option<Box<Page>>]>,
+    /// Number of set bits.
+    count: u64,
 }
 
 impl Segment {
     fn new() -> Self {
         Segment {
-            bits: vec![0u64; SEG_WORDS],
+            pages: std::iter::repeat_with(|| None).take(SEG_PAGES).collect(),
             count: 0,
-            lo: u32::MAX,
-            hi: 0,
         }
     }
 
-    /// The touched word range, as a half-open slice range.
-    fn span(&self) -> Range<usize> {
-        if self.lo == u32::MAX {
-            0..0
-        } else {
-            self.lo as usize..self.hi as usize + 1
-        }
+    /// The page at index `pi`, if present.
+    pub(crate) fn page(&self, pi: usize) -> Option<&Page> {
+        self.pages.get(pi).and_then(Option::as_deref)
     }
 
-    fn touch(&mut self, wi: usize) {
-        self.lo = self.lo.min(wi as u32);
-        self.hi = self.hi.max(wi as u32);
-    }
-
-    fn touch_range(&mut self, lo: u32, hi: u32) {
-        self.lo = self.lo.min(lo);
-        self.hi = self.hi.max(hi);
-    }
-
-    /// The words of the touched range.
-    fn words(&self) -> &[u64] {
-        self.bits.get(self.span()).unwrap_or(&[])
-    }
-
-    /// Single word read; out-of-range reads are zero (cannot happen for
-    /// in-segment indices, but total reads keep every caller panic-free).
-    pub(crate) fn word(&self, wi: usize) -> u64 {
-        self.bits.get(wi).copied().unwrap_or(0)
-    }
-
-    /// The segment's touched span as word indices (for kernel walks).
-    pub(crate) fn word_span(&self) -> Range<usize> {
-        self.span()
-    }
-
-    /// The full `SEG_WORDS`-long backing slice, for kernels that index
-    /// words directly instead of paying `word()`'s per-call bounds logic.
-    pub(crate) fn words_all(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Set bits among bit positions `start..=end` (segment-local).
-    fn count_bits(&self, start: usize, end: usize) -> u64 {
-        let (sw, sb) = (start / 64, (start % 64) as u32);
-        let (ew, eb) = (end / 64, (end % 64) as u32);
-        if sw == ew {
-            return u64::from((self.word(sw) & low_mask(sb) & high_mask(eb)).count_ones());
-        }
-        let mut total = u64::from((self.word(sw) & low_mask(sb)).count_ones());
-        let span = self.span();
-        let from = span.start.max(sw + 1);
-        let to = span.end.min(ew);
-        for w in self.bits.get(from..to).unwrap_or(&[]) {
-            total += u64::from(w.count_ones());
-        }
-        total + u64::from((self.word(ew) & high_mask(eb)).count_ones())
+    /// The present pages with their indices, ascending.
+    fn pages(&self) -> impl Iterator<Item = (usize, &Page)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(pi, slot)| slot.as_deref().map(|page| (pi, page)))
     }
 }
 
-// Derived `Clone` would memcpy the full 2 MiB (forcing every page
-// resident); copying only the touched span preserves the sparse layout.
-impl Clone for Segment {
-    fn clone(&self) -> Self {
-        let mut bits = vec![0u64; SEG_WORDS];
-        let span = self.span();
-        if let (Some(dst), Some(src)) = (bits.get_mut(span.clone()), self.bits.get(span)) {
-            dst.copy_from_slice(src);
-        }
-        Segment {
-            bits,
-            count: self.count,
-            lo: self.lo,
-            hi: self.hi,
-        }
-    }
-}
-
-/// A set of IPv4 addresses as a segmented bitmap over the whole 2^32
-/// space.
+/// A set of IPv4 addresses as a paged bitmap over the whole 2^32 space.
 ///
 /// ```
 /// use ghosts_addrplane::AddrPlane;
@@ -179,12 +155,6 @@ impl Clone for Segment {
 pub struct AddrPlane {
     segs: BTreeMap<u8, Segment>,
     len: u64,
-}
-
-impl Default for Segment {
-    fn default() -> Self {
-        Segment::new()
-    }
 }
 
 impl AddrPlane {
@@ -223,20 +193,7 @@ impl AddrPlane {
 
     /// Inserts an address; returns `true` if it was not already present.
     pub fn insert(&mut self, addr: u32) -> bool {
-        let seg = self.segs.entry(seg_key(addr)).or_default();
-        let wi = word_index(addr);
-        let mask = bit_mask(addr);
-        let Some(w) = seg.bits.get_mut(wi) else {
-            return false; // unreachable: wi < SEG_WORDS by construction
-        };
-        if *w & mask != 0 {
-            return false;
-        }
-        *w |= mask;
-        seg.touch(wi);
-        seg.count += 1;
-        self.len += 1;
-        true
+        self.or_word(addr & !63, bit_mask(addr)) == 1
     }
 
     /// Removes an address; returns `true` if it was present.
@@ -245,15 +202,24 @@ impl AddrPlane {
         let Some(seg) = self.segs.get_mut(&key) else {
             return false;
         };
-        let wi = word_index(addr);
+        let Some(slot) = seg.pages.get_mut(page_index(addr)) else {
+            return false;
+        };
+        let Some(page) = slot.as_deref_mut() else {
+            return false;
+        };
         let mask = bit_mask(addr);
-        let Some(w) = seg.bits.get_mut(wi) else {
+        let Some(w) = page.words.get_mut(word_index(addr)) else {
             return false;
         };
         if *w & mask == 0 {
             return false;
         }
         *w &= !mask;
+        page.count -= 1;
+        if page.count == 0 {
+            *slot = None;
+        }
         seg.count -= 1;
         self.len -= 1;
         if seg.count == 0 {
@@ -262,133 +228,150 @@ impl AddrPlane {
         true
     }
 
-    /// Membership test: a single word load and mask.
+    /// Membership test: a directory lookup, a page-table read and one
+    /// word load.
     pub fn contains(&self, addr: u32) -> bool {
         self.word(addr) & bit_mask(addr) != 0
     }
 
     /// The 64-bit word holding `addr`'s bit: bit `i` stands for address
-    /// `(addr & !63) + i`. Zero where the plane has no segment. Lets a
-    /// walk over one plane's words read the matching word of another.
+    /// `(addr & !63) + i`. Zero where the plane has no page. Lets a walk
+    /// over one plane's words read the matching word of another.
     pub fn word(&self, addr: u32) -> u64 {
         self.segs
             .get(&seg_key(addr))
-            .map_or(0, |seg| seg.word(word_index(addr)))
+            .and_then(|seg| seg.page(page_index(addr)))
+            .and_then(|page| page.words.get(word_index(addr)))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// OR kernel: merges `other` into `self` (set union).
+    /// OR kernel: merges `other` into `self` (set union). A page `self`
+    /// lacks is copied whole.
     pub fn union_with(&mut self, other: &AddrPlane) {
         for (&key, oseg) in &other.segs {
-            if oseg.count == 0 {
-                continue;
-            }
-            let seg = self.segs.entry(key).or_default();
+            let seg = self.segs.entry(key).or_insert_with(Segment::new);
             let mut added = 0u64;
-            let dst = seg.bits.get_mut(oseg.span()).unwrap_or(&mut []);
-            for (w, &ow) in dst.iter_mut().zip(oseg.words()) {
-                if ow != 0 {
-                    added += u64::from((ow & !*w).count_ones());
+            for (slot, oslot) in seg.pages.iter_mut().zip(oseg.pages.iter()) {
+                let Some(opage) = oslot.as_deref() else {
+                    continue;
+                };
+                let Some(page) = slot.as_deref_mut() else {
+                    added += opage.count;
+                    *slot = oslot.clone();
+                    continue;
+                };
+                let mut page_added = 0u64;
+                for (w, &ow) in page.words.iter_mut().zip(opage.words.iter()) {
+                    page_added += u64::from((ow & !*w).count_ones());
                     *w |= ow;
                 }
+                page.count += page_added;
+                added += page_added;
             }
-            seg.touch_range(oseg.lo, oseg.hi);
             seg.count += added;
             self.len += added;
         }
     }
 
-    /// AND kernel (counting form): addresses present in both planes.
-    pub fn intersection_count(&self, other: &AddrPlane) -> u64 {
+    /// The segments both planes hold, smaller directory first.
+    fn shared_segments<'a>(
+        &'a self,
+        other: &'a AddrPlane,
+    ) -> impl Iterator<Item = (u8, &'a Segment, &'a Segment)> + 'a {
         let (small, big) = if self.segs.len() <= other.segs.len() {
             (self, other)
         } else {
             (other, self)
         };
+        small
+            .segs
+            .iter()
+            .filter_map(|(&key, a)| big.segs.get(&key).map(|b| (key, a, b)))
+    }
+
+    /// AND kernel (counting form): addresses present in both planes.
+    pub fn intersection_count(&self, other: &AddrPlane) -> u64 {
         let mut total = 0u64;
-        for (key, a) in &small.segs {
-            let Some(b) = big.segs.get(key) else {
-                continue;
-            };
-            let from = a.span().start.max(b.span().start);
-            let to = a.span().end.min(b.span().end);
-            let (aw, bw) = (
-                a.bits.get(from..to).unwrap_or(&[]),
-                b.bits.get(from..to).unwrap_or(&[]),
-            );
-            for (x, y) in aw.iter().zip(bw) {
-                total += u64::from((x & y).count_ones());
+        for (_, a, b) in self.shared_segments(other) {
+            for (pa, pb) in a.pages.iter().zip(b.pages.iter()) {
+                let (Some(pa), Some(pb)) = (pa, pb) else {
+                    continue;
+                };
+                for (x, y) in pa.words.iter().zip(pb.words.iter()) {
+                    total += u64::from((x & y).count_ones());
+                }
             }
         }
         total
     }
 
-    /// AND kernel: the intersection of two planes as a new plane.
+    /// AND kernel: the intersection of two planes as a new plane. Pages
+    /// whose intersection is empty are not kept.
     pub fn intersect(&self, other: &AddrPlane) -> AddrPlane {
-        let (small, big) = if self.segs.len() <= other.segs.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
         let mut out = AddrPlane::new();
-        for (&key, a) in &small.segs {
-            let Some(b) = big.segs.get(&key) else {
-                continue;
-            };
-            let from = a.span().start.max(b.span().start);
-            let to = a.span().end.min(b.span().end);
-            if from >= to {
-                continue;
-            }
+        for (key, a, b) in self.shared_segments(other) {
             let mut seg = Segment::new();
-            let mut count = 0u64;
-            let dst = seg.bits.get_mut(from..to).unwrap_or(&mut []);
-            let (aw, bw) = (
-                a.bits.get(from..to).unwrap_or(&[]),
-                b.bits.get(from..to).unwrap_or(&[]),
-            );
-            for (w, (x, y)) in dst.iter_mut().zip(aw.iter().zip(bw)) {
-                *w = x & y;
-                count += u64::from(w.count_ones());
+            for ((slot, pa), pb) in seg.pages.iter_mut().zip(a.pages.iter()).zip(b.pages.iter()) {
+                let (Some(pa), Some(pb)) = (pa, pb) else {
+                    continue;
+                };
+                let mut page = Page::new();
+                for (w, (x, y)) in page
+                    .words
+                    .iter_mut()
+                    .zip(pa.words.iter().zip(pb.words.iter()))
+                {
+                    *w = x & y;
+                    page.count += u64::from(w.count_ones());
+                }
+                if page.count > 0 {
+                    seg.count += page.count;
+                    *slot = Some(page);
+                }
             }
-            if count > 0 {
-                seg.count = count;
-                seg.touch_range(from as u32, (to - 1) as u32);
-                out.len += count;
+            if seg.count > 0 {
+                out.len += seg.count;
                 out.segs.insert(key, seg);
             }
         }
         out
     }
 
-    /// Popcount over the inclusive address range `lo..=hi`.
+    /// Popcount over the inclusive address range `lo..=hi`. A segment or
+    /// page the range covers whole adds its maintained count.
     pub fn count_range(&self, lo: u32, hi: u32) -> u64 {
         if lo > hi {
             return 0;
         }
-        let (klo, khi) = (seg_key(lo), seg_key(hi));
         let mut total = 0u64;
-        for (&key, seg) in self.segs.range(klo..=khi) {
-            let start = if key == klo {
-                (lo & 0x00ff_ffff) as usize
-            } else {
-                0
-            };
-            let end = if key == khi {
-                (hi & 0x00ff_ffff) as usize
-            } else {
-                SEG_BITS - 1
-            };
-            if start == 0 && end == SEG_BITS - 1 {
+        for (&key, seg) in self.segs.range(seg_key(lo)..=seg_key(hi)) {
+            let seg_lo = word_addr(key, 0, 0);
+            let (start, end) = (lo.max(seg_lo), hi.min(seg_lo | 0x00ff_ffff));
+            if start == seg_lo && end == seg_lo | 0x00ff_ffff {
                 total += seg.count;
-            } else {
-                total += seg.count_bits(start, end);
+                continue;
+            }
+            let (first, last) = (page_index(start), page_index(end));
+            for (pi, page) in seg.pages().skip_while(|&(pi, _)| pi < first) {
+                if pi > last {
+                    break;
+                }
+                let page_lo = word_addr(key, pi, 0);
+                let (s, e) = (start.max(page_lo), end.min(page_lo | 0xffff));
+                total += if s == page_lo && e == page_lo | 0xffff {
+                    page.count
+                } else {
+                    page.count_bits((s & 0xffff) as usize, (e & 0xffff) as usize)
+                };
             }
         }
         total
     }
 
     /// Popcount inside the prefix `base/len` — the routed-range popcount
-    /// primitive (`len == 0` is the whole space).
+    /// primitive (`len == 0` is the whole space; every `len >= 32` is the
+    /// /32 of `base`).
     pub fn count_in_prefix(&self, base: u32, len: u8) -> u64 {
         if len == 0 {
             return self.len;
@@ -400,20 +383,27 @@ impl AddrPlane {
     /// ORs a whole word of bits at the 64-aligned address `word_base`;
     /// returns how many bits were newly set. This is the bulk-ingest
     /// primitive the simulator uses to write generated blocks straight
-    /// into the plane without per-address directory probes.
+    /// into the plane without per-address directory probes. A zero word
+    /// allocates nothing.
     pub fn or_word(&mut self, word_base: u32, bits: u64) -> u64 {
         debug_assert_eq!(word_base & 63, 0, "or_word: unaligned base");
         if bits == 0 {
             return 0;
         }
-        let seg = self.segs.entry(seg_key(word_base)).or_default();
-        let wi = word_index(word_base);
-        let Some(w) = seg.bits.get_mut(wi) else {
-            return 0; // unreachable: wi < SEG_WORDS by construction
+        let seg = self
+            .segs
+            .entry(seg_key(word_base))
+            .or_insert_with(Segment::new);
+        let Some(slot) = seg.pages.get_mut(page_index(word_base)) else {
+            return 0; // unreachable: page_index < SEG_PAGES by construction
+        };
+        let page = slot.get_or_insert_with(Page::new);
+        let Some(w) = page.words.get_mut(word_index(word_base)) else {
+            return 0; // unreachable: word_index < PAGE_WORDS by construction
         };
         let added = u64::from((bits & !*w).count_ones());
         *w |= bits;
-        seg.touch(wi);
+        page.count += added;
         seg.count += added;
         self.len += added;
         added
@@ -423,11 +413,11 @@ impl AddrPlane {
     /// ascending address order.
     pub fn for_each_word<F: FnMut(u32, u64)>(&self, mut f: F) {
         for (&key, seg) in &self.segs {
-            let base = u32::from(key) << 24;
-            let lo = seg.span().start;
-            for (off, &w) in seg.words().iter().enumerate() {
-                if w != 0 {
-                    f(base + (((lo + off) * 64) as u32), w);
+            for (pi, page) in seg.pages() {
+                for (wi, &w) in page.words.iter().enumerate() {
+                    if w != 0 {
+                        f(word_addr(key, pi, wi), w);
+                    }
                 }
             }
         }
@@ -436,16 +426,16 @@ impl AddrPlane {
     /// Iterates set addresses in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.segs.iter().flat_map(|(&key, seg)| {
-            let base = u32::from(key) << 24;
-            let lo = seg.span().start;
-            seg.words()
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| **w != 0)
-                .flat_map(move |(off, &w)| {
-                    let word_base = base + (((lo + off) * 64) as u32);
-                    BitIter::new(w).map(move |b| word_base + b)
-                })
+            seg.pages().flat_map(move |(pi, page)| {
+                page.words
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| **w != 0)
+                    .flat_map(move |(wi, &w)| {
+                        let base = word_addr(key, pi, wi);
+                        BitIter::new(w).map(move |b| base | b)
+                    })
+            })
         })
     }
 
@@ -517,6 +507,124 @@ impl std::fmt::Debug for AddrPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Allocated /16 pages over all segments.
+    fn page_count(p: &AddrPlane) -> usize {
+        p.segs.values().map(|seg| seg.pages().count()).sum()
+    }
+
+    #[test]
+    fn pages_follow_the_touched_16s() {
+        // Three addresses in one /16, one each in four more /16s spread
+        // over two /8s: five pages.
+        let addrs = [
+            0x0a00_0001u32,
+            0x0a00_ff00,
+            0x0a00_ffff,
+            0x0a01_0000,
+            0x0aff_0000,
+            0x0b00_0000,
+            0x0bff_ffff,
+        ];
+        let p: AddrPlane = addrs.into_iter().collect();
+        assert_eq!(page_count(&p), 5);
+        assert_eq!(p.segment_count(), 2);
+        let one_per_8: AddrPlane = (0..=255u32).map(|o| (o << 24) | 0x0012_3456).collect();
+        assert_eq!(page_count(&one_per_8), 256);
+        assert_eq!(one_per_8.segment_count(), 256);
+    }
+
+    #[test]
+    fn zero_or_word_allocates_nothing() {
+        let mut p = AddrPlane::new();
+        assert_eq!(p.or_word(0x0a00_0040, 0), 0);
+        assert_eq!(p.segment_count(), 0);
+        assert_eq!(page_count(&p), 0);
+        p.insert(0x0a00_0001);
+        assert_eq!(p.or_word(0x0a01_0000, 0), 0);
+        assert_eq!(page_count(&p), 1, "a zero word opens no page");
+    }
+
+    #[test]
+    fn emptied_pages_and_segments_are_freed() {
+        let mut p: AddrPlane = [0x0a00_0001u32, 0x0a00_0002, 0x0a01_0000]
+            .into_iter()
+            .collect();
+        assert_eq!(page_count(&p), 2);
+        assert!(p.remove(0x0a00_0001));
+        assert_eq!(page_count(&p), 2, "the page still holds 10.0.0.2");
+        assert!(p.remove(0x0a00_0002));
+        assert_eq!(page_count(&p), 1, "the emptied page is freed");
+        assert_eq!(p.segment_count(), 1);
+        assert!(p.remove(0x0a01_0000));
+        assert_eq!(page_count(&p), 0);
+        assert_eq!(p.segment_count(), 0, "the last page takes its segment");
+        assert_eq!(p.word(0x0a00_0000), 0);
+    }
+
+    #[test]
+    fn intersect_keeps_no_empty_page() {
+        // Both planes hold pages 10.0/16 and 10.1/16, but only 10.1/16
+        // shares an address.
+        let a: AddrPlane = [0x0a00_0001u32, 0x0a01_0005].into_iter().collect();
+        let b: AddrPlane = [0x0a00_0002u32, 0x0a01_0005].into_iter().collect();
+        let i = a.intersect(&b);
+        assert_eq!(i.iter().collect::<Vec<_>>(), vec![0x0a01_0005]);
+        assert_eq!(page_count(&i), 1);
+        let c: AddrPlane = [0x0a00_0003u32].into_iter().collect();
+        let none = a.intersect(&c);
+        assert!(none.is_empty());
+        assert_eq!((page_count(&none), none.segment_count()), (0, 0));
+    }
+
+    #[test]
+    fn clone_holds_the_same_pages() {
+        let p: AddrPlane = [0u32, 0xffff, 0x0001_0000, 0x0a0b_0c0d, u32::MAX]
+            .into_iter()
+            .collect();
+        let q = p.clone();
+        assert_eq!(page_count(&q), page_count(&p));
+        assert_eq!(page_count(&q), 4);
+        for (key, seg) in &p.segs {
+            let copy = q
+                .segs
+                .get(key)
+                .map(|s| s.pages().map(|(pi, _)| pi).collect::<Vec<_>>());
+            assert_eq!(
+                copy,
+                Some(seg.pages().map(|(pi, _)| pi).collect()),
+                "segment {key}"
+            );
+        }
+        assert_eq!(q.iter().collect::<Vec<_>>(), p.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn prefix_lengths_past_32_are_a_32() {
+        let p: AddrPlane = [0x0a00_0001u32, 0x0a00_0002].into_iter().collect();
+        for len in [32u8, 33, 255] {
+            assert_eq!(p.count_in_prefix(0x0a00_0001, len), 1, "/{len}");
+            assert_eq!(p.count_in_prefix(0x0a00_0003, len), 0, "/{len}");
+        }
+    }
+
+    #[test]
+    fn count_range_spans_partial_and_whole_pages() {
+        let mut p = AddrPlane::new();
+        // 10.0/16 full, 10.1/16 with two addresses, 10.3/16 with one.
+        for w in 0..PAGE_WORDS {
+            p.or_word(word_addr(10, 0, w), u64::MAX);
+        }
+        p.insert(0x0a01_0000);
+        p.insert(0x0a01_ffff);
+        p.insert(0x0a03_8000);
+        assert_eq!(p.count_range(0x0a00_0000, 0x0a00_ffff), 1 << 16);
+        assert_eq!(p.count_range(0x0a00_0001, 0x0a01_0000), (1 << 16));
+        assert_eq!(p.count_range(0x0a00_ffff, 0x0a03_8000), 4);
+        assert_eq!(p.count_range(0x0a01_0001, 0x0a03_7fff), 1);
+        assert_eq!(p.count_range(0x0a02_0000, 0x0a02_ffff), 0);
+        assert_eq!(p.count_in_prefix(0x0a00_0000, 8), (1 << 16) + 3);
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -1,8 +1,10 @@
-//! Property-based tests: the segmented bitmap plane against a
-//! `BTreeSet<u32>` reference model under random operation sequences, and
-//! segment-boundary edge cases the random strategies would rarely reach.
+//! Property-based tests: the paged bitmap plane against a
+//! `BTreeSet<u32>` reference model under random operation sequences, the
+//! contingency kernels against a per-address reference across /16 page
+//! seams, and segment-boundary edge cases the random strategies would
+//! rarely reach.
 
-use ghosts_addrplane::AddrPlane;
+use ghosts_addrplane::{contingency_counts, stratified_counts, AddrPlane};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -102,6 +104,113 @@ proptest! {
         );
     }
 
+}
+
+/// Addresses biased to the /16 page seams: both sides of the
+/// 10.0/16 → 10.1/16 seam and of the 10.255/16 → 11.0/16 segment seam,
+/// the edges of the pages of 10.0/14, and anywhere in those four pages.
+fn page_seam_addr() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0x0a00_ff00u32..0x0a01_0100u32,
+        0x0aff_ff00u32..0x0b00_0100u32,
+        // First or last address of one of the four pages.
+        (0u32..8).prop_map(|k| 0x0a00_0000 | ((k >> 1) << 16) | ((k & 1) * 0xffff)),
+        0x0a00_0000u32..0x0a04_0000u32,
+        any::<u32>(),
+    ]
+}
+
+/// Operations on page-seam addresses, with prefix lengths 0–40.
+fn page_op_strategy() -> impl Strategy<Value = Op> {
+    let small = || proptest::collection::vec(page_seam_addr(), 0..40);
+    prop_oneof![
+        page_seam_addr().prop_map(Op::Insert),
+        page_seam_addr().prop_map(Op::Remove),
+        small().prop_map(Op::Union),
+        small().prop_map(Op::Intersect),
+        // A base and a length in 0..=40 from two independent draws.
+        proptest::collection::vec(page_seam_addr(), 2..3)
+            .prop_map(|d| Op::PopcountPrefix(d[0], (d[1] % 41) as u8)),
+    ]
+}
+
+/// The capture history of `addr` over `sources`: bit `i` set iff source
+/// `i` holds it.
+fn model_history(sources: &[BTreeSet<u32>], addr: u32) -> usize {
+    sources
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.contains(&addr))
+        .fold(0, |mask, (i, _)| mask | (1 << i))
+}
+
+proptest! {
+    #[test]
+    fn paged_plane_matches_model_across_page_seams(
+        ops in proptest::collection::vec(page_op_strategy(), 1..200),
+    ) {
+        let mut plane = AddrPlane::new();
+        let mut model: BTreeSet<u32> = BTreeSet::new();
+        for op in ops {
+            match op {
+                Op::Insert(a) => prop_assert_eq!(plane.insert(a), model.insert(a)),
+                Op::Remove(a) => prop_assert_eq!(plane.remove(a), model.remove(&a)),
+                Op::Union(addrs) => {
+                    plane.union_with(&addrs.iter().copied().collect());
+                    model.extend(addrs);
+                }
+                Op::Intersect(addrs) => {
+                    let other: AddrPlane = addrs.iter().copied().collect();
+                    let keep: BTreeSet<u32> = addrs.into_iter().collect();
+                    prop_assert_eq!(
+                        plane.intersection_count(&other),
+                        model.intersection(&keep).count() as u64
+                    );
+                    plane = plane.intersect(&other);
+                    model = model.intersection(&keep).copied().collect();
+                }
+                Op::PopcountPrefix(base, len) => {
+                    // Every length past 32 is a /32.
+                    prop_assert_eq!(
+                        plane.count_in_prefix(base, len),
+                        model_count_in_prefix(&model, base, len.min(32)),
+                        "count_in_prefix({}, {})", base, len
+                    );
+                }
+            }
+            prop_assert_eq!(plane.len(), model.len() as u64);
+        }
+        prop_assert!(plane.iter().eq(model.iter().copied()), "iteration order diverged");
+    }
+
+    #[test]
+    fn contingency_kernels_match_per_address_across_page_seams(
+        sources in proptest::collection::vec(
+            proptest::collection::vec(page_seam_addr(), 0..120),
+            1..5,
+        ),
+    ) {
+        let sources: Vec<BTreeSet<u32>> =
+            sources.into_iter().map(|s| s.into_iter().collect()).collect();
+        let planes: Vec<AddrPlane> = sources.iter().map(|s| s.iter().copied().collect()).collect();
+        let refs: Vec<&AddrPlane> = planes.iter().collect();
+        let union: BTreeSet<u32> = sources.iter().flatten().copied().collect();
+        let mut cells = vec![0u64; 1 << sources.len()];
+        for &a in &union {
+            cells[model_history(&sources, a)] += 1;
+        }
+        prop_assert_eq!(contingency_counts(&refs), cells);
+
+        // Strata by page within the /14, dropping addresses ending in .127.
+        let key = |a: u32| (a & 0xff != 0x7f).then_some(((a >> 16) & 3) as usize);
+        let mut strata = vec![vec![0u64; 1 << sources.len()]; 4];
+        for &a in &union {
+            if let Some(s) = key(a) {
+                strata[s][model_history(&sources, a)] += 1;
+            }
+        }
+        prop_assert_eq!(stratified_counts(&refs, 4, key), strata);
+    }
 }
 
 #[test]

@@ -44,7 +44,7 @@
 //! checkpoint write cost, and recovery scan time over a populated log,
 //! which must recover every append.
 //!
-//! The `addrplane` mode measures the segmented bitmap plane (DESIGN.md
+//! The `addrplane` mode measures the paged bitmap plane (DESIGN.md
 //! §17): 2^t contingency-cell construction via the word-wise kernel
 //! against the per-address oracle and a `BTreeMap<addr, mask>` baseline,
 //! at one and ten million observed addresses (asserting equal cells and a
@@ -513,8 +513,9 @@ fn addrplane_mode(out: &str) {
     let wall = WallClock::new();
     let t = 4usize;
     // Observed space concentrated in four /8s — used addresses cluster in
-    // a small fraction of the routed space (§4), which is exactly the
-    // sparsity the segment directory exploits.
+    // a small fraction of the routed space (§4), which is the sparsity the
+    // segment directory exploits. Inside those /8s the draws are uniform,
+    // so every /16 page is present: this is the plane's dense case.
     const EIGHTS: [u32; 4] = [8, 24, 60, 101];
 
     let rec = Recorder::enabled(Arc::new(LogicalClock::new()));

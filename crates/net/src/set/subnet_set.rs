@@ -9,9 +9,9 @@ const TOTAL_SUBNETS: u32 = 1 << 24;
 /// A set of /24 subnets, identified by the top 24 bits of an address
 /// (`addr >> 8`). A view over a plane ([`AddrSet`]) whose positions are
 /// subnet ids instead of addresses: every id is below 2²⁴, so the whole set
-/// lives in the plane's first segment, allocated lazily and scanned only
-/// over its touched words. Set algebra, popcounts and the contingency
-/// kernels are the plane's.
+/// lives in the plane's first segment, one 8 KiB page per /8 of addresses
+/// it touches. Set algebra, popcounts and the contingency kernels are the
+/// plane's.
 #[derive(Clone, Default)]
 pub struct SubnetSet {
     plane: AddrSet,

@@ -2,10 +2,11 @@
 //! the trace-tail ring behind `GET /v1/trace/tail`.
 //!
 //! Both structures are bounded by construction — a long-lived server
-//! (ROADMAP item 3) must be able to run for months without its telemetry
-//! growing, so windows are expressed as "the last *k* epochs" over a ring
-//! of per-epoch snapshot deltas, and the request tail is a capacity-capped
-//! ring with *tail-biased retention*: interesting requests (errors,
+//! (ROADMAP.md's parked streaming incremental estimation) must be able to
+//! run for months without its telemetry growing, so windows are
+//! expressed as "the last *k* epochs" over a ring of per-epoch snapshot
+//! deltas, and the request tail is a capacity-capped ring with
+//! *tail-biased retention*: interesting requests (errors,
 //! degraded answers, load-shed rejections, slow outliers) are always kept,
 //! while routine OK requests are admission-sampled and evicted first under
 //! pressure. Every retention decision is deterministic — a function of the

@@ -743,7 +743,9 @@ fn observations_stats(shared: &Shared) -> Response {
 /// `GET /v1/observations/estimate` — runs the paper-configuration
 /// estimator over the ingested per-source address sets. The body is the
 /// same canonical form `/v1/estimate` produces, so crash-recovery byte-
-/// identity can be asserted end to end.
+/// identity can be asserted end to end. Ingested addresses need not be
+/// routed, so the one bound they all satisfy, the whole IPv4 space,
+/// limits the estimate.
 fn observations_estimate(shared: &Shared) -> Response {
     let Some(plane) = shared.ingest.as_ref() else {
         return ingest_disabled();
@@ -759,7 +761,8 @@ fn observations_estimate(shared: &Shared) -> Response {
         state.1.table()
     };
     shared.hub.stats().estimate_computed.inc();
-    match estimate_table(&table, None, &CrConfig::paper()) {
+    let limit = ghosts_net::Prefix::whole_space().num_addresses();
+    match estimate_table(&table, Some(limit), &CrConfig::paper()) {
         Ok(est) => {
             let status = if est.degraded.is_some() { 203 } else { 200 };
             Response::json(status, estimate_json(&est))

@@ -1,8 +1,9 @@
 //! Durable-ingest end-to-end tests over loopback: acked batches survive a
 //! restart byte-identically, idempotency keys dedup, the bounded queue
-//! sheds with `429` + `Retry-After`, drain checkpoints then refuses, and
-//! a fault-injected torn write is never acknowledged — and is truncated
-//! away on the next startup.
+//! sheds with `429` + `Retry-After`, drain checkpoints then refuses, the
+//! ingest estimate stays within the IPv4 space, and a fault-injected torn
+//! write is never acknowledged — and is truncated away on the next
+//! startup.
 //!
 //! The fault plan is process-global and the tests run in parallel, so
 //! every test in this binary takes `PLAN_LOCK` first: one that installs a
@@ -325,6 +326,35 @@ fn invalid_batches_are_rejected_and_estimate_422s_when_empty() {
         .expect("metrics")
         .body_text();
     assert_eq!(counter(&metrics, "serve.ingest.rejected"), 3);
+    server.shutdown();
+}
+
+#[test]
+fn ingest_estimate_never_exceeds_the_ipv4_space() {
+    let _guard = plan_lock();
+    let dir = scratch("bounded");
+    let server = start_ingest(&dir, ServerConfig::default());
+
+    // Four disjoint sources with one address in each of 223 /8s: nothing
+    // recaptured, so only the bound keeps the estimate finite.
+    for source in 1..=4 {
+        let addrs: Vec<String> = (1..=223).map(|o| format!("{o}.0.0.{source}")).collect();
+        let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
+        let key = format!("k{source}");
+        let acked = post(&server, "/v1/observations", &batch(&key, &key, &addrs));
+        assert_eq!(acked.status, 201, "{}", acked.body_text());
+    }
+    let estimate = get(server.local_addr(), "/v1/observations/estimate").expect("estimate");
+    let body = estimate.body_text();
+    assert!(estimate.status == 200 || estimate.status == 203, "{body}");
+    assert!(body.contains("\"observed\":892"), "{body}");
+    let total: f64 = body
+        .split("\"total\":")
+        .nth(1)
+        .and_then(|t| t.split([',', '}']).next())
+        .and_then(|t| t.parse().ok())
+        .expect("total field");
+    assert!(total <= 4_294_967_296.0, "N̂ {total} exceeds 2^32: {body}");
     server.shutdown();
 }
 

@@ -76,8 +76,10 @@ pub fn spoof_volume(gt: &GroundTruth, source: &str, q: Quarter) -> u64 {
 /// The draws are deduplicated in a set as they are made: the uniform loop
 /// stops at `volume · (1 − reflector_fraction)` distinct addresses, and a
 /// victim counts only if it is new. The set is a `BTreeSet`, not an
-/// address plane, so a quarter's spoofs cost no 2 MiB /8 segment; callers
-/// insert them into the source's plane (DESIGN.md §18.1).
+/// address plane: uniform spoofs scatter over the routed space, and a
+/// throwaway plane would open a page for most of them only to free it
+/// after the merge. Callers insert them into the source's plane
+/// (DESIGN.md §18.1).
 pub fn spoofed_set(
     gt: &GroundTruth,
     source: &str,

@@ -71,6 +71,10 @@ echo "==> addrplane smoke (bitwise 2^t kernel ≡ per-address table on the repro
 # below.
 cargo test -q -p ghosts-bench --release --lib \
     plane_kernel_matches_per_address_on_repro_windows >/dev/null
+# The plane's property suite at 2,000 cases per property: the /16 page
+# seams and the segment seams against the BTreeSet model and the
+# per-address tables.
+PROPTEST_CASES=2000 cargo test -q -p ghosts-addrplane --release --test prop >/dev/null
 
 echo "==> exactness smoke (parallel window pass, spoof sets, log-linear design products, Newton loop, cell shortcuts, ln_cdf guard, bit pins)"
 # The hot loops skip work whose result is already known (DESIGN.md §18);
