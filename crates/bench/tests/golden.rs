@@ -11,6 +11,9 @@
 // Golden values are exact: any drift, even 1 ulp, is a regression.
 #![allow(clippy::float_cmp)]
 
+#[path = "../../core/tests/support/cold_search.rs"]
+mod cold_search;
+
 use ghosts_bench::strata::{self, Strat};
 use ghosts_bench::ReproContext;
 use ghosts_core::{
@@ -76,7 +79,7 @@ fn window10_estimate_ci_and_model_are_pinned() {
     assert_eq!(sel_seq.model.describe(), est.model);
     assert_eq!(sel_seq.model.describe(), sel_par.model.describe());
     assert_eq!(sel_seq.ic.to_bits(), sel_par.ic.to_bits());
-    assert_eq!(sel_seq.ic.to_bits(), 0x40a7_ff40_92fa_dec7);
+    assert_eq!(sel_seq.ic.to_bits(), 0x40a7_ff40_92fa_e02e);
 }
 
 /// FNV-1a (64-bit) over the big-endian bytes of each address, in the
@@ -95,27 +98,13 @@ fn fnv1a_bytes(bytes: impl Iterator<Item = u8>) -> u64 {
     h
 }
 
-/// Pins every candidate fit of the stepwise search, not only the chosen
-/// model: per table (window 10's addresses and /24s) and thread count, the
-/// number of models evaluated and an FNV-1a digest of each one's IC bits
-/// in trace order. A last-bit drift in a losing candidate's fit changes
-/// its IC and so the digest, even when the ranking survives it.
-#[test]
-fn every_candidate_ic_is_pinned() {
-    // (table, threads, models evaluated, FNV-1a of the IC bits).
-    let want: Vec<(&str, usize, usize, u64)> = vec![
-        ("addr", 1, 589, 0x31f1_2933_179d_ccf7),
-        ("addr", 4, 589, 0x31f1_2933_179d_ccf7),
-        ("subnet", 1, 514, 0xeb5b_ccc8_08be_933b),
-        ("subnet", 4, 514, 0xeb5b_ccc8_08be_933b),
-    ];
-
-    let ctx = ReproContext::new(DENOM, SEED);
+/// Window 10's address and /24 tables, each with its routed-space limit.
+fn window10_tables(ctx: &ReproContext) -> [(&'static str, ContingencyTable, u64); 2] {
     let data = ctx.filtered_window(WINDOW);
     let routed = &ctx.scenario.gt.routed;
     let subnet_sets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
     let subnet_refs: Vec<&SubnetSet> = subnet_sets.iter().collect();
-    let tables = [
+    [
         (
             "addr",
             ContingencyTable::from_addr_sets(&data.addr_sets()),
@@ -126,9 +115,27 @@ fn every_candidate_ic_is_pinned() {
             ContingencyTable::from_subnet_sets(&subnet_refs),
             routed.subnet24_count(),
         ),
+    ]
+}
+
+/// Pins every candidate fit of the stepwise search, not only the chosen
+/// model: per table (window 10's addresses and /24s) and thread count, the
+/// number of models evaluated and an FNV-1a digest of each one's IC bits
+/// in trace order. A last-bit drift in a losing candidate's fit changes
+/// its IC and so the digest, even when the ranking survives it.
+#[test]
+fn every_candidate_ic_is_pinned() {
+    // (table, threads, models evaluated, FNV-1a of the IC bits).
+    let want: Vec<(&str, usize, usize, u64)> = vec![
+        ("addr", 1, 589, 0x12a2_5e02_4921_8a22),
+        ("addr", 4, 589, 0x12a2_5e02_4921_8a22),
+        ("subnet", 1, 514, 0xdbde_3921_4d6d_8a01),
+        ("subnet", 4, 514, 0xdbde_3921_4d6d_8a01),
     ];
+
+    let ctx = ReproContext::new(DENOM, SEED);
     let mut got = Vec::new();
-    for (name, table, limit) in &tables {
+    for (name, table, limit) in &window10_tables(&ctx) {
         for threads in [1, 4] {
             let mut opts = ctx.cr_config().selection;
             opts.parallelism = Parallelism::Fixed(threads);
@@ -148,6 +155,23 @@ fn every_candidate_ic_is_pinned() {
         }
     }
     assert_eq!(got, want);
+}
+
+/// The warm-started search against its cold oracle on window 10's address
+/// and /24 tables: the same models in the same order, every IC within
+/// 1e-9 relative, and the same chosen model as the frozen search that
+/// fits every candidate from the least-squares start.
+#[test]
+fn warm_search_matches_the_cold_search_on_window10() {
+    let ctx = ReproContext::new(DENOM, SEED);
+    for (name, table, limit) in &window10_tables(&ctx) {
+        let cell = CellModel::Truncated { limit: *limit };
+        let opts = ctx.cr_config().selection;
+        let warm = select_model(table, cell, &opts, &Scope::disabled())
+            .expect("window 10 selects a model");
+        let cold = cold_search::cold_select(table, cell, &opts).expect("the baseline fits");
+        cold_search::assert_matches_cold(&warm, &cold, name);
+    }
 }
 
 /// Pins a stratified estimate end to end: per RIR stratum of window 10,

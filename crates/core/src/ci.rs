@@ -115,7 +115,7 @@ pub fn profile_interval(
         y.push(n0.max(0.0));
         y.extend(&observed_cells);
         let response = glm::Response::new(&y, &family)?;
-        Ok(glm::fit(&design, &response, opts)?.log_likelihood)
+        Ok(glm::fit(&design, &response, None, opts)?.log_likelihood)
     };
     // The profile search is sequential, so a plain Cell counts evaluations.
     let evals = Cell::new(0u64);

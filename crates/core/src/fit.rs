@@ -82,7 +82,7 @@ pub fn fit_llm(
     let y = table.observed_cells();
     let family = cell_model.family(y.len(), 1);
     let glm = glm::Response::new(&y, &family)
-        .and_then(|response| glm::fit(&design, &response, opts))
+        .and_then(|response| glm::fit(&design, &response, None, opts))
         .inspect_err(|e| {
             obs.error(
                 "fit_failed",

@@ -101,6 +101,10 @@ pub struct IcResult {
     pub iterations: usize,
     /// Whether that fit converged within its iteration budget.
     pub converged: bool,
+    /// The fitted coefficients, one per model term in
+    /// [`LogLinearModel::terms`] order: the start of the model's children
+    /// in the search.
+    pub coef: Vec<f64>,
 }
 
 /// The criterion of models fitted to one table, prepared once per model
@@ -154,14 +158,20 @@ impl IcEvaluator {
         self.divisor
     }
 
-    /// Fits `model` to the **scaled** table and evaluates the criterion.
+    /// Fits `model` to the **scaled** table from `start` (one coefficient
+    /// per term; `None` is the least-squares start, see [`glm::fit`]) and
+    /// evaluates the criterion.
     ///
     /// # Errors
     ///
     /// Propagates [`GlmError`] from the fitter, including
     /// [`GlmError::BudgetExhausted`] when a budget is configured.
-    pub fn evaluate(&self, model: &LogLinearModel) -> Result<IcResult, GlmError> {
-        let fit = glm::fit(&model.design(), &self.response, self.glm_opts)?;
+    pub fn evaluate(
+        &self,
+        model: &LogLinearModel,
+        start: Option<&[f64]>,
+    ) -> Result<IcResult, GlmError> {
+        let fit = glm::fit(&model.design(), &self.response, start, self.glm_opts)?;
         let k = model.num_params();
         let ic = match self.kind {
             IcKind::Aic => 2.0 * k as f64 - 2.0 * fit.log_likelihood,
@@ -173,6 +183,7 @@ impl IcEvaluator {
             k,
             iterations: fit.iterations,
             converged: fit.converged,
+            coef: fit.coef,
         })
     }
 }
@@ -190,7 +201,7 @@ mod tests {
         rule: DivisorRule,
     ) -> Result<IcResult, GlmError> {
         IcEvaluator::new(table, CellModel::Poisson, kind, rule, GlmOptions::default())?
-            .evaluate(model)
+            .evaluate(model, None)
     }
 
     fn toy_table() -> ContingencyTable {

@@ -84,11 +84,12 @@ pub struct GlmFit {
 /// Errors from GLM fitting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GlmError {
-    /// Design/response/limit dimensions disagree.
+    /// Design/response/limit/start dimensions disagree.
     DimensionMismatch {
-        /// Rows in the design matrix.
+        /// Rows in the design matrix (its columns when the start is the
+        /// mismatch).
         rows: usize,
-        /// Length of the response (or limit) vector.
+        /// Length of the response, limit or start vector.
         ys: usize,
     },
     /// The response contains negative or non-finite values.
@@ -292,7 +293,11 @@ pub fn log_likelihood(design: &LogLinearDesign, response: &Response, coef: &[f64
 /// Fits a count GLM with log link by damped Newton–Raphson.
 ///
 /// `design` is the `n × p` log-linear design, `response` the `n` observed
-/// counts, prepared once for every model fitted to them.
+/// counts, prepared once for every model fitted to them. `start` is where
+/// Newton starts, one coefficient per design column; `None` starts from
+/// the least-squares fit of `X u ≈ ln(y + 0.5)`. A start near the optimum,
+/// such as a fitted parent model's coefficients with a new term at zero,
+/// takes fewer iterations to the same maximum, though not to the same bits.
 ///
 /// The rates of the accepted line-search point are kept for the next
 /// step's means and variances and for the result, and the Newton buffers
@@ -303,11 +308,14 @@ pub fn log_likelihood(design: &LogLinearDesign, response: &Response, coef: &[f64
 /// # Errors
 ///
 /// Returns [`GlmError`] when the response and the design disagree on the
-/// number of cells, when the Newton system cannot be solved, and when the
-/// iteration breaks down or runs out of its budget.
+/// number of cells, when the start does not have one coefficient per
+/// column ([`GlmError::DimensionMismatch`]) or one is not finite
+/// ([`GlmError::NonFiniteFit`]), when the Newton system cannot be solved,
+/// and when the iteration breaks down or runs out of its budget.
 pub fn fit(
     design: &LogLinearDesign,
     response: &Response,
+    start: Option<&[f64]>,
     opts: GlmOptions,
 ) -> Result<GlmFit, GlmError> {
     // Fault point (a no-op unless a fault plan is armed; DESIGN.md §11):
@@ -335,6 +343,12 @@ pub fn fit(
             ys: cells.len(),
         });
     }
+    if let Some(start) = start.filter(|start| start.len() != p) {
+        return Err(GlmError::DimensionMismatch {
+            rows: p,
+            ys: start.len(),
+        });
+    }
     if poison_first_cell {
         let mut poisoned: Vec<f64> = cells.iter().map(|c| c.y).collect();
         if let Some(first) = poisoned.first_mut() {
@@ -352,16 +366,22 @@ pub fn fit(
     let mut hessian = Matrix::zeros(p, p);
     let mut trial = Vec::with_capacity(p);
 
-    // Initialise from the least-squares fit to ln(y + 0.5): X u ≈ ln(y+0.5).
-    design.gram_into(&mut hessian);
-    design.tr_matvec_into(&response.start_target, &mut score);
-    let mut coef = match solve_spd_with_ridge(&hessian, &score) {
-        Ok((c, _)) => c,
-        Err(_) => vec![0.0; p],
+    let mut coef = match start {
+        Some(start) => start.to_vec(),
+        // The least-squares fit to ln(y + 0.5): X u ≈ ln(y+0.5).
+        None => {
+            design.gram_into(&mut hessian);
+            design.tr_matvec_into(&response.start_target, &mut score);
+            match solve_spd_with_ridge(&hessian, &score) {
+                Ok((c, _)) => c,
+                Err(_) => vec![0.0; p],
+            }
+        }
     };
     // The design is only ever evaluated at finite coefficients (see
-    // `cells_log_likelihood`); a start that overflowed is the breakdown
-    // the final check below reports.
+    // `cells_log_likelihood`); a given start with a non-finite entry, or a
+    // least-squares start that overflowed, is the breakdown the final
+    // check below reports.
     if !coef.iter().all(|c| c.is_finite()) {
         return Err(GlmError::NonFiniteFit);
     }
@@ -456,7 +476,7 @@ mod tests {
         family: &CountFamily,
         opts: GlmOptions,
     ) -> Result<GlmFit, GlmError> {
-        fit(design, &Response::new(y, family)?, opts)
+        fit(design, &Response::new(y, family)?, None, opts)
     }
 
     /// The intercept-only design over `rows` cells: two sources, with the
@@ -750,6 +770,7 @@ mod tests {
         design: &Matrix,
         y: &[f64],
         family: &CountFamily,
+        start: Option<&[f64]>,
         opts: GlmOptions,
     ) -> Result<GlmFit, GlmError> {
         let n = design.rows();
@@ -757,6 +778,12 @@ mod tests {
             return Err(GlmError::DimensionMismatch {
                 rows: n,
                 ys: y.len(),
+            });
+        }
+        if let Some(start) = start.filter(|s| s.len() != design.cols()) {
+            return Err(GlmError::DimensionMismatch {
+                rows: design.cols(),
+                ys: start.len(),
             });
         }
         let limits: Vec<Option<u64>> = match family {
@@ -789,12 +816,15 @@ mod tests {
         };
 
         let target: Vec<f64> = y.iter().map(|&v| (v + 0.5).ln()).collect();
-        let mut coef = match solve_spd_with_ridge(
-            &design.weighted_gram(&vec![1.0; n]),
-            &design.tr_matvec(&target),
-        ) {
-            Ok((c, _)) => c,
-            Err(_) => vec![0.0; design.cols()],
+        let mut coef = match start {
+            Some(start) => start.to_vec(),
+            None => match solve_spd_with_ridge(
+                &design.weighted_gram(&vec![1.0; n]),
+                &design.tr_matvec(&target),
+            ) {
+                Ok((c, _)) => c,
+                Err(_) => vec![0.0; design.cols()],
+            },
         };
         if !coef.iter().all(|c| c.is_finite()) {
             return Err(GlmError::NonFiniteFit);
@@ -891,7 +921,10 @@ mod tests {
     /// rates kept and the per-cell shortcuts taken, gives the dense loop's
     /// coefficients, means, rates, log-likelihood, iteration count,
     /// convergence flag and errors, bit for bit, on random Poisson and
-    /// truncated problems.
+    /// truncated problems. Every third case starts both loops from a
+    /// fitted parent model's coefficients with the last term at zero (the
+    /// model search's warm start), and every third from random
+    /// coefficients.
     #[test]
     fn newton_fit_equals_the_dense_loop() {
         let mut rng = rng_from_seed(0x5eed_9e77);
@@ -899,10 +932,13 @@ mod tests {
         let mut bite = 0;
         let mut straddle = 0;
         let mut with_zero = 0;
+        let mut warm = 0;
+        let mut random_start = 0;
         for case in 0..400u64 {
             let t = rng.gen_range(1..=5usize);
             let ghost = rng.gen_bool(0.3);
-            let design = LogLinearDesign::new(t, &random_terms(t, 0.6, &mut rng), ghost);
+            let terms = random_terms(t, 0.6, &mut rng);
+            let design = LogLinearDesign::new(t, &terms, ghost);
             let n = design.rows();
             let scale: f64 = [1.0, 30.0, 1e4, 1e8][rng.gen_range(0..4usize)];
             let y: Vec<f64> = (0..n)
@@ -928,8 +964,22 @@ mod tests {
                 iteration_budget: [None, Some(2)][usize::from(case % 11 == 0)],
                 ..GlmOptions::default()
             };
-            let got = fit_y(&design, &y, &family, opts);
-            let want = dense_fit(&dense(&design), &y, &family, opts);
+            let p = design.cols();
+            let start: Option<Vec<f64>> = match case % 3 {
+                // The parent drops the largest term, which no other term
+                // contains, so it is hierarchical too.
+                1 if p > 1 => {
+                    let parent = LogLinearDesign::new(t, &terms[..p - 1], ghost);
+                    fit_y(&parent, &y, &family, GlmOptions::default())
+                        .ok()
+                        .map(|f| [f.coef.as_slice(), &[0.0]].concat())
+                }
+                2 => Some((0..p).map(|_| rng.gen_range(-2.0..2.0f64)).collect()),
+                _ => None,
+            };
+            let got = Response::new(&y, &family)
+                .and_then(|response| fit(&design, &response, start.as_deref(), opts));
+            let want = dense_fit(&dense(&design), &y, &family, start.as_deref(), opts);
             match (&got, &want) {
                 (Ok(g), Ok(w)) => {
                     assert!(
@@ -956,15 +1006,68 @@ mod tests {
                     if y.iter().any(|&v| is_exact_zero(v)) {
                         with_zero += 1;
                     }
+                    match case % 3 {
+                        1 if start.is_some() => warm += 1,
+                        2 => random_start += 1,
+                        _ => {}
+                    }
                 }
                 _ => assert_eq!(got.err(), want.err(), "case {case}"),
             }
         }
         assert!(
-            compared > 300 && bite > 80 && straddle > 30 && with_zero > 150,
+            compared > 300
+                && bite > 80
+                && straddle > 30
+                && with_zero > 150
+                && warm > 80
+                && random_start > 80,
             "{compared} fits, {bite} biting, {straddle} with rates on both sides of the bound, \
-             {with_zero} with zero cells"
+             {with_zero} with zero cells, {warm} warm-started, {random_start} from random starts"
         );
+    }
+
+    /// A start of the wrong length, or with a non-finite coefficient, is a
+    /// typed error before any work, not a panic.
+    #[test]
+    fn bad_starts_are_typed_errors() {
+        let design = independence2();
+        let response = Response::new(&[60.0, 20.0, 30.0], &CountFamily::Poisson).unwrap();
+        let opts = GlmOptions::default();
+        for (start, ys) in [(&[0.0, 0.0][..], 2), (&[0.0; 4][..], 4), (&[][..], 0)] {
+            assert_eq!(
+                fit(&design, &response, Some(start), opts).unwrap_err(),
+                GlmError::DimensionMismatch { rows: 3, ys }
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                fit(&design, &response, Some(&[1.0, bad, 0.0]), opts).unwrap_err(),
+                GlmError::NonFiniteFit
+            );
+        }
+    }
+
+    /// Started at a converged fit's coefficients, a fit stops within two
+    /// iterations at the same log-likelihood (within the tolerance), for
+    /// Poisson cells, limits far away and limits that bite.
+    #[test]
+    fn fit_started_at_its_optimum_stops_at_once() {
+        let design = LogLinearDesign::new(3, &[0, 1, 2, 3, 4, 5], true);
+        let y = [40.0, 31.0, 22.0, 9.0, 17.0, 6.0, 4.0, 2.0];
+        let opts = GlmOptions::default();
+        for family in [
+            CountFamily::Poisson,
+            CountFamily::TruncatedPoisson(vec![1_000; 8]),
+            CountFamily::TruncatedPoisson(vec![41; 8]),
+        ] {
+            let response = Response::new(&y, &family).unwrap();
+            let cold = fit(&design, &response, None, opts).unwrap();
+            assert!(cold.converged && cold.iterations > 2, "{cold:?}");
+            let warm = fit(&design, &response, Some(&cold.coef), opts).unwrap();
+            assert!(warm.converged && warm.iterations <= 2, "{warm:?}");
+            close(warm.log_likelihood, cold.log_likelihood, opts.tol);
+        }
     }
 
     /// The rate bound is conservative: at the bound itself, and so (the

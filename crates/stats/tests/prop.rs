@@ -223,7 +223,7 @@ fn fit_counts(
     family: &CountFamily,
     opts: GlmOptions,
 ) -> Result<GlmFit, GlmError> {
-    fit(design, &Response::new(y, family)?, opts)
+    fit(design, &Response::new(y, family)?, None, opts)
 }
 
 /// Random hierarchical term masks over `t` sources: the intercept, then in

@@ -58,7 +58,7 @@ fn check(design: &LogLinearDesign, cells: &[(f64, u64)], want: &[f64], want_ll: 
     let y: Vec<f64> = cells.iter().map(|c| c.0).collect();
     let family = CountFamily::TruncatedPoisson(cells.iter().map(|c| c.1).collect());
     let response = Response::new(&y, &family).expect("valid counts");
-    let got = fit(design, &response, GlmOptions::default()).expect("the fit succeeds");
+    let got = fit(design, &response, None, GlmOptions::default()).expect("the fit succeeds");
     assert!(got.converged, "{case}: fit did not converge");
     for (j, (&g, &w)) in got.coef.iter().zip(want).enumerate() {
         assert!(rel_close(g, w, 1e-6), "{case}: coef {j} = {g}, oracle {w}");

@@ -76,7 +76,7 @@ cargo test -q -p ghosts-bench --release --lib \
 # per-address tables.
 PROPTEST_CASES=2000 cargo test -q -p ghosts-addrplane --release --test prop >/dev/null
 
-echo "==> exactness smoke (parallel window pass, spoof sets, log-linear design products, Newton loop, cell shortcuts, ln_cdf guard, bit pins)"
+echo "==> exactness smoke (parallel window pass, spoof sets, log-linear design products, Newton loop, cell shortcuts, ln_cdf guard, warm search, bit pins)"
 # The hot loops skip work whose result is already known (DESIGN.md §18);
 # in release builds they must still give the bits of the loops they
 # replaced: the per-quarter simulator loop (at one, two and more workers
@@ -84,7 +84,9 @@ echo "==> exactness smoke (parallel window pass, spoof sets, log-linear design p
 # the Newton loop on dense products with rates recomputed every step and
 # frozen per-cell formulas, the per-cell zero-count and rate-bound
 # shortcuts, the one-pass truncated moments, the unguarded ln_cdf, and the
-# pinned outputs.
+# pinned outputs. The warm-started search must evaluate and choose the
+# models of the frozen cold-start search (§18.3), on random tables here
+# and on window 10's tables in the golden suite.
 cargo test -q -p ghosts-sim --release --lib -- \
     window_pass_equals_the_per_quarter_loop quarter_observations_equal_the_per_quarter_loop \
     spoofed_set_equals_the_plane_loop >/dev/null
@@ -93,6 +95,7 @@ cargo test -q -p ghosts-stats --release --test prop -- \
 cargo test -q -p ghosts-stats --release --lib -- newton_fit_equals_the_dense_loop \
     untruncated_rate_bound_is_conservative cell_shortcuts_are_bit_exact \
     mean_variance_equals_the_separate_calls >/dev/null
+cargo test -q -p ghosts-core --release --test warm_search >/dev/null
 cargo test -q -p ghosts-bench --release --test golden >/dev/null
 
 echo "==> observability smoke (repro --trace / --metrics-out + schema check)"
@@ -167,7 +170,7 @@ test -s "$smoke_dir/results/reliability.json"
 echo "==> results gate (repro all + repro reliability at the defaults = committed results/)"
 # results/ is what EXPERIMENTS.md quotes. Outputs are identical at every
 # thread count (DESIGN.md §8), so a fresh run must reproduce it byte for
-# byte (about 100 s on 2 vCPUs). A change that moves an output
+# byte (about 35 s on 2 vCPUs). A change that moves an output
 # regenerates results/ in the same change and names the files that moved.
 gate_dir="$smoke_dir/results_gate"
 mkdir -p "$gate_dir"
